@@ -8,6 +8,13 @@
 //! operation, which byte peaks alone cannot prove (a small alloc/free per
 //! op leaves the peak flat).
 //!
+//! Every counter exists twice: once per process and once **per thread**.
+//! [`alloc_calls`] and [`measure_thread`] read the calling thread's own
+//! counters, so a measurement is not billed for what `cargo test`'s other
+//! test threads allocate meanwhile; the process-wide counters
+//! ([`global_alloc_calls`], [`measure`]) are for callers that want other
+//! threads included (`fig10_memusage`, the worker-pool test).
+//!
 //! Binaries opt in with:
 //!
 //! ```ignore
@@ -16,12 +23,48 @@
 //! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 #[cfg(feature = "alloc-counts")]
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
+
+// The calling thread's own counters. Const-initialised and without a
+// destructor, so touching them from inside the allocator neither
+// allocates nor runs into thread-local teardown. Live bytes are signed:
+// a thread that frees what another allocated goes below zero.
+thread_local! {
+    static THREAD_CURRENT: Cell<isize> = const { Cell::new(0) };
+    static THREAD_PEAK: Cell<isize> = const { Cell::new(0) };
+    #[cfg(feature = "alloc-counts")]
+    static THREAD_ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Books `grown` more (or, negative, fewer) live bytes on the process and
+/// on the calling thread, and one allocation call if `call` is set.
+fn account(grown: isize, call: bool) {
+    if grown >= 0 {
+        let cur = CURRENT.fetch_add(grown as usize, Ordering::Relaxed) + grown as usize;
+        PEAK.fetch_max(cur, Ordering::Relaxed);
+    } else {
+        CURRENT.fetch_sub(grown.unsigned_abs(), Ordering::Relaxed);
+    }
+    // `try_with`: never panic inside the allocator.
+    let _ = THREAD_CURRENT.try_with(|c| {
+        let cur = c.get().wrapping_add(grown);
+        c.set(cur);
+        let _ = THREAD_PEAK.try_with(|p| p.set(p.get().max(cur)));
+    });
+    #[cfg(feature = "alloc-counts")]
+    if call {
+        ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+        let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get().wrapping_add(1)));
+    }
+    #[cfg(not(feature = "alloc-counts"))]
+    let _ = call;
+}
 
 /// The tracking allocator: forwards to the system allocator, counting
 /// live bytes, the high-water mark, and (with `alloc-counts`) the number
@@ -36,10 +79,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         // own contract.
         let p = unsafe { System.alloc(layout) };
         if !p.is_null() {
-            let cur = CURRENT.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
-            PEAK.fetch_max(cur, Ordering::Relaxed);
-            #[cfg(feature = "alloc-counts")]
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            account(layout.size() as isize, true);
         }
         p
     }
@@ -49,7 +89,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         // SAFETY: see fn-level comment.
         unsafe { System.dealloc(ptr, layout) };
-        CURRENT.fetch_sub(layout.size(), Ordering::Relaxed);
+        account(-(layout.size() as isize), false);
     }
 
     // SAFETY: caller upholds `GlobalAlloc`'s contract (`ptr` came from
@@ -58,17 +98,9 @@ unsafe impl GlobalAlloc for TrackingAlloc {
         // SAFETY: see fn-level comment.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
         if !p.is_null() {
-            let old = layout.size();
-            if new_size >= old {
-                let cur = CURRENT.fetch_add(new_size - old, Ordering::Relaxed) + (new_size - old);
-                PEAK.fetch_max(cur, Ordering::Relaxed);
-            } else {
-                CURRENT.fetch_sub(old - new_size, Ordering::Relaxed);
-            }
             // A realloc that moves (or grows) is allocator work too; count
             // it as one call.
-            #[cfg(feature = "alloc-counts")]
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
+            account(new_size as isize - layout.size() as isize, true);
         }
         p
     }
@@ -89,9 +121,24 @@ pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
-/// Total allocation calls so far (alloc + realloc; 0 without the
-/// `alloc-counts` feature).
+/// Allocation calls made so far **by the calling thread** (alloc +
+/// realloc; 0 without the `alloc-counts` feature). Other threads —
+/// `cargo test` runs tests in parallel — do not show up in it.
 pub fn alloc_calls() -> usize {
+    #[cfg(feature = "alloc-counts")]
+    {
+        THREAD_ALLOC_CALLS.with(Cell::get)
+    }
+    #[cfg(not(feature = "alloc-counts"))]
+    {
+        0
+    }
+}
+
+/// Allocation calls made so far by **every** thread of the process. The
+/// explicit opt-in for measurements whose work runs on other threads
+/// (the worker-pool test); anything else in the process is billed too.
+pub fn global_alloc_calls() -> usize {
     #[cfg(feature = "alloc-counts")]
     {
         ALLOC_CALLS.load(Ordering::Relaxed)
@@ -114,9 +161,21 @@ pub fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
     (value, peak, retained)
 }
 
+/// [`measure`] over the calling thread's own byte counters: what `f`
+/// itself allocated, whatever other threads do meanwhile. `f` must do its
+/// work on this thread.
+pub fn measure_thread<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
+    let before = THREAD_CURRENT.with(Cell::get);
+    THREAD_PEAK.with(|p| p.set(before));
+    let value = f();
+    let peak = THREAD_PEAK.with(Cell::get) - before;
+    let retained = THREAD_CURRENT.with(Cell::get) - before;
+    (value, peak.max(0) as usize, retained.max(0) as usize)
+}
+
 /// Runs `f`, returning `(result, peak_delta, retained_delta, alloc_calls)`
-/// — [`measure`] plus the number of allocation calls performed during the
-/// call (0 without `alloc-counts`).
+/// — [`measure`] plus the number of allocation calls the calling thread
+/// performed during the call (0 without `alloc-counts`).
 pub fn measure_counting<T>(f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     let calls_before = alloc_calls();
     let (value, peak, retained) = measure(f);

@@ -1,9 +1,11 @@
 //! Tier-1 proof that the PR-6 zero-allocation steady state survives the
 //! move onto worker threads (ISSUE 7 acceptance criterion).
 //!
-//! The whole test binary runs under the counting [`TrackingAlloc`] — the
-//! counters are global atomics, so allocations made *on the worker
-//! threads* are included. After a warm-up round (channel buffers, slab
+//! The whole test binary runs under the counting [`TrackingAlloc`], and
+//! the test opts in to its process-wide counter
+//! ([`global_alloc_calls`]): the work measured here happens *on the worker
+//! threads*, which the per-thread default would not see. That is sound
+//! only because this binary holds a single test. After a warm-up round (channel buffers, slab
 //! arenas, session-name cache, rope chunks), each further round of the
 //! same fleet script through the same host must stay within a small
 //! per-op allocation budget, and the budget must not grow from round to
@@ -18,7 +20,7 @@
 //! conflict machinery; what this test guards is the *pool* adding per-op
 //! allocations (un-recycled batches, per-op boxing, name formatting).
 
-use eg_bench::alloc_track::{alloc_calls, TrackingAlloc};
+use eg_bench::alloc_track::{global_alloc_calls, TrackingAlloc};
 use eg_server::{ServerConfig, ServerHost};
 use eg_trace::{fleet_workload, FleetOp, FleetSpec};
 use std::sync::Arc;
@@ -49,9 +51,9 @@ fn steady_state_allocs_per_op(workers: usize) -> Vec<f64> {
 
     let mut per_round = Vec::new();
     for _ in 0..4 {
-        let before = alloc_calls();
+        let before = global_alloc_calls();
         let report = host.run_script(&script);
-        let allocs = alloc_calls() - before;
+        let allocs = global_alloc_calls() - before;
         per_round.push(allocs as f64 / report.edits() as f64);
     }
     per_round

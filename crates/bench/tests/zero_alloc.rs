@@ -5,12 +5,15 @@
 //!
 //! The whole test binary runs under the counting [`TrackingAlloc`], so the
 //! numbers include every allocation the pipeline makes (walker plan,
-//! tracker, rope, arena slices).
+//! tracker, rope, arena slices). They are the *calling thread's* numbers:
+//! `cargo test` runs these tests side by side, and a process-wide counter
+//! bills each for the others' allocations (`counts_are_per_thread` pins
+//! that).
 
-use eg_bench::alloc_track::{alloc_calls, TrackingAlloc};
+use eg_bench::alloc_track::{alloc_calls, global_alloc_calls, measure_thread, TrackingAlloc};
 use eg_dag::Frontier;
 use eg_rle::HasLength;
-use egwalker::testgen::SmallRng;
+use egwalker::testgen::{mid_run_criticals_oplog, SmallRng};
 use egwalker::tracker::Tracker;
 use egwalker::walker::{self, WalkerOpts};
 use egwalker::{Branch, OpLog};
@@ -245,5 +248,142 @@ fn transform_and_apply_allocates_sublinearly() {
     assert_eq!(
         branch.content.to_string(),
         oplog.checkout_tip().content.to_string()
+    );
+}
+
+/// The counters every test here reads are the measuring thread's own: a
+/// second thread allocating as fast as it can all the while — what the
+/// other tests of this binary are to each of them under `cargo test`'s
+/// default parallelism — leaves the count exact, while the process-wide
+/// counter is billed for both.
+#[test]
+fn counts_are_per_thread() {
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    const MEASURED: usize = 100;
+    const NOISE_BATCH: usize = 1000;
+    let batches = AtomicUsize::new(0);
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            while !stop.load(Ordering::SeqCst) {
+                for i in 0..NOISE_BATCH {
+                    std::hint::black_box(Box::new(i));
+                }
+                batches.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+        // No sleeps: the measured window opens once the noise is running
+        // and closes only after two more batch ends, so at least one whole
+        // batch falls inside it.
+        let wait_for = |n: usize| {
+            while batches.load(Ordering::SeqCst) < n {
+                std::thread::yield_now();
+            }
+        };
+        wait_for(1);
+        let opened_at = batches.load(Ordering::SeqCst);
+        let (mine, everyone) = (alloc_calls(), global_alloc_calls());
+        for i in 0..MEASURED {
+            std::hint::black_box(Box::new(i));
+        }
+        wait_for(opened_at + 2);
+        let (mine, everyone) = (alloc_calls() - mine, global_alloc_calls() - everyone);
+        stop.store(true, Ordering::SeqCst);
+        assert_eq!(
+            mine, MEASURED,
+            "the measuring thread was billed for the noise"
+        );
+        assert!(
+            everyone >= MEASURED + NOISE_BATCH,
+            "the process-wide counter saw {everyone} calls, less than one noise batch"
+        );
+    });
+}
+
+/// Transient heap of a whole-history checkout — peak above what the
+/// returned `Branch` retains, i.e. tracker + walk plan — on a history of
+/// `windows` windows with a critical version planted mid-run in most.
+fn checkout_transient_bytes(windows: usize) -> usize {
+    let (oplog, len) = mid_run_criticals_oplog(0xc1ea4, windows);
+    let (branch, peak, retained) = measure_thread(|| oplog.checkout_tip());
+    assert_eq!(branch.len_chars(), len);
+    peak - retained
+}
+
+/// §3.5, black-box: the walker drops its state at every critical version,
+/// so a checkout's transient memory follows the largest stretch between two
+/// critical versions and not the length of the history. (Testing for a
+/// critical version only where a graph run ends, the walker missed the
+/// mid-run ones: the tracker and the plan then grew with the window count.)
+#[test]
+fn checkout_transient_memory_follows_the_segment_not_the_history() {
+    let short = checkout_transient_bytes(20);
+    let long = checkout_transient_bytes(4000);
+    eprintln!("checkout transient bytes: {short} (20 windows), {long} (4000 windows)");
+    assert!(
+        long < 2 * short + 16 * 1024,
+        "200x the history took {long} transient bytes against {short}: \
+         clearing at critical versions is not bounding the walker's state"
+    );
+}
+
+/// Clearing is allocation-free too: a warm tracker walks thousands of
+/// segments — a clear, a re-based index pair, a fresh placeholder and a
+/// fresh plan for each — without one allocator call.
+#[test]
+fn clearing_at_every_critical_version_is_allocation_free() {
+    let (oplog, _) = mid_run_criticals_oplog(3, 4000);
+    let all = [eg_rle::DTRange::from(0..oplog.len())];
+    let mut tracker: Tracker = Tracker::new();
+    let walk = |tracker: &mut Tracker| {
+        let before = alloc_calls();
+        walker::walk_reusing(
+            &oplog,
+            &Frontier::root(),
+            &all,
+            &all,
+            WalkerOpts::default(),
+            tracker,
+            &mut |_, _| {},
+        );
+        alloc_calls() - before
+    };
+    let cold = walk(&mut tracker);
+    let warm = walk(&mut tracker);
+    let segments = oplog.graph.criticals_runs().len();
+    eprintln!("{segments} segments: {cold} allocs cold, {warm} warm");
+    assert!(
+        segments > 2000,
+        "the history should clear thousands of times"
+    );
+    assert_eq!(
+        warm, 0,
+        "a warm walk allocated {warm} times over {segments} segments"
+    );
+}
+
+/// The tracker's LV-keyed indexes count from the first LV of the segment
+/// being replayed, not from LV 0 and not from the start of the window: a
+/// long sequential prefix (fast-forwarded, never tracked) in front of a
+/// small concurrent tail must not size them.
+#[test]
+fn sequential_prefix_does_not_size_the_tracker_indexes() {
+    const PREFIX: usize = 50_000;
+    let mut oplog = OpLog::new();
+    let agents: Vec<u32> = (0..3)
+        .map(|i| oplog.get_or_create_agent(&format!("tail{i}")))
+        .collect();
+    let mut rng = SmallRng::new(0x1dea);
+    append_sequential(&mut oplog, agents[0], &mut rng, PREFIX);
+    append_concurrent(&mut oplog, &agents, &mut rng, 100);
+
+    let (branch, peak, retained) = measure_thread(|| oplog.checkout_tip());
+    std::hint::black_box(branch);
+    let transient = peak - retained;
+    eprintln!("transient bytes behind a {PREFIX}-event prefix: {transient}");
+    // Twelve index bytes per prefix event would be 600 kB.
+    assert!(
+        transient < PREFIX,
+        "a 300-event concurrent tail took {transient} transient bytes"
     );
 }

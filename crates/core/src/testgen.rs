@@ -7,8 +7,9 @@
 //! material for the convergence and equivalence property tests.
 
 use crate::reference::replay_reference_version;
-use crate::OpLog;
+use crate::{ListOpKind, OpLog, TextOperation};
 use eg_dag::Frontier;
+use eg_rle::DTRange;
 
 /// A tiny deterministic xorshift generator (no external dependencies so the
 /// module can be used from every crate's tests without feature wiring).
@@ -137,9 +138,174 @@ pub fn random_oplog_prefixed(
     oplog
 }
 
+/// One author's view of the document inside a window of
+/// [`mid_run_criticals_oplog`]: its version, and the lane of the text —
+/// `lo..hi` in its own coordinates — it keeps its edits to.
+struct Lane {
+    agent: eg_dag::AgentId,
+    frontier: Frontier,
+    lo: usize,
+    hi: usize,
+}
+
+impl Lane {
+    /// Appends one random edit (a short insert, forward delete or backspace
+    /// run) inside the lane. Returns the change in document length.
+    fn edit(&mut self, oplog: &mut OpLog, rng: &mut SmallRng, alphabet: &[char]) -> isize {
+        let width = self.hi - self.lo;
+        let roll = rng.below(10);
+        let (lvs, delta) = if width == 0 || roll < 6 {
+            let pos = self.lo + rng.below(width + 1);
+            let n = 1 + rng.below(4);
+            let text: String = (0..n)
+                .map(|_| alphabet[rng.below(alphabet.len())])
+                .collect();
+            (
+                oplog.add_insert_at(self.agent, &self.frontier, pos, &text),
+                n as isize,
+            )
+        } else if roll < 8 {
+            let n = (1 + rng.below(3)).min(width);
+            let pos = self.lo + rng.below(width - n + 1);
+            (
+                oplog.add_delete_at(self.agent, &self.frontier, pos, n),
+                -(n as isize),
+            )
+        } else {
+            let n = (1 + rng.below(3)).min(width);
+            // Backspacing from `pos` removes `pos + 1 - n ..= pos`.
+            let pos = self.lo + n - 1 + rng.below(width - n + 1);
+            (
+                oplog.add_backspace_at(self.agent, &self.frontier, pos, n),
+                -(n as isize),
+            )
+        };
+        self.hi = (self.hi as isize + delta) as usize;
+        self.frontier = Frontier::new_1(lvs.last());
+        delta
+    }
+}
+
+/// Generates `windows` windows of two authors with a **critical version
+/// planted in the middle of a graph run** in most of them — the layout that
+/// a walker testing for criticality only where a run ends never sees.
+///
+/// A window goes: one author (alternating) merges both tips and types a few
+/// *solo* edits — every one of them a critical version — and then, without a
+/// break, keeps typing (same agent, consecutive LVs, each event parented on
+/// the one before: still the same graph run) while the other author
+/// branches off the last solo event. The solo author's graph run therefore
+/// begins with critical versions and ends with concurrent ones, and — the
+/// other branch being at least as long — the planner visits all of it in one
+/// go. Every fourth window (by a coin toss) skips the solo part, so runs of
+/// windows with no critical version at all occur too.
+///
+/// The two authors keep to disjoint lanes of the text, so deletes never
+/// overlap and the merged length is known without merging; generation is
+/// linear in the number of events. Returns the log and the length its
+/// merged document must have.
+pub fn mid_run_criticals_oplog(seed: u64, windows: usize) -> (OpLog, usize) {
+    let mut rng = SmallRng::new(seed);
+    let mut oplog = OpLog::new();
+    let agents = [
+        oplog.get_or_create_agent("left"),
+        oplog.get_or_create_agent("right"),
+    ];
+    let alphabet: Vec<char> = "abcdefghij OX√é→日本🦀".chars().collect();
+    let mut len = 0usize;
+    for w in 0..windows {
+        // Solo: one lane over the whole text, off the merged version.
+        let mut solo = Lane {
+            agent: agents[w % 2],
+            frontier: oplog.version().clone(),
+            lo: 0,
+            hi: len,
+        };
+        if rng.below(4) != 0 {
+            for _ in 0..1 + rng.below(3) {
+                solo.edit(&mut oplog, &mut rng, &alphabet);
+            }
+        }
+        len = solo.hi;
+        // Concurrent: both continue from where the solo author stands,
+        // the solo author first so that its LVs stay consecutive.
+        let cut = rng.below(len + 1);
+        let mut other = Lane {
+            agent: agents[(w + 1) % 2],
+            frontier: solo.frontier.clone(),
+            lo: cut,
+            hi: len,
+        };
+        let mut own = Lane {
+            lo: 0,
+            hi: cut,
+            ..solo
+        };
+        let before = oplog.len();
+        for _ in 0..1 + rng.below(3) {
+            len = (len as isize + own.edit(&mut oplog, &mut rng, &alphabet)) as usize;
+        }
+        // The other author's branch is never the shorter one, so the
+        // planner's smallest-branch-first rule visits the continuation
+        // straight after the solo events whether it sizes branches within
+        // a segment or (saturating, on a long history) within the whole
+        // window — and walks with and without clearing emit in one order.
+        let continued = oplog.len() - before;
+        let before = oplog.len();
+        while oplog.len() - before < continued {
+            len = (len as isize + other.edit(&mut oplog, &mut rng, &alphabet)) as usize;
+        }
+    }
+    (oplog, len)
+}
+
+/// Coalesces a transformed-operation stream into its coarsest equivalent:
+/// an insert that continues the previous insert's text joins it, and a
+/// delete whose range touches the gap the previous delete left joins that.
+///
+/// The walker may cut one run of events into several emitted operations
+/// (at tracker record boundaries, at segment boundaries, or not at all when
+/// it fast-forwards), so two correct walks of one history can differ in
+/// chunking while describing the same edits. Their coalesced streams are
+/// equal.
+pub fn coalesce_ops(ops: &[(DTRange, TextOperation)]) -> Vec<TextOperation> {
+    /// Joins `next` onto `prev` if it continues it.
+    fn join(prev: &mut TextOperation, next: &TextOperation) -> bool {
+        match (prev.kind, next.kind) {
+            (ListOpKind::Ins, ListOpKind::Ins) if next.pos == prev.pos + prev.len => {
+                let text = prev.content.as_mut().expect("insert carries content");
+                text.push_str(next.content.as_deref().expect("insert carries content"));
+            }
+            (ListOpKind::Del, ListOpKind::Del)
+                if next.pos <= prev.pos && prev.pos <= next.pos + next.len =>
+            {
+                prev.pos = next.pos;
+            }
+            _ => return false,
+        }
+        prev.len += next.len;
+        true
+    }
+
+    let mut out: Vec<TextOperation> = Vec::new();
+    for (_, op) in ops {
+        out.push(op.clone());
+        // A join can make the joined operation touch the one before it
+        // (delete at 6, then at 7, then at 6: the last two join first).
+        while let [.., prev, last] = out.as_mut_slice() {
+            if !join(prev, last) {
+                break;
+            }
+            out.pop();
+        }
+    }
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::replay_reference;
 
     #[test]
     fn generator_is_deterministic() {
@@ -155,6 +321,47 @@ mod tests {
         // At least one event should have multiple parents (a merge) or the
         // graph should have several runs.
         assert!(log.graph.num_entries() > 1);
+    }
+
+    #[test]
+    fn mid_run_criticals_are_planted_mid_run() {
+        let (log, len) = mid_run_criticals_oplog(5, 40);
+        assert_eq!(replay_reference(&log).chars().count(), len);
+        // Graph runs that start on a critical version and end on a
+        // concurrent one: the layout the generator exists for.
+        let planted = log
+            .graph
+            .iter()
+            .filter(|e| {
+                log.graph.is_critical(e.span.start) && !log.graph.is_critical(e.span.last())
+            })
+            .count();
+        assert!(planted >= 20, "only {planted} of 40 windows planted");
+    }
+
+    #[test]
+    fn coalesce_joins_rechunked_runs() {
+        let lvs = DTRange::from(0..1);
+        let chunked = [
+            (lvs, TextOperation::ins(3, "ab")),
+            (lvs, TextOperation::ins(5, "c")),
+            (lvs, TextOperation::del(5, 1)),
+            (lvs, TextOperation::del(4, 2)),
+            (lvs, TextOperation::ins(4, "x")),
+            // Joins backwards too: 7 does not continue 6, but (7, 6) does.
+            (lvs, TextOperation::del(6, 1)),
+            (lvs, TextOperation::del(7, 1)),
+            (lvs, TextOperation::del(6, 1)),
+        ];
+        assert_eq!(
+            coalesce_ops(&chunked),
+            vec![
+                TextOperation::ins(3, "abc"),
+                TextOperation::del(4, 3),
+                TextOperation::ins(4, "x"),
+                TextOperation::del(6, 3),
+            ]
+        );
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! events to their target characters.
 
 use crate::op::{ListOpKind, OpRun, TextOpRef};
+use crate::walker::WalkScratch;
 use crate::OpLog;
 use eg_content_tree::{ContentTree, Cursor, LeafIdx, RunStep, TreeEntry};
-use eg_dag::walk::WalkPlan;
 use eg_dag::LV;
 use eg_rle::{DTRange, HasLength, IntervalMap, MergableSpan, SplitableSpan};
 use std::cell::Cell;
@@ -169,7 +169,7 @@ impl TreeEntry for CrdtSpan {
     }
 }
 
-/// Sentinel in [`DelTargetIndex`] for event LVs that are not (applied)
+/// Sentinel in the delete-target index for event LVs that are not (applied)
 /// deletes. Real target ids top out below [`UNDERWATER_START`] +
 /// [`UNDERWATER_LEN`], well under `usize::MAX`.
 const NO_TARGET: usize = usize::MAX;
@@ -253,28 +253,93 @@ impl TrackerSnapshot {
     }
 }
 
-/// Delete-event LV → target-character ID, over the dense event-LV space.
+/// Event LV → `T`, dense over the LVs at or above a movable `base`.
 ///
-/// The same trick as [`IdIndex`]: event LVs are dense, so `dense[lv]` holds
-/// the id of the character that delete event `lv` removed ([`NO_TARGET`]
-/// for non-delete events). Runs re-materialise on lookup by scanning for
-/// consecutive ±1 targets, so replay stops paying a `BTreeMap` node
-/// allocation per recorded delete run.
-#[derive(Debug, Default)]
-struct DelTargetIndex {
-    dense: Vec<usize>,
+/// Both things the tracker looks up by LV — the leaf holding a character
+/// (its id is its insert event's LV) and the target of a delete event — are
+/// only ever asked about events of the current *segment*: a critical
+/// version splits the LV space exactly (§3.5), so once the state is
+/// cleared there, every id and delete event seen again is above it. The
+/// walker names the segment's first LV ([`Tracker::begin_segment`]) and an
+/// empty index counts from it: the vector is as long as the segment, not
+/// the history, and a clear is O(1). (Indexed by absolute LV, every clear
+/// made the next insert refill the vector from LV 0 — O(history) per
+/// critical version.)
+///
+/// `vacant` marks slots nothing was recorded for; lookups below the base
+/// or past the end answer `vacant` too.
+#[derive(Debug)]
+struct LvIndex<T> {
+    base: LV,
+    vacant: T,
+    dense: Vec<T>,
 }
 
-impl DelTargetIndex {
+impl<T: Copy + PartialEq> LvIndex<T> {
+    fn new(vacant: T) -> Self {
+        LvIndex {
+            base: 0,
+            vacant,
+            dense: Vec::new(),
+        }
+    }
+
+    /// Forgets everything, retaining capacity.
+    fn clear(&mut self) {
+        self.dense.clear();
+    }
+
+    /// Declares that every LV recorded from now on is `>= first`. An empty
+    /// index starts counting there; one that holds entries (a restored
+    /// snapshot being resumed) keeps its own, lower, base.
+    fn start_at(&mut self, first: LV) {
+        if self.dense.is_empty() {
+            self.base = first;
+        } else {
+            debug_assert!(self.base <= first, "index base above the segment");
+        }
+    }
+
+    /// The slots of `lvs`, growing the vector to cover them.
+    fn slots(&mut self, lvs: DTRange) -> &mut [T] {
+        assert!(
+            lvs.start >= self.base,
+            "LV {} below the index base {}",
+            lvs.start,
+            self.base
+        );
+        let (start, end) = (lvs.start - self.base, lvs.end - self.base);
+        if self.dense.len() < end {
+            self.dense.resize(end, self.vacant);
+        }
+        &mut self.dense[start..end]
+    }
+
+    /// What was recorded for `lv` (`vacant` if nothing).
+    fn get(&self, lv: LV) -> T {
+        lv.checked_sub(self.base)
+            .and_then(|i| self.dense.get(i))
+            .map_or(self.vacant, |v| *v)
+    }
+
+    /// One past the highest LV that may hold a value.
+    fn end(&self) -> LV {
+        self.base + self.dense.len()
+    }
+}
+
+/// Delete-event LV → target-character id: `get(lv)` is the id of the
+/// character that delete event `lv` removed ([`NO_TARGET`] for events that
+/// are not applied deletes). Runs re-materialise on lookup by scanning for
+/// consecutive ±1 targets, so replay pays no map-node allocation per
+/// recorded delete run.
+impl LvIndex<usize> {
     /// Records that delete events `events` removed the characters `target`
     /// (ascending ids; `fwd` gives the event-to-id direction).
     fn record(&mut self, events: DTRange, target: DTRange, fwd: bool) {
         debug_assert_eq!(events.len(), target.len());
-        if self.dense.len() < events.end {
-            self.dense.resize(events.end, NO_TARGET);
-        }
-        for k in 0..events.len() {
-            self.dense[events.start + k] = if fwd {
+        for (k, slot) in self.slots(events).iter_mut().enumerate() {
+            *slot = if fwd {
                 target.start + k
             } else {
                 target.end - 1 - k
@@ -284,7 +349,7 @@ impl DelTargetIndex {
 
     /// The target id of delete event `lv`.
     fn target_of(&self, lv: LV) -> usize {
-        let t = *self.dense.get(lv).expect("unknown delete event");
+        let t = self.get(lv);
         assert_ne!(t, NO_TARGET, "event {lv} is not a recorded delete");
         t
     }
@@ -294,16 +359,17 @@ impl DelTargetIndex {
     /// ascending range plus the run length in events.
     fn run_at(&self, lv: LV, end: LV) -> (DTRange, usize) {
         let t0 = self.target_of(lv);
+        // `NO_TARGET` is `usize::MAX`, which no `t0 ± n` below can equal.
         let mut n = 1usize;
-        if lv + 1 < end && self.dense.get(lv + 1) == Some(&(t0 + 1)) {
+        if lv + 1 < end && self.get(lv + 1) == t0 + 1 {
             // Ascending (fwd) run.
-            while lv + n < end && self.dense.get(lv + n) == Some(&(t0 + n)) {
+            while lv + n < end && self.get(lv + n) == t0 + n {
                 n += 1;
             }
             ((t0..t0 + n).into(), n)
-        } else if t0 > 0 && lv + 1 < end && self.dense.get(lv + 1) == Some(&(t0 - 1)) {
+        } else if t0 > 0 && lv + 1 < end && self.get(lv + 1) == t0 - 1 {
             // Descending (bwd) run.
-            while lv + n < end && t0 >= n && self.dense.get(lv + n) == Some(&(t0 - n)) {
+            while lv + n < end && t0 >= n && self.get(lv + n) == t0 - n {
                 n += 1;
             }
             ((t0 + 1 - n..t0 + 1).into(), n)
@@ -311,33 +377,34 @@ impl DelTargetIndex {
             ((t0..t0 + 1).into(), 1)
         }
     }
-
-    /// Forgets everything, retaining capacity.
-    fn clear(&mut self) {
-        self.dense.clear();
-    }
 }
 
 /// The tracker's character-ID → tree-leaf index (the paper's "second
 /// B-tree", §3.4).
 ///
-/// Real character IDs are insert-event LVs — a dense `0..num_events`
-/// space — so they index a flat vector directly: O(1) point lookups and a
+/// Real character IDs are insert-event LVs, dense above the segment base,
+/// so they index a flat [`LvIndex`] directly: O(1) point lookups and a
 /// `fill` per split notification, an order of magnitude cheaper than the
 /// interval-map route the profile showed dominating C1/C2 merge time.
 /// Placeholder (underwater) IDs sit near `usize::MAX` and stay in an
 /// [`IntervalMap`], which handles their huge sparse ranges in O(pieces).
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct IdIndex {
-    /// Real IDs: `dense[lv]` is the leaf holding the record (`None` for ids
-    /// never indexed; `Option<LeafIdx>` packs into 4 bytes via the
-    /// `NonZeroU32` niche).
-    dense: Vec<Option<LeafIdx>>,
+    /// Real IDs → the leaf holding the record (`Option<LeafIdx>` packs into
+    /// 4 bytes via the `NonZeroU32` niche).
+    real: LvIndex<Option<LeafIdx>>,
     /// Underwater IDs, keyed by their full `usize` range.
     underwater: IntervalMap<LeafIdx>,
 }
 
 impl IdIndex {
+    fn new() -> Self {
+        IdIndex {
+            real: LvIndex::new(None),
+            underwater: IntervalMap::default(),
+        }
+    }
+
     /// Points every id of `ids` (one uniform span: all real or all
     /// underwater) at `leaf`.
     fn set(&mut self, ids: DTRange, leaf: LeafIdx) {
@@ -346,10 +413,7 @@ impl IdIndex {
             return;
         }
         debug_assert!(ids.end <= UNDERWATER_START, "span straddles id spaces");
-        if self.dense.len() < ids.end {
-            self.dense.resize(ids.end, None);
-        }
-        self.dense[ids.start..ids.end].fill(Some(leaf));
+        self.real.slots(ids).fill(Some(leaf));
     }
 
     /// The leaf indexed for `id`, if any.
@@ -357,11 +421,11 @@ impl IdIndex {
         if id >= UNDERWATER_START {
             return self.underwater.get(id).map(|(_, leaf)| leaf);
         }
-        self.dense.get(id).copied().flatten()
+        self.real.get(id)
     }
 
     fn clear(&mut self) {
-        self.dense.clear();
+        self.real.clear();
         self.underwater.clear();
     }
 }
@@ -387,8 +451,8 @@ pub struct Tracker<const N: usize = TRACKER_FANOUT> {
     tree: ContentTree<CrdtSpan, N>,
     /// Character ID → tree leaf holding its record.
     ins_loc: IdIndex,
-    /// Delete-event LV → target character, dense over the event-LV space.
-    del_targets: DelTargetIndex,
+    /// Delete-event LV → target character id.
+    del_targets: LvIndex<usize>,
     /// Last-used cursor, the fast path for sequential ID lookups.
     ///
     /// Validation is by ID containment: record IDs are unique across the
@@ -430,9 +494,10 @@ pub struct Tracker<const N: usize = TRACKER_FANOUT> {
     /// Reusable piece buffer for the forward-delete batch
     /// ([`Tracker::apply_delete_fwd`]).
     delete_scratch: Vec<DelPiece>,
-    /// Reusable walk plan: the planner's pooled buffers (node pools, CSR
-    /// edges, diff scratch, range pool) survive across walk windows.
-    pub(crate) plan: WalkPlan,
+    /// The walk driver's pooled buffers (the planner's node pools, CSR
+    /// edges, diff scratch and range pool; the segment span list), kept
+    /// here so they survive across walk windows.
+    pub(crate) walk: WalkScratch,
 }
 
 /// One entry-bounded chunk of a forward delete, recorded by the batch
@@ -494,8 +559,8 @@ impl<const N: usize> Tracker<N> {
     pub fn new_with_caches(cache_enabled: bool, emit_cache_enabled: bool) -> Self {
         let mut t = Tracker {
             tree: ContentTree::new(),
-            ins_loc: IdIndex::default(),
-            del_targets: DelTargetIndex::default(),
+            ins_loc: IdIndex::new(),
+            del_targets: LvIndex::new(NO_TARGET),
             cache: Cell::new(None),
             cache_enabled,
             emit_cache: Cell::new(None),
@@ -503,7 +568,7 @@ impl<const N: usize> Tracker<N> {
             integrate_memo: HashMap::new(),
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),
-            plan: WalkPlan::new(),
+            walk: WalkScratch::default(),
         };
         t.install_placeholder();
         t
@@ -521,7 +586,6 @@ impl<const N: usize> Tracker<N> {
         self.tree.clear();
         self.ins_loc.clear();
         self.del_targets.clear();
-        self.integrate_memo.clear();
         // The arena was reset: cached node indexes are meaningless.
         self.cache.set(None);
         self.emit_cache.set(None);
@@ -536,6 +600,21 @@ impl<const N: usize> Tracker<N> {
         self.cache_enabled = cache_enabled;
         self.emit_cache_enabled = emit_cache_enabled;
         self.clear();
+    }
+
+    /// Tells the tracker that every event it is about to apply, retreat or
+    /// advance has an LV `>= first` — the walker calls this with the first
+    /// LV of each segment it replays. A cleared tracker's LV-keyed indexes
+    /// then count from `first` (and assert it) rather than from LV 0; a
+    /// resumed tracker's keep counting from the lowest LV they hold, which
+    /// is lower still (everything walked is causally after, hence above,
+    /// what a snapshot holds).
+    ///
+    /// Skipping the call is safe — the indexes then count from wherever
+    /// they last did, at the cost of a vector spanning the gap.
+    pub fn begin_segment(&mut self, first: LV) {
+        self.ins_loc.real.start_at(first);
+        self.del_targets.start_at(first);
     }
 
     fn install_placeholder(&mut self) {
@@ -576,15 +655,15 @@ impl<const N: usize> Tracker<N> {
     pub fn to_snapshot(&self) -> TrackerSnapshot {
         let records = self.records();
         let mut del_runs = Vec::new();
-        let dense = &self.del_targets.dense;
-        let mut lv = 0usize;
-        while lv < dense.len() {
-            if dense[lv] == NO_TARGET {
+        let del = &self.del_targets;
+        let mut lv = del.base;
+        while lv < del.end() {
+            if del.get(lv) == NO_TARGET {
                 lv += 1;
                 continue;
             }
-            let (target, n) = self.del_targets.run_at(lv, dense.len());
-            let fwd = n == 1 || dense[lv + 1] == dense[lv] + 1;
+            let (target, n) = del.run_at(lv, del.end());
+            let fwd = n == 1 || del.get(lv + 1) == del.get(lv) + 1;
             del_runs.push((DTRange::from(lv..lv + n), target, fwd));
             lv += n;
         }
@@ -597,7 +676,10 @@ impl<const N: usize> Tracker<N> {
     /// ID → leaf index from the entry stream) and the delete runs are
     /// re-recorded; caches, scratch buffers, and the walk plan start
     /// empty. The restored tracker is behaviourally identical to the one
-    /// that produced the snapshot.
+    /// that produced the snapshot. The snapshot does not name the LV its
+    /// indexes counted from; each restored index counts from the smallest
+    /// LV the snapshot holds for it, which a resumed walk never goes below
+    /// (see [`Tracker::begin_segment`]).
     ///
     /// For untrusted input, call [`TrackerSnapshot::validate`] first —
     /// this constructor trusts the snapshot's structural invariants.
@@ -612,11 +694,22 @@ impl<const N: usize> Tracker<N> {
         cache_enabled: bool,
         emit_cache_enabled: bool,
     ) -> Self {
-        let mut ins_loc = IdIndex::default();
+        let mut ins_loc = IdIndex::new();
+        let real_ids = snap.records.iter().filter(|r| !r.is_underwater());
+        ins_loc
+            .real
+            .start_at(real_ids.map(|r| r.id.start).min().unwrap_or(0));
         let tree = ContentTree::from_entries(snap.records.iter().copied(), |e: &CrdtSpan, leaf| {
             ins_loc.set(e.id, leaf);
         });
-        let mut del_targets = DelTargetIndex::default();
+        let mut del_targets = LvIndex::new(NO_TARGET);
+        del_targets.start_at(
+            snap.del_runs
+                .iter()
+                .map(|(events, _, _)| events.start)
+                .min()
+                .unwrap_or(0),
+        );
         for &(events, target, fwd) in &snap.del_runs {
             del_targets.record(events, target, fwd);
         }
@@ -631,7 +724,7 @@ impl<const N: usize> Tracker<N> {
             integrate_memo: HashMap::new(),
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),
-            plan: WalkPlan::new(),
+            walk: WalkScratch::default(),
         }
     }
 
@@ -1320,7 +1413,7 @@ mod tests {
     #[test]
     fn del_target_directions() {
         // Forward run: events 20..24 delete ids 10..14 in order.
-        let mut idx = DelTargetIndex::default();
+        let mut idx = LvIndex::new(NO_TARGET);
         idx.record((20..24).into(), (10..14).into(), true);
         assert_eq!(idx.target_of(20), 10);
         assert_eq!(idx.target_of(23), 13);
@@ -1328,14 +1421,14 @@ mod tests {
         // Bounded by the queried event range.
         assert_eq!(idx.run_at(21, 23), ((11..13).into(), 2));
         // Backward run: events 30..34 delete ids 13, 12, 11, 10.
-        let mut idx = DelTargetIndex::default();
+        let mut idx = LvIndex::new(NO_TARGET);
         idx.record((30..34).into(), (10..14).into(), false);
         assert_eq!(idx.target_of(30), 13);
         assert_eq!(idx.target_of(33), 10);
         assert_eq!(idx.run_at(30, 34), ((10..14).into(), 4));
         assert_eq!(idx.run_at(31, 33), ((11..13).into(), 2));
         // Singleton in the middle of nothing.
-        let mut idx = DelTargetIndex::default();
+        let mut idx = LvIndex::new(NO_TARGET);
         idx.record((5..6).into(), (40..41).into(), true);
         assert_eq!(idx.run_at(5, 6), ((40..41).into(), 1));
     }
@@ -1344,13 +1437,69 @@ mod tests {
     fn del_target_runs_recorded_piecewise() {
         // Two separately recorded forward chunks with contiguous targets
         // coalesce on lookup — and a direction flip breaks the run.
-        let mut idx = DelTargetIndex::default();
+        let mut idx = LvIndex::new(NO_TARGET);
         idx.record((0..2).into(), (100..102).into(), true);
         idx.record((2..4).into(), (102..104).into(), true);
         assert_eq!(idx.run_at(0, 4), ((100..104).into(), 4));
         idx.record((4..6).into(), (98..100).into(), false);
         assert_eq!(idx.run_at(3, 6), ((103..104).into(), 1));
         assert_eq!(idx.run_at(4, 6), ((98..100).into(), 2));
+    }
+
+    #[test]
+    fn lv_index_counts_from_its_base() {
+        let mut idx = LvIndex::new(NO_TARGET);
+        idx.start_at(1_000_000);
+        idx.record((1_000_004..1_000_006).into(), (7..9).into(), true);
+        // Six slots, not a million.
+        assert_eq!(idx.dense.len(), 6);
+        assert_eq!(idx.get(1_000_005), 8);
+        assert_eq!(idx.end(), 1_000_006);
+        // Vacant inside, below the base and past the end.
+        assert_eq!(idx.get(1_000_000), NO_TARGET);
+        assert_eq!(idx.get(999_999), NO_TARGET);
+        assert_eq!(idx.get(1_000_006), NO_TARGET);
+        // An index with entries keeps its base; a cleared one takes the new.
+        idx.start_at(1_000_002);
+        assert_eq!(idx.base, 1_000_000);
+        idx.clear();
+        assert_eq!(idx.get(1_000_005), NO_TARGET);
+        idx.start_at(2_000_000);
+        idx.record((2_000_000..2_000_001).into(), (3..4).into(), true);
+        assert_eq!(idx.dense.len(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "below the index base")]
+    fn lv_index_rejects_lvs_below_its_base() {
+        let mut idx = LvIndex::new(NO_TARGET);
+        idx.start_at(10);
+        idx.record((9..10).into(), (0..1).into(), true);
+    }
+
+    #[test]
+    fn snapshot_round_trips_rebased_indexes() {
+        // A tracker whose segment starts at LV 500: an insert and a delete.
+        let mut oplog = OpLog::new();
+        let a = oplog.get_or_create_agent("a");
+        oplog.add_insert(a, 0, &"x".repeat(500));
+        oplog.add_insert(a, 10, "abc");
+        oplog.add_delete(a, 11, 2);
+        let mut t: Tracker = Tracker::new();
+        t.begin_segment(500);
+        t.apply_range(&oplog, (500..505).into(), false, &mut |_, _| {});
+        assert_eq!(t.ins_loc.real.base, 500);
+        let snap = t.to_snapshot();
+        assert_eq!(
+            snap.del_runs,
+            vec![((503..505).into(), (501..503).into(), true)]
+        );
+        let restored: Tracker = Tracker::from_snapshot(&snap);
+        // Each restored index counts from the smallest LV it holds.
+        assert_eq!(restored.ins_loc.real.base, 500);
+        assert_eq!(restored.del_targets.base, 503);
+        assert_eq!(restored.to_snapshot(), snap);
+        assert_eq!(restored.ins_loc.get(502), t.ins_loc.get(502));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use crate::op::{ListOpKind, TextOpRef, TextOperation};
 use crate::tracker::{Tracker, TRACKER_FANOUT};
 use crate::OpLog;
-use eg_dag::walk::PlanOrder;
+use eg_dag::walk::{PlanOrder, WalkPlan};
 use eg_dag::{Frontier, LV};
 use eg_rle::{DTRange, HasLength};
 
@@ -120,7 +120,7 @@ pub fn walk_reusing_with_fanout<const N: usize, F>(
 ) where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    walk_driver(oplog, base, spans, emit, opts, tracker, false, out)
+    walk_driver(oplog, base, spans, emit, opts, tracker, false, out);
 }
 
 /// [`walk_reusing`] *without* the tracker reset: the caller-owned tracker
@@ -132,7 +132,9 @@ pub fn walk_reusing_with_fanout<const N: usize, F>(
 /// tracker state from the latest critical version, a resumed walk replays
 /// only the oplog tail. `base` must be the tracker's current (prepare ==
 /// effect) version, and — as with every walk — a version dominated by all
-/// events in `spans`.
+/// events in `spans`. Every event walked is then a descendant of, and so
+/// has a higher LV than, everything the tracker holds
+/// ([`Tracker::begin_segment`] relies on it).
 ///
 /// The walk starts with the tracker considered dirty, so the §3.5
 /// fast-forward stays off until the first critical version is crossed and
@@ -148,11 +150,38 @@ pub fn walk_resuming<F>(
 ) where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    walk_driver(oplog, base, spans, emit, opts, tracker, true, out)
+    walk_driver(oplog, base, spans, emit, opts, tracker, true, out);
+}
+
+/// The walk driver's pooled buffers, owned by the [`Tracker`] so that reuse
+/// carries their capacity across windows. Each holds one *segment* at a
+/// time, so they grow to the largest inter-critical segment a replica has
+/// walked, not to its history.
+#[derive(Debug, Default)]
+pub(crate) struct WalkScratch {
+    /// The current segment's plan.
+    plan: WalkPlan,
+    /// The window's spans clipped to the current segment.
+    spans: Vec<DTRange>,
+    /// The version the current segment starts from.
+    base: Frontier,
 }
 
 /// Shared walk loop behind [`walk_reusing_with_fanout`] (fresh tracker
-/// state) and [`walk_resuming`] (tracker restored at `base`).
+/// state) and [`walk_resuming`] (tracker restored at `base`). Returns the
+/// last event the walk consumed — the tracker's prepare version — or
+/// `None` for an empty window.
+///
+/// The window is cut after every maximal run of critical versions
+/// (§3.5). A critical version `c` splits the LV space exactly — every
+/// event below it is its ancestor, every event above its descendant — so
+/// the piece that ends at `c` is causally closed and the next one is
+/// causally closed above `{c}`: each is planned and replayed on its own.
+/// Within a piece, the events up to and including the run's first
+/// critical version go through the tracker, the state is cleared there,
+/// and the rest of the run (version and parent version both critical) is
+/// emitted untransformed. With `enable_clearing` off the whole window is
+/// one piece.
 #[allow(clippy::too_many_arguments)]
 fn walk_driver<const N: usize, F>(
     oplog: &OpLog,
@@ -163,14 +192,12 @@ fn walk_driver<const N: usize, F>(
     tracker: &mut Tracker<N>,
     resume: bool,
     out: &mut F,
-) where
+) -> Option<LV>
+where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    // The plan's pooled buffers live on the tracker so reuse carries them
-    // across windows; it is taken out for the duration of the walk because
-    // the steps borrow from its range pool while the tracker is mutated.
-    let mut plan = std::mem::take(&mut tracker.plan);
-    plan.plan_with_order(&oplog.graph, base, spans, emit, opts.plan_order);
+    let lo = spans.first().map_or(0, |s| s.start);
+    let hi = spans.last().map_or(0, |s| s.end);
     // `clean` means: the tracker holds nothing but a placeholder, standing
     // for the document at the current (prepare == effect) version. A
     // resumed tracker carries real records for the pre-`base` window, so
@@ -181,90 +208,142 @@ fn walk_driver<const N: usize, F>(
         tracker.reset_with_caches(opts.cursor_cache, opts.emit_cache);
         true
     };
+    // Taken out for the duration of the walk: the plan's steps borrow from
+    // its range pool while the tracker is mutated.
+    let mut scratch = std::mem::take(&mut tracker.walk);
+    scratch.base.0.clear();
+    // ALLOC: pooled segment base, capacity retained across walks
+    scratch.base.0.extend_from_slice(base.as_slice());
 
-    // Cursor into `emit` (ranges are ascending, but consumption can jump
-    // between branches, so we binary search).
-    let emit_overlap = |range: DTRange| -> Option<(bool, usize)> {
-        // Returns (emit?, prefix_len) for the prefix of `range` with a
-        // uniform emit flag.
-        match emit.binary_search_by(|r| {
-            if r.end <= range.start {
-                std::cmp::Ordering::Less
-            } else if r.start > range.start {
-                std::cmp::Ordering::Greater
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(idx) => {
-                let r = emit[idx];
-                Some((true, (r.end.min(range.end)) - range.start))
-            }
-            Err(idx) => {
-                let next_start = emit.get(idx).map(|r| r.start).unwrap_or(usize::MAX);
-                Some((false, (next_start.min(range.end)) - range.start))
-            }
-        }
+    let criticals = oplog.graph.criticals_runs();
+    let mut next_run = if opts.enable_clearing {
+        criticals.partition_point(|r| r.end <= lo)
+    } else {
+        criticals.len()
     };
+    let mut last_consumed = None;
+    let mut at = lo;
+    while at < hi {
+        // The next maximal critical run inside the window. Critical LVs
+        // between two window events are window events themselves, so
+        // clipping to `at..hi` is clipping to the window.
+        let run: Option<DTRange> = criticals
+            .get(next_run)
+            .filter(|r| r.start < hi)
+            .map(|r| (r.start.max(at)..r.end.min(hi)).into());
+        next_run += 1;
 
-    for step in plan.iter() {
-        if !step.retreat.is_empty() || !step.advance.is_empty() {
-            debug_assert!(!clean || step_targets_are_post_clear(step.retreat));
-            for r in step.retreat.iter().rev() {
-                tracker.retreat(oplog, *r);
-            }
-            for r in step.advance {
-                tracker.advance(oplog, *r);
-            }
+        // Through the tracker: everything before the run plus its first
+        // event, whose parent version is not critical — unless the
+        // tracker is clean and the run starts right here.
+        let tracked_end = match run {
+            Some(r) if clean && r.start == at => at,
+            Some(r) => r.start + 1,
+            None => hi,
+        };
+        if at < tracked_end {
+            tracker.begin_segment(at);
+            clip_spans(spans, (at..tracked_end).into(), &mut scratch.spans);
+            let seg_emit = overlapping(emit, at, tracked_end);
+            scratch.plan.plan_with_order(
+                &oplog.graph,
+                &scratch.base,
+                &scratch.spans,
+                seg_emit,
+                opts.plan_order,
+            );
+            last_consumed = walk_segment(oplog, &scratch.plan, seg_emit, tracker, out);
             clean = false;
         }
+        let Some(run) = run else { break };
+        // A critical version was crossed: drop the internal state. No
+        // event at or below it is looked up again.
+        if !clean {
+            tracker.clear();
+            clean = true;
+        }
+        emit_as_is(oplog, (tracked_end..run.end).into(), emit, out);
+        last_consumed = Some(run.end - 1);
+        scratch.base.replace_with_1(run.end - 1);
+        at = run.end;
+    }
+    tracker.walk = scratch;
+    last_consumed
+}
 
+/// Replays one planned segment through the tracker, emitting the events
+/// inside `emit`. Returns the last event consumed.
+fn walk_segment<const N: usize, F>(
+    oplog: &OpLog,
+    plan: &WalkPlan,
+    emit: &[DTRange],
+    tracker: &mut Tracker<N>,
+    out: &mut F,
+) -> Option<LV>
+where
+    F: FnMut(DTRange, TextOpRef<'_>),
+{
+    let mut last_consumed = None;
+    for step in plan.iter() {
+        for r in step.retreat.iter().rev() {
+            tracker.retreat(oplog, *r);
+        }
+        for r in step.advance {
+            tracker.advance(oplog, *r);
+        }
+        // Apply, chunked on emit boundaries.
         let mut range = step.consume;
         while !range.is_empty() {
-            // Fast-forward: with a clean tracker at the run's parent
-            // version, events whose versions are critical need no
-            // transformation at all (§3.5).
-            if opts.enable_clearing && clean {
-                if let Some((crit, offset)) = oplog.graph.criticals().find_with_offset(range.start)
-                {
-                    let ff_end = (crit.start + crit.len()).min(range.end);
-                    let _ = offset;
-                    emit_as_is(oplog, (range.start..ff_end).into(), &emit_overlap, out);
-                    range.start = ff_end;
-                    continue;
-                }
-            }
-
-            // Apply through the tracker, chunked on emit boundaries.
-            let (emit_flag, len) = emit_overlap(range).expect("emit ranges exhausted");
-            let chunk: DTRange = (range.start..range.start + len.min(range.len())).into();
+            let (emit_flag, len) = emit_overlap(emit, range);
+            let chunk: DTRange = (range.start..range.start + len).into();
             tracker.apply_range(oplog, chunk, emit_flag, out);
-            clean = false;
             range.start = chunk.end;
-
-            // Clearing: if we just crossed a critical version, drop the
-            // internal state (§3.5).
-            if opts.enable_clearing && oplog.graph.is_critical(chunk.end - 1) {
-                tracker.clear();
-                clean = true;
-            }
         }
+        last_consumed = Some(step.consume.end - 1);
     }
-    tracker.plan = plan;
+    last_consumed
+}
+
+/// Writes `spans ∩ clip` into `out` (cleared first; capacity retained).
+fn clip_spans(spans: &[DTRange], clip: DTRange, out: &mut Vec<DTRange>) {
+    out.clear();
+    for s in overlapping(spans, clip.start, clip.end) {
+        // ALLOC: pooled segment span list, capacity retained across walks
+        out.push((s.start.max(clip.start)..s.end.min(clip.end)).into());
+    }
+}
+
+/// The sub-slice of `ranges` (ascending, disjoint) that overlaps
+/// `start..end`. Its first and last range may stick out of it.
+fn overlapping(ranges: &[DTRange], start: LV, end: LV) -> &[DTRange] {
+    let from = ranges.partition_point(|r| r.end <= start);
+    let to = from + ranges[from..].partition_point(|r| r.start < end);
+    &ranges[from..to]
+}
+
+/// `(emit?, len)` for the longest prefix of `range` with a uniform emit
+/// flag. `emit` is ascending, but consumption can jump between branches,
+/// so this binary searches.
+fn emit_overlap(emit: &[DTRange], range: DTRange) -> (bool, usize) {
+    let idx = emit.partition_point(|r| r.end <= range.start);
+    match emit.get(idx) {
+        Some(r) if r.start <= range.start => (true, r.end.min(range.end) - range.start),
+        Some(r) => (false, r.start.min(range.end) - range.start),
+        None => (false, range.len()),
+    }
 }
 
 /// Emits the events of `range` untransformed (their version and parent
 /// versions are critical, so the transformed operation equals the
 /// original).
-fn emit_as_is<F, G>(oplog: &OpLog, range: DTRange, emit_overlap: &G, out: &mut F)
+fn emit_as_is<F>(oplog: &OpLog, range: DTRange, emit: &[DTRange], out: &mut F)
 where
     F: FnMut(DTRange, TextOpRef<'_>),
-    G: Fn(DTRange) -> Option<(bool, usize)>,
 {
     let mut range = range;
     while !range.is_empty() {
-        let (emit_flag, len) = emit_overlap(range).expect("emit ranges exhausted");
-        let chunk: DTRange = (range.start..range.start + len.min(range.len())).into();
+        let (emit_flag, len) = emit_overlap(emit, range);
+        let chunk: DTRange = (range.start..range.start + len).into();
         if emit_flag {
             for (lvs, mut run) in oplog.ops_in(chunk) {
                 // Normalise multi-unit backward deletes: deleting [s, e)
@@ -286,12 +365,6 @@ where
     }
 }
 
-/// Debug-build sanity helper: retreats with a clean tracker would touch
-/// records that no longer exist; the §3.5 invariants forbid it.
-fn step_targets_are_post_clear(retreat: &[DTRange]) -> bool {
-    retreat.is_empty()
-}
-
 /// Builds a tracker representing the document at `version`, with the
 /// prepare and effect dimensions both at exactly `version` — the state a
 /// checkpoint snapshot captures ([`Tracker::to_snapshot`]) and that
@@ -309,13 +382,14 @@ pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker<TR
     if spans.is_empty() {
         return tracker;
     }
-    walk_reusing(
+    let last_consumed = walk_driver(
         oplog,
         &base,
         &spans,
         &[],
         opts,
         &mut tracker,
+        false,
         &mut |_, _| {},
     );
     // The walk leaves the prepare dimension at the tip of the last run it
@@ -323,12 +397,6 @@ pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker<TR
     // prepare == effect == `version`. Fast-forwarded runs are critical
     // versions and hence already inside any later prepare version, so
     // every range advanced here has live records in the tracker.
-    let mut last_consumed = None;
-    for step in tracker.plan.iter() {
-        if !step.consume.is_empty() {
-            last_consumed = Some(step.consume.end - 1);
-        }
-    }
     let prepare = match last_consumed {
         Some(lv) => Frontier::new_1(lv),
         None => base,

@@ -8,9 +8,9 @@
 //! `clear()`: if any scrap of state survives a reset (a stale cache entry,
 //! a dirty free-list slot, a dense-index remnant), these properties break.
 
-use egwalker::testgen::random_oplog;
+use egwalker::testgen::{mid_run_criticals_oplog, random_oplog};
 use egwalker::tracker::Tracker;
-use egwalker::walker::{transformed_ops, transformed_ops_reusing};
+use egwalker::walker::{self, transformed_ops, transformed_ops_reusing};
 use egwalker::{Branch, WalkerOpts};
 use proptest::prelude::*;
 
@@ -111,5 +111,69 @@ proptest! {
             prop_assert_eq!(&expected.1, &got.1,
                 "op streams diverged at caches ({}, {})", cursor_cache, emit_cache);
         }
+    }
+
+    /// Critical versions planted in the middle of graph runs, merged a few
+    /// events at a time: every merge clears the reused tracker mid-walk
+    /// (re-basing its LV-keyed indexes), starts where the last one stopped
+    /// — inside a critical run, inside a concurrent window — and must emit
+    /// exactly what a fresh tracker emits.
+    #[test]
+    fn reused_tracker_matches_fresh_across_planted_windows(
+        seed in 0u64..1_000_000,
+        windows in 1usize..20,
+        stride in 1usize..12,
+    ) {
+        let (oplog, _) = mid_run_criticals_oplog(seed, windows);
+        let mut reused: Tracker = Tracker::new();
+        let mut from = egwalker::Frontier::root();
+        let mut upto = 0;
+        while upto < oplog.len() {
+            upto = (upto + stride).min(oplog.len());
+            let all: Vec<usize> = (0..upto).collect();
+            let to = oplog.graph.find_dominators(&all);
+            let fresh = transformed_ops(&oplog, &from, &to, WalkerOpts::default());
+            let recycled =
+                transformed_ops_reusing(&oplog, &from, &to, WalkerOpts::default(), &mut reused);
+            reused.check();
+            prop_assert_eq!(&fresh.0, &recycled.0, "versions diverged at {}", upto);
+            prop_assert_eq!(&fresh.1, &recycled.1, "op streams diverged at {}", upto);
+            from = fresh.0;
+        }
+        prop_assert_eq!(&from, oplog.version());
+    }
+
+    /// A tracker snapshot taken in the middle of a segment — at the end of
+    /// a concurrent window, before the critical version that would clear
+    /// it — restored and resumed over the rest of the history equals a
+    /// fresh walk: the snapshot round-trips the re-based indexes, and the
+    /// resumed walk still cuts and clears at every later critical version.
+    #[test]
+    fn resumed_walk_from_mid_segment_snapshot_matches_fresh(
+        seed in 0u64..1_000_000,
+        windows in 2usize..16,
+    ) {
+        let (oplog, _) = mid_run_criticals_oplog(seed, windows);
+        let tip = oplog.checkout_tip();
+        let mut resumed_any = false;
+        for cut in 1..oplog.len() {
+            let all: Vec<usize> = (0..cut).collect();
+            let version = oplog.graph.find_dominators(&all);
+            let at = oplog.checkout(version.as_slice());
+            let tracker = walker::tracker_at(&oplog, version.as_slice(), WalkerOpts::default());
+            let snap = tracker.to_snapshot();
+            prop_assert!(snap.validate(oplog.len()).is_ok());
+            let mut restored = Tracker::from_snapshot(&snap);
+            prop_assert_eq!(restored.to_snapshot(), snap, "snapshot did not round-trip at {}", cut);
+            let mut warm = Branch::from_cached(&at.content.to_string(), version);
+            // Cuts inside a concurrent window leave tail events concurrent
+            // with the checkpoint, where resuming is unsound and this
+            // falls back to a fresh merge; window ends resume.
+            let resumed = warm.merge_resuming(&oplog, WalkerOpts::default(), &mut restored);
+            restored.check();
+            resumed_any |= resumed && restored.num_records() > 1;
+            prop_assert_eq!(&warm, &tip, "cut {} (resumed: {})", cut, resumed);
+        }
+        prop_assert!(resumed_any, "no cut exercised the resumed path with live records");
     }
 }

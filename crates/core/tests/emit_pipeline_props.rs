@@ -12,7 +12,7 @@
 use eg_dag::walk::{plan_walk_with_order, PlanOrder};
 use eg_rle::DTRange;
 use egwalker::reference::replay_reference;
-use egwalker::testgen::random_oplog;
+use egwalker::testgen::{mid_run_criticals_oplog, random_oplog};
 use egwalker::tracker::Tracker;
 use egwalker::walker::transformed_ops;
 use egwalker::{Branch, OpLog, TextOperation, WalkerOpts};
@@ -135,6 +135,37 @@ proptest! {
         // the arena bit-exact.
         prop_assert_eq!(borrowed_text.as_bytes(), owned_text.as_bytes());
         prop_assert_eq!(borrowed_text.as_bytes(), reference.as_bytes());
+    }
+
+    /// The same three-way agreement with critical versions planted in the
+    /// middle of graph runs, where the emit path switches between the
+    /// tracker and the untransformed fast-forward inside one run — and the
+    /// emit-position cache, dropped at every clear, changes nothing.
+    #[test]
+    fn planted_criticals_borrowed_owned_reference_and_emit_cache(
+        seed in 0u64..1_000_000,
+        windows in 1usize..24,
+    ) {
+        let (oplog, len) = mid_run_criticals_oplog(seed, windows);
+        let mut borrowed = Branch::new();
+        borrowed.merge(&oplog);
+        let on = transformed_ops(&oplog, &[], oplog.version(), WalkerOpts::default());
+        let off = transformed_ops(
+            &oplog,
+            &[],
+            oplog.version(),
+            WalkerOpts { emit_cache: false, ..Default::default() },
+        );
+        prop_assert_eq!(&on.1, &off.1, "emit cache changed the op stream");
+        let mut owned = eg_rope::Rope::new();
+        for (_, op) in &on.1 {
+            op.apply_to(&mut owned);
+        }
+        let text = borrowed.content.to_string();
+        let (owned_text, reference) = (owned.to_string(), replay_reference(&oplog));
+        prop_assert_eq!(text.chars().count(), len);
+        prop_assert_eq!(text.as_bytes(), owned_text.as_bytes());
+        prop_assert_eq!(text.as_bytes(), reference.as_bytes());
     }
 
     /// Arena slicing equals the seed's `Vec<char>` semantics on whatever

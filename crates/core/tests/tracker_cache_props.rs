@@ -7,7 +7,8 @@
 
 use eg_dag::walk::{plan_walk_with_order, PlanOrder};
 use eg_rle::DTRange;
-use egwalker::testgen::random_oplog;
+use egwalker::reference::replay_reference;
+use egwalker::testgen::{coalesce_ops, mid_run_criticals_oplog, random_oplog};
 use egwalker::tracker::Tracker;
 use egwalker::walker::transformed_ops;
 use egwalker::{OpLog, TextOperation, WalkerOpts};
@@ -107,5 +108,40 @@ proptest! {
         );
         prop_assert_eq!(on.0, off.0, "final versions diverged");
         prop_assert_eq!(on.1, off.1, "op streams diverged");
+    }
+
+    /// Critical versions planted in the middle of graph runs: the walker
+    /// cuts the walk at each of them, and neither the cuts nor the cursor
+    /// cache may show in the output — clearing on == clearing off (up to
+    /// chunking) == reference text, cache on == cache off exactly.
+    #[test]
+    fn planted_criticals_clearing_and_cache_equivalence(
+        seed in 0u64..1_000_000,
+        windows in 1usize..24,
+    ) {
+        let (oplog, len) = mid_run_criticals_oplog(seed, windows);
+        let tip = oplog.version();
+        let on = transformed_ops(&oplog, &[], tip, WalkerOpts::default());
+        let uncached = transformed_ops(
+            &oplog,
+            &[],
+            tip,
+            WalkerOpts { cursor_cache: false, ..Default::default() },
+        );
+        let uncleared = transformed_ops(
+            &oplog,
+            &[],
+            tip,
+            WalkerOpts { enable_clearing: false, ..Default::default() },
+        );
+        prop_assert_eq!(&on.1, &uncached.1, "cursor cache changed the op stream");
+        prop_assert_eq!(coalesce_ops(&on.1), coalesce_ops(&uncleared.1), "clearing changed the ops");
+        let mut doc = eg_rope::Rope::new();
+        for (_, op) in &on.1 {
+            op.apply_to(&mut doc);
+        }
+        let text = doc.to_string();
+        prop_assert_eq!(text.chars().count(), len);
+        prop_assert_eq!(text, replay_reference(&oplog));
     }
 }

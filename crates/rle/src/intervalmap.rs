@@ -56,8 +56,13 @@ impl<V: Copy + Eq> IntervalMap<V> {
     }
 
     /// Removes all entries.
+    ///
+    /// Entry by entry rather than with `BTreeMap::clear`, which frees the
+    /// root node as well: the tracker clears this map at every critical
+    /// version and refills it with a handful of ranges, and an emptied
+    /// tree keeps its root for the refill.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        while self.entries.pop_last().is_some() {}
     }
 
     /// Looks up the entry covering `key`, returning the covering range and
@@ -111,13 +116,9 @@ impl<V: Copy + Eq> IntervalMap<V> {
                 }
             }
         }
-        // Remove / trim entries starting inside `range`.
-        let inside: Vec<usize> = self
-            .entries
-            .range(range.start..range.end)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in inside {
+        // Remove / trim entries starting inside `range`. (A trimmed
+        // remainder is re-added at `range.end`, outside the scan.)
+        while let Some((&s, _)) = self.entries.range(range.start..range.end).next() {
             let (len, v) = self.entries.remove(&s).unwrap();
             let end = s + len;
             if end > range.end {
