@@ -4,14 +4,14 @@
 //! and 5%.
 //!
 //! Unlike the in-process benches this measures the full socket path —
-//! frame codec, session handshake, pull-terminated anti-entropy
-//! rounds, and (under faults) drop detection plus digest-driven
-//! retransmission. Numbers are therefore *latency-bound by the sync
+//! frame codec, session handshake, delta digests answered with
+//! bundles, and (under faults) the periodic mark that detects a lost
+//! frame plus the reset that re-derives what it carried. Numbers are therefore *latency-bound by the sync
 //! interval*, not throughput-bound: see bench-results/README.md before
 //! comparing against the in-process figures.
 //!
-//! Byte counters under faults depend on how many digest rounds elapse
-//! before convergence, which is wall-clock sensitive; they are reported
+//! Byte counters under faults depend on how many mark rounds and
+//! resets elapse before convergence, which is wall-clock sensitive; they are reported
 //! for inspection but deliberately named so `bench_diff` does not
 //! regression-check them.
 

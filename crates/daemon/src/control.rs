@@ -40,11 +40,14 @@ pub enum ControlCmd {
         /// Include every document's text in the reply.
         full: bool,
     },
-    /// Report connection and traffic counters.
+    /// Report connection and traffic counters: daemon-wide socket bytes
+    /// and lifecycle counts, and per peer the link state, queued bytes,
+    /// digest and bundle bytes sent, resets and sheds.
     Status,
     /// Force checkpoints on every document past its cadence.
     Checkpoint,
-    /// Start an anti-entropy round with every established peer now.
+    /// Run the periodic round now: send every established peer its
+    /// mark, which it checks and answers with what this daemon lacks.
     SyncNow,
     /// Checkpoint and exit the reactor loop.
     Shutdown,

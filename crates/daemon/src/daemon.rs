@@ -9,8 +9,8 @@
 //! 2. accepting inbound connections (non-blocking listener);
 //! 3. dialing configured peers whose backoff delay has elapsed;
 //! 4. draining readable sockets into per-connection [`FrameDecoder`]s
-//!    and feeding decoded frames to each [`PeerSession`];
-//! 5. timers — the periodic digest round, per-session heartbeats, and
+//!    and feeding the frame bodies to each [`PeerSession`];
+//! 5. timers — the periodic mark round, per-session heartbeats, and
 //!    half-open detection;
 //! 6. flushing per-session outboxes to writable sockets.
 //!
@@ -21,9 +21,9 @@
 //!
 //! Failure policy: any socket error, decode error, or session violation
 //! tears down that one connection; dialed peers re-enter the
-//! [`Backoff`] ladder and resume from the frontier on reconnect (the
-//! handshake's first digest is the resume point). The daemon itself
-//! never panics on remote input.
+//! [`Backoff`] ladder and resume from the frontier on reconnect (a new
+//! session's first digest is complete, and is the resume point). The
+//! daemon itself never panics on remote input.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -40,7 +40,7 @@ use serde::Value;
 
 use crate::backoff::{splitmix64, Backoff};
 use crate::control::{obj, ControlCmd, ControlMsg};
-use crate::peer::{PeerSession, SessionConfig, SessionState};
+use crate::peer::{PeerSession, SessionConfig, SessionError, SessionState};
 
 /// Everything a daemon needs to run; see field docs for defaults.
 #[derive(Debug, Clone)]
@@ -58,8 +58,9 @@ pub struct DaemonConfig {
     pub persist_dir: Option<PathBuf>,
     /// Checkpoint cadence (events past last checkpoint).
     pub checkpoint_every: usize,
-    /// Period of the digest round opening anti-entropy with every
-    /// established peer.
+    /// Period of the mark round: every established peer is sent the
+    /// tally of this link's sync frames, checks it against what it read,
+    /// and answers with whatever this daemon still lacks.
     pub sync_interval: Duration,
     /// Heartbeat send interval (per session).
     pub heartbeat_interval: Duration,
@@ -69,7 +70,7 @@ pub struct DaemonConfig {
     pub backoff_base: Duration,
     /// Reconnect delay cap.
     pub backoff_cap: Duration,
-    /// Per-peer outbox budget in bytes (shed-and-resync past it).
+    /// Per-peer outbox budget in bytes (shed-and-reset past it).
     pub outbox_cap_bytes: usize,
     /// Seed for deterministic backoff jitter.
     pub seed: u64,
@@ -297,14 +298,16 @@ impl Daemon {
             }
         }
 
-        // Periodic digest round.
+        // Periodic mark round.
         if now.duration_since(self.last_sync) >= self.config.sync_interval {
             self.last_sync = now;
-            self.sync_now(now);
+            self.mark_peers(now);
         }
 
         // Per-connection I/O and timers.
         let mut to_close: Vec<(usize, String)> = Vec::new();
+        // Documents that gained events from a peer, and which one.
+        let mut gained: Vec<(usize, Vec<DocId>)> = Vec::new();
         for idx in 0..self.conns.len() {
             let Some(mut conn) = self.conns[idx].take() else {
                 continue;
@@ -333,13 +336,16 @@ impl Daemon {
                 }
             }
 
-            // Decode and dispatch complete frames.
+            // Dispatch complete frames.
             while dead.is_none() {
-                match conn.decoder.next_wire_frame() {
-                    Ok(Some(frame)) => {
+                match conn.decoder.next_frame() {
+                    Ok(Some(body)) => {
                         let was_established = conn.session.state() == SessionState::Established;
-                        match conn.session.on_frame(now, frame, &self.host) {
-                            Ok(_) => {
+                        match conn.session.on_frame(now, &body, &self.host) {
+                            Ok(docs) => {
+                                if !docs.is_empty() {
+                                    gained.push((idx, docs));
+                                }
                                 if !was_established
                                     && conn.session.state() == SessionState::Established
                                     && conn
@@ -356,7 +362,12 @@ impl Daemon {
                                     }
                                 }
                             }
-                            Err(e) => dead = Some(e.to_string()),
+                            Err(e) => {
+                                if matches!(e, SessionError::Decode(_)) {
+                                    self.stats.decode_errors += 1;
+                                }
+                                dead = Some(e.to_string());
+                            }
                         }
                     }
                     Ok(None) => break,
@@ -417,13 +428,33 @@ impl Daemon {
             progress = true;
             self.close_conn(idx, &why);
         }
+        // What one peer brought is a local change to every other link:
+        // say so there, or those views would never learn of it.
+        for (from, docs) in gained {
+            for (idx, conn) in self.conns.iter_mut().enumerate() {
+                if idx == from {
+                    continue;
+                }
+                if let Some(conn) = conn {
+                    conn.session.queue_digest(now, &self.host, Some(&docs));
+                }
+            }
+        }
         progress
     }
 
-    /// Opens an anti-entropy round with every established peer.
-    fn sync_now(&mut self, now: Instant) {
+    /// Tells every established peer what changed in `docs` (`None`: look
+    /// at every document).
+    fn tell_peers(&mut self, now: Instant, docs: Option<&[DocId]>) {
         for conn in self.conns.iter_mut().flatten() {
-            conn.session.queue_digest(now, &self.host);
+            conn.session.queue_digest(now, &self.host, docs);
+        }
+    }
+
+    /// Sends every established peer its periodic mark.
+    fn mark_peers(&mut self, now: Instant) {
+        for conn in self.conns.iter_mut().flatten() {
+            conn.session.queue_mark(now);
         }
     }
 
@@ -443,7 +474,7 @@ impl Daemon {
                 .into();
                 self.host.submit_script(&script);
                 self.host.flush();
-                self.sync_now(Instant::now());
+                self.tell_peers(Instant::now(), Some(&[DocId(doc)]));
                 (obj(vec![("ok", Value::Bool(true))]), false)
             }
             ControlCmd::Script {
@@ -462,7 +493,7 @@ impl Daemon {
                 let script: std::sync::Arc<[FleetOp]> = fleet_workload(&spec).into();
                 let submitted = self.host.submit_script(&script);
                 self.host.flush();
-                self.sync_now(Instant::now());
+                self.tell_peers(Instant::now(), None);
                 (
                     obj(vec![
                         ("ok", Value::Bool(true)),
@@ -502,6 +533,7 @@ impl Daemon {
                         .iter()
                         .flatten()
                         .map(|c| {
+                            let stats = c.session.stats();
                             obj(vec![
                                 (
                                     "peer",
@@ -515,6 +547,10 @@ impl Daemon {
                                 ),
                                 ("dialed", Value::Bool(c.dial_slot.is_some())),
                                 ("outbox_bytes", Value::UInt(c.session.outbox_bytes() as u64)),
+                                ("digest_bytes_out", Value::UInt(stats.digest_bytes_out)),
+                                ("bundle_bytes_out", Value::UInt(stats.bundle_bytes_out)),
+                                ("resets", Value::UInt(stats.resets as u64)),
+                                ("sheds", Value::UInt(stats.sheds as u64)),
                             ])
                         })
                         .collect(),
@@ -550,7 +586,7 @@ impl Daemon {
                 )
             }
             ControlCmd::SyncNow => {
-                self.sync_now(Instant::now());
+                self.mark_peers(Instant::now());
                 (obj(vec![("ok", Value::Bool(true))]), false)
             }
             ControlCmd::Shutdown => {
@@ -652,6 +688,7 @@ pub fn snapshot_hash(snapshot: &[(DocId, Vec<RemoteId>, String)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     #[test]
     fn snapshot_hash_discriminates() {
@@ -673,22 +710,49 @@ mod tests {
         assert_ne!(snapshot_hash(&a), snapshot_hash(&[]));
     }
 
-    #[test]
-    fn two_in_process_daemons_converge_over_sockets() {
-        let dir = std::env::temp_dir().join(format!("eg-daemon-unit-{}", std::process::id()));
+    fn scratch_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("eg-daemon-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let sock_a = dir.join("a.sock");
-        let sock_b = dir.join("b.sock");
+        dir
+    }
 
-        let fast = |name: &str, sock: &PathBuf, peers: Vec<PathBuf>| DaemonConfig {
+    fn fast(name: &str, sock: &Path, peers: Vec<PathBuf>) -> DaemonConfig {
+        DaemonConfig {
             name: name.to_owned(),
-            socket: sock.clone(),
+            socket: sock.to_path_buf(),
             peers,
             workers: 1,
             sync_interval: Duration::from_millis(20),
             ..DaemonConfig::default()
-        };
+        }
+    }
+
+    /// Polls until every daemon reports the same hash over `docs`
+    /// documents; `false` after 20 s.
+    fn await_same(daemons: &[&DaemonHandle], docs: u64) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        loop {
+            let snaps: Vec<Value> = daemons
+                .iter()
+                .map(|d| d.control(ControlCmd::Snapshot { full: false }).unwrap())
+                .collect();
+            let same = snaps.iter().all(|s| {
+                s.get_field("hash") == snaps[0].get_field("hash")
+                    && s.get_field("docs") == Some(&Value::UInt(docs))
+            });
+            if same || Instant::now() > deadline {
+                return same;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn two_in_process_daemons_converge_over_sockets() {
+        let dir = scratch_dir("unit");
+        let sock_a = dir.join("a.sock");
+        let sock_b = dir.join("b.sock");
         let a = Daemon::spawn(fast("alpha", &sock_a, vec![])).unwrap();
         let b = Daemon::spawn(fast("beta", &sock_b, vec![sock_a.clone()])).unwrap();
 
@@ -705,23 +769,70 @@ mod tests {
         })
         .unwrap();
 
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let converged = loop {
-            let ha = a.control(ControlCmd::Snapshot { full: false }).unwrap();
-            let hb = b.control(ControlCmd::Snapshot { full: false }).unwrap();
-            let same = ha.get_field("hash") == hb.get_field("hash")
-                && ha.get_field("docs") == Some(&Value::UInt(2));
-            if same {
-                break true;
-            }
-            if Instant::now() > deadline {
-                break false;
-            }
-            std::thread::sleep(Duration::from_millis(20));
+        assert!(
+            await_same(&[&a, &b], 2),
+            "daemons converged over the Unix socket"
+        );
+        // The link's counters are readable from outside.
+        let status = b.control(ControlCmd::Status).unwrap();
+        let Some(Value::Arr(peers)) = status.get_field("peers") else {
+            panic!("status lists peers: {status:?}");
         };
-        assert!(converged, "daemons converged over the Unix socket");
-        a.shutdown();
+        for key in ["digest_bytes_out", "bundle_bytes_out"] {
+            assert!(
+                matches!(peers[0].get_field(key), Some(Value::UInt(n)) if *n > 0),
+                "{key} in {status:?}"
+            );
+        }
+        for key in ["resets", "sheds"] {
+            assert_eq!(peers[0].get_field(key), Some(&Value::UInt(0)), "{key}");
+        }
         b.shutdown();
+        a.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// alpha ← beta ← gamma: what beta receives on one link is a local
+    /// change on the other, so it has to announce it there — the views
+    /// are per link, and gamma's would otherwise never show it lacking.
+    #[test]
+    fn events_relay_through_a_middle_daemon_both_ways() {
+        let dir = scratch_dir("relay");
+        let socks = ["a", "b", "c"].map(|n| dir.join(format!("{n}.sock")));
+        let a = Daemon::spawn(fast("alpha", &socks[0], vec![])).unwrap();
+        let b = Daemon::spawn(fast("beta", &socks[1], vec![socks[0].clone()])).unwrap();
+        let c = Daemon::spawn(fast("gamma", &socks[2], vec![socks[1].clone()])).unwrap();
+        // Let both links open first, so that nothing below rides on a
+        // session's opening digest.
+        let deadline = Instant::now() + Duration::from_secs(20);
+        let links_up = |d: &DaemonHandle| {
+            let status = d.control(ControlCmd::Status).unwrap();
+            match status.get_field("peers") {
+                Some(Value::Arr(peers)) => peers
+                    .iter()
+                    .filter(|p| p.get_field("established") == Some(&Value::Bool(true)))
+                    .count(),
+                _ => 0,
+            }
+        };
+        while links_up(&b) < 2 || links_up(&a) < 1 || links_up(&c) < 1 {
+            assert!(Instant::now() < deadline, "links did not open");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+
+        for (daemon, doc) in [(&a, 1), (&c, 3)] {
+            daemon
+                .control(ControlCmd::Edit {
+                    doc,
+                    at: 0,
+                    text: format!("doc {doc} "),
+                })
+                .unwrap();
+        }
+        assert!(await_same(&[&a, &b, &c], 2), "both ends' edits everywhere");
+        c.shutdown();
+        b.shutdown();
+        a.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,9 +9,11 @@
 //!   hosting a [`eg_server::ServerHost`] behind a Unix-domain socket,
 //!   with actor-per-connection [`PeerSession`]s.
 //! * [`PeerSession`] — the per-link state machine: versioned handshake,
-//!   pull-terminated anti-entropy rounds, idle heartbeats, and a
-//!   bounded outbox that sheds and resyncs instead of growing without
-//!   bound behind a slow peer.
+//!   delta digests against what the link has already said and heard, a
+//!   periodic mark that audits the link's sync frames and resets both
+//!   ends when one went missing, idle heartbeats, and a bounded outbox
+//!   that sheds and resets instead of growing without bound behind a
+//!   slow peer.
 //! * [`Backoff`] — capped exponential reconnect delays with
 //!   deterministic jitter, so reconnect storms spread out but replays
 //!   stay exact.

@@ -29,7 +29,7 @@ fn usage() -> &'static str {
        --peer PATH          peer socket to dial (repeatable)\n\
        --persist DIR        segment-store directory (omit for in-memory)\n\
        --workers N          worker threads (default 2)\n\
-       --sync-ms N          digest round period (default 200)\n\
+       --sync-ms N          mark round period (default 200)\n\
        --heartbeat-ms N     heartbeat interval (default 500)\n\
        --timeout-ms N       heartbeat timeout (default 3000)\n\
        --backoff-base-ms N  first reconnect delay (default 50)\n\

@@ -11,14 +11,18 @@
 //! |-----------|------------------------------------------------------|
 //! | drop      | a whole frame vanishes                               |
 //! | duplicate | a frame is delivered twice                           |
-//! | delay     | a frame stalls up to `max_delay` before forwarding   |
+//! | delay     | a frame stalls up to `max_delay`; the pump sleeps in |
+//! |           | line, so later frames wait behind it (no reordering) |
 //! | truncate  | half a frame is written, then the link is cut        |
 //! | partition | both directions blackholed; new dials die instantly  |
 //!
-//! Hello/Ping/Pong frames are passed through untouched so the fault
-//! pressure lands on sync traffic rather than on the handshake — a
-//! schedule that only ever killed handshakes would test the backoff
-//! ladder and nothing else. Truncation still severs the link mid-frame,
+//! Only sync frames are fault targets. Hello/Ping/Pong pass untouched so
+//! the fault pressure lands on sync traffic rather than on the handshake
+//! — a schedule that only ever killed handshakes would test the backoff
+//! ladder and nothing else — and so do Mark/Reset: they are how the
+//! sessions notice that a sync frame was dropped or repeated, and a proxy
+//! that ate the audit as well would only be testing the heartbeat
+//! timeout. Truncation still severs the link mid-frame,
 //! which is exactly the half-open / torn-stream case the decoder and
 //! reconnect path must survive.
 
@@ -289,8 +293,9 @@ fn pump_main(
                     let mut frame = Vec::with_capacity(4 + body.len());
                     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
                     frame.extend_from_slice(&body);
-                    // Only sync frames are fault targets; the handshake
-                    // and heartbeats pass clean (see module docs).
+                    // Only sync frames are fault targets; the handshake,
+                    // heartbeats and the mark/reset audit pass clean (see
+                    // module docs).
                     let is_sync = body.first() == Some(&TAG_SYNC);
                     if is_sync && roll(&mut rolls, faults.drop_per_mille) {
                         shared.frames_dropped.fetch_add(1, Ordering::Relaxed);

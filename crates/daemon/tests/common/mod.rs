@@ -36,7 +36,7 @@ impl Drop for TempDir {
 }
 
 /// Options for spawning a daemon process; defaults are tuned fast for
-/// tests (25ms digest rounds, 10ms reconnect base).
+/// tests (25ms mark rounds, 10ms reconnect base).
 pub struct DaemonOpts {
     pub name: String,
     pub socket: PathBuf,

@@ -14,7 +14,12 @@ mod common;
 
 use common::{await_convergence, DaemonOpts, DaemonProc, TempDir};
 use eg_daemon::{FaultProxy, ProxyFaults, ProxyStats};
+use eg_trace::{fleet_workload, FleetOp, FleetSpec};
+use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
+
+const DOCS: u64 = 4;
+const SESSIONS: usize = 4;
 
 /// Runs one faulted convergence round: alpha listens, the proxy
 /// mangles, beta dials through it, both run seeded workloads, and the
@@ -29,16 +34,29 @@ fn faulted_round(seed: u64, faults: ProxyFaults, edits: u64, deadline: Duration)
     let proxy = FaultProxy::spawn(sock_proxy.clone(), sock_a, faults, seed).expect("spawn proxy");
     let mut b = DaemonProc::spawn(&DaemonOpts::new("beta", sock_b).peer(&sock_proxy));
 
-    a.cmd_ok(&format!(
-        r#"{{"cmd":"script","docs":4,"sessions":4,"edits":{edits},"seed":{}}}"#,
-        seed * 2 + 1
-    ));
-    b.cmd_ok(&format!(
-        r#"{{"cmd":"script","docs":4,"sessions":4,"edits":{edits},"seed":{}}}"#,
-        seed * 2 + 2
-    ));
+    // The popularity skew leaves some of the four documents untouched
+    // under some seeds, so count the ones the two scripts do create: the
+    // daemon's `script` command runs exactly these specs.
+    let seeds = [1, 2].map(|k| seed.wrapping_mul(2).wrapping_add(k));
+    let mut edited = BTreeSet::new();
+    for (daemon, script_seed) in [&mut a, &mut b].into_iter().zip(seeds) {
+        let spec = FleetSpec {
+            docs: DOCS,
+            sessions: SESSIONS,
+            edits: edits as usize,
+            seed: script_seed,
+            ..FleetSpec::default()
+        };
+        edited.extend(fleet_workload(&spec).iter().filter_map(|op| match op {
+            FleetOp::Insert { doc, .. } => Some(*doc),
+            _ => None,
+        }));
+        daemon.cmd_ok(&format!(
+            r#"{{"cmd":"script","docs":{DOCS},"sessions":{SESSIONS},"edits":{edits},"seed":{script_seed}}}"#
+        ));
+    }
 
-    await_convergence(&mut a, &mut b, 4, deadline);
+    await_convergence(&mut a, &mut b, edited.len() as u64, deadline);
     assert_eq!(a.full_texts(), b.full_texts(), "seed {seed}");
 
     let stats = proxy.stats();

@@ -23,10 +23,11 @@ fn heal_after_partition_resumes_from_frontier() {
     let mut b = DaemonProc::spawn(&DaemonOpts::new("beta", sock_b).peer(&sock_proxy));
 
     // Phase 1: a large burst syncs through the proxy. Accounting is in
-    // *bundle* bytes — digest rounds keep crossing the link every
-    // sync interval whether or not anything changed, so total bytes
-    // mostly measure how long the test ran, while bundle bytes measure
-    // actual event transfer.
+    // *bundle* bytes — marks keep crossing the link every sync
+    // interval whether or not anything changed, and every new session
+    // opens with a complete digest, so total bytes also measure how
+    // long the test ran and how often it reconnected, while bundle
+    // bytes measure actual event transfer.
     a.cmd_ok(r#"{"cmd":"script","docs":4,"sessions":4,"edits":600,"seed":21}"#);
     await_convergence(&mut a, &mut b, 4, Duration::from_secs(30));
     let phase1_bundle_bytes = proxy.stats().bundle_bytes_forwarded;

@@ -1,27 +1,33 @@
 //! Wire codec for the sync layer's anti-entropy traffic: per-document
-//! frontier digests and batched per-document bundle payloads.
+//! version-vector digests and batched per-document bundle payloads.
 //!
-//! The replication layer used to exchange digests as in-memory
-//! `Vec<RemoteId>` values, which never crossed a wire and therefore never
-//! had an honest size. These two framings give the sync engine real
-//! bytes-on-wire for both message kinds, using the same LEB128 +
-//! interned-agent-table machinery as [`crate::encode_bundle`]:
+//! These two framings give the sync engine real bytes-on-wire for both
+//! message kinds, using the same LEB128 + interned-agent-table machinery
+//! as [`crate::encode_bundle`]:
 //!
-//! * a **digest** (`"EGWD"`) names, per document, the frontier of the
-//!   sender — the `(replicaID, seqNo)` IDs of its version tips. Frontiers
-//!   are almost always one or two entries (paper §2.3), so a digest for a
-//!   whole shard space is tens of bytes where a full version vector would
-//!   grow with the number of agents;
+//! * a **digest** (`"EGWD"`) lists, per document, `(replicaID, seqNo)`
+//!   entries: for each agent named, the last sequence number the sender
+//!   holds. An agent's events form a causal chain, so one entry stands
+//!   for every earlier event of that agent, and entries stay meaningful
+//!   to a peer whose history has diverged (causal-frontier tips do not:
+//!   a tip the peer has never seen says nothing about its ancestry). A
+//!   *full* digest is a document's whole version vector and grows with
+//!   the number of agents in its history; the daemon sends one per link
+//!   when a session opens or resets and afterwards only *deltas* — the
+//!   entries that changed since the last digest on that link — which is
+//!   what keeps a keystroke at one entry. The codec does not care which:
+//!   it carries whatever entries it is given, and a document may be
+//!   listed with none;
 //! * a **bundle batch** (`"EGWM"`) carries one encoded
-//!   [`egwalker::EventBundle`] per document, so one flush of a link's
-//!   outbox travels as a single framed message.
+//!   [`egwalker::EventBundle`] per document, so everything one answer
+//!   extracts travels as a single framed message.
 //!
 //! Layout (all integers LEB128):
 //!
 //! ```text
 //! digest:  "EGWD" | version (=1)
 //!          agent table: count, then per agent: name length, UTF-8 bytes
-//!          doc count, then per doc: doc id | tip count | per tip: agent index, seq
+//!          doc count, then per doc: doc id | entry count | per entry: agent index, seq
 //!          CRC32 of everything above (4 bytes little-endian)
 //!
 //! batch:   "EGWM" | version (=1)
@@ -34,23 +40,25 @@ use crate::crc::{crc32, split_crc};
 use crate::varint::{push_u64, push_usize, read_u64, read_u8, read_usize, take, DecodeError};
 use eg_dag::RemoteId;
 use egwalker::EventBundle;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 
-/// Frame magic of an encoded frontier digest.
+/// Frame magic of an encoded version-vector digest.
 pub const DIGEST_MAGIC: &[u8; 4] = b"EGWD";
 /// Frame magic of an encoded per-document bundle batch.
 pub const BUNDLE_BATCH_MAGIC: &[u8; 4] = b"EGWM";
 const WIRE_VERSION: u8 = 1;
 
-/// Serialises per-document frontier digests for the network.
+/// Serialises per-document digests for the network.
 ///
-/// `docs` pairs each document id with the sender's frontier for it, in
-/// remote-ID form (e.g. `OpLog::remote_version`).
-pub fn encode_digest(docs: &[(u64, Vec<RemoteId>)]) -> Vec<u8> {
+/// `docs` pairs each document id with the entries to report for it, in
+/// remote-ID form (e.g. `OpLog::version_vector`, or a delta of one). The
+/// entry lists are only read, so owned and borrowed ones both do.
+pub fn encode_digest<V: AsRef<[RemoteId]>>(docs: &[(u64, V)]) -> Vec<u8> {
     let mut names: Vec<&str> = Vec::new();
     let mut index: HashMap<&str, usize> = HashMap::new();
     for (_, tips) in docs {
-        for tip in tips {
+        for tip in tips.as_ref() {
             index.entry(tip.agent.as_str()).or_insert_with(|| {
                 names.push(tip.agent.as_str());
                 names.len() - 1
@@ -68,6 +76,7 @@ pub fn encode_digest(docs: &[(u64, Vec<RemoteId>)]) -> Vec<u8> {
     }
     push_usize(&mut out, docs.len());
     for (doc, tips) in docs {
+        let tips = tips.as_ref();
         push_u64(&mut out, *doc);
         push_usize(&mut out, tips.len());
         for tip in tips {
@@ -80,7 +89,7 @@ pub fn encode_digest(docs: &[(u64, Vec<RemoteId>)]) -> Vec<u8> {
     out
 }
 
-/// Deserialises a frontier digest, validating framing and checksum.
+/// Deserialises a digest, validating framing and checksum.
 pub fn decode_digest(bytes: &[u8]) -> Result<Vec<(u64, Vec<RemoteId>)>, DecodeError> {
     let mut input = check_frame(bytes, DIGEST_MAGIC)?;
 
@@ -126,14 +135,15 @@ pub fn decode_digest(bytes: &[u8]) -> Result<Vec<(u64, Vec<RemoteId>)>, DecodeEr
 }
 
 /// Serialises a batch of per-document event bundles for the network.
-pub fn encode_bundle_batch(docs: &[(u64, EventBundle)]) -> Vec<u8> {
+/// The bundles are only read, so owned and borrowed ones both do.
+pub fn encode_bundle_batch<B: Borrow<EventBundle>>(docs: &[(u64, B)]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(BUNDLE_BATCH_MAGIC);
     out.push(WIRE_VERSION);
     push_usize(&mut out, docs.len());
     for (doc, bundle) in docs {
         push_u64(&mut out, *doc);
-        let encoded = encode_bundle(bundle);
+        let encoded = encode_bundle(bundle.borrow());
         push_usize(&mut out, encoded.len());
         out.extend_from_slice(&encoded);
     }
@@ -219,7 +229,7 @@ mod tests {
 
     #[test]
     fn empty_digest_roundtrip() {
-        let bytes = encode_digest(&[]);
+        let bytes = encode_digest::<Vec<RemoteId>>(&[]);
         assert!(decode_digest(&bytes).unwrap().is_empty());
     }
 
@@ -282,7 +292,7 @@ mod tests {
     #[test]
     fn magics_disambiguate_message_kinds() {
         let digest = encode_digest(&sample_digest());
-        let batch = encode_bundle_batch(&[]);
+        let batch = encode_bundle_batch::<EventBundle>(&[]);
         assert_eq!(&digest[..4], DIGEST_MAGIC);
         assert_eq!(&batch[..4], BUNDLE_BATCH_MAGIC);
         assert!(matches!(decode_digest(&batch), Err(DecodeError::BadMagic)));

@@ -89,7 +89,7 @@ fn corpus() -> Vec<Vec<u8>> {
         frames.push(encode_digest(&[(seed, oplog.remote_version())]));
         frames.push(segment_file(&oplog));
     }
-    frames.push(encode_digest(&[]));
+    frames.push(encode_digest::<Vec<eg_dag::RemoteId>>(&[]));
     frames
 }
 

@@ -254,9 +254,43 @@ impl ServerHost {
     /// and merged sorted by document id — the parallel equivalent of
     /// [`eg_sync::Replica::digest_all`].
     pub fn digest_all(&self) -> Vec<(DocId, Vec<RemoteId>)> {
+        self.digests(None)
+    }
+
+    /// [`Self::digest_all`] restricted to `docs`: only their owning
+    /// workers are asked, and only for those documents, so what a
+    /// keystroke costs does not grow with what else is resident. Unknown
+    /// and empty documents are left out.
+    pub fn digest_of(&self, docs: &[DocId]) -> Vec<(DocId, Vec<RemoteId>)> {
+        self.digests(Some(docs))
+    }
+
+    fn digests(&self, only: Option<&[DocId]>) -> Vec<(DocId, Vec<RemoteId>)> {
+        let nw = self.senders.len();
         let (tx, rx) = mpsc::channel();
-        for w in 0..self.senders.len() {
-            self.send(w, Job::Digests(tx.clone()));
+        let mut asked = 0;
+        for w in 0..nw {
+            let only = only.map(|docs| {
+                let mut mine: Vec<DocId> = docs
+                    .iter()
+                    .copied()
+                    .filter(|&doc| shard_for(doc, nw) == w)
+                    .collect();
+                mine.sort_unstable();
+                mine.dedup();
+                mine
+            });
+            if only.as_ref().is_some_and(Vec::is_empty) {
+                continue;
+            }
+            self.send(
+                w,
+                Job::Digests {
+                    only,
+                    reply: tx.clone(),
+                },
+            );
+            asked += 1;
         }
         drop(tx);
         let mut replies = 0;
@@ -265,27 +299,50 @@ impl ServerHost {
             out.extend(shard);
             replies += 1;
         }
-        assert_eq!(replies, self.senders.len(), "worker died before digest");
+        assert_eq!(replies, asked, "worker died before digest");
         out.sort_by_key(|e| e.0);
         out
     }
 
-    /// Bundles this host has that a peer digest lacks. Extraction runs
-    /// on each document's owning worker (it walks live oplog state);
-    /// only the returned owned bundles cross threads.
+    /// Bundles this host has that a peer digest lacks, from every
+    /// resident document (one the digest does not name is sent whole).
+    /// Extraction runs on each document's owning worker (it walks live
+    /// oplog state); only the returned owned bundles cross threads.
     pub fn bundles_for(&self, peer: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, EventBundle)> {
+        self.extract(peer, false)
+    }
+
+    /// [`Self::bundles_for`] restricted to the documents `peer` names:
+    /// only their owning workers are asked. For a caller that already
+    /// knows which documents the peer is short of.
+    pub fn bundles_for_listed(&self, peer: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, EventBundle)> {
+        self.extract(peer, true)
+    }
+
+    fn extract(
+        &self,
+        peer: &[(DocId, Vec<RemoteId>)],
+        listed_only: bool,
+    ) -> Vec<(DocId, EventBundle)> {
+        let nw = self.senders.len();
         let mut sorted = peer.to_vec();
         sorted.sort_by_key(|e| e.0);
         let peer = Arc::new(sorted);
         let (tx, rx) = mpsc::channel();
-        for w in 0..self.senders.len() {
+        let mut asked = 0;
+        for w in 0..nw {
+            if listed_only && !peer.iter().any(|e| shard_for(e.0, nw) == w) {
+                continue;
+            }
             self.send(
                 w,
                 Job::Extract {
                     peer: Arc::clone(&peer),
+                    listed_only,
                     reply: tx.clone(),
                 },
             );
+            asked += 1;
         }
         drop(tx);
         let mut replies = 0;
@@ -294,7 +351,7 @@ impl ServerHost {
             out.extend(shard);
             replies += 1;
         }
-        assert_eq!(replies, self.senders.len(), "worker died before extract");
+        assert_eq!(replies, asked, "worker died before extract");
         out.sort_by_key(|e| e.0);
         out
     }
@@ -483,6 +540,38 @@ mod tests {
         assert!(a.converged_with(&b));
         // A second round ships nothing.
         assert_eq!(a.sync_with(&b), (0, 0));
+    }
+
+    #[test]
+    fn scoped_digest_and_extract_match_the_unscoped_ones() {
+        let script = small_script();
+        for workers in [1, 3] {
+            let host = ServerHost::new(workers);
+            host.run_script(&script);
+            let all = host.digest_all();
+            assert!(all.len() > 4);
+            // Any subset, in any order, repeats and strangers included.
+            let picked = [all[3].0, all[0].0, DocId(9_999), all[3].0];
+            let expect = vec![all[0].clone(), all[3].clone()];
+            assert_eq!(host.digest_of(&picked), expect);
+            assert!(host.digest_of(&[]).is_empty());
+            assert!(host.digest_of(&[DocId(9_999)]).is_empty());
+
+            // A peer that holds nothing of two documents gets exactly
+            // those two, whole; the unscoped call adds the rest.
+            let have = vec![(all[3].0, Vec::new()), (all[0].0, Vec::new())];
+            let listed = host.bundles_for_listed(&have);
+            let everything = host.bundles_for(&have);
+            assert_eq!(listed.len(), 2);
+            assert_eq!(everything.len(), all.len());
+            assert!(listed.iter().all(|entry| everything.contains(entry)));
+            // A peer level in a listed document gets nothing for it.
+            let level = vec![all[0].clone(), (all[3].0, Vec::new())];
+            let listed = host.bundles_for_listed(&level);
+            assert_eq!(listed.len(), 1);
+            assert_eq!(listed[0].0, all[3].0);
+            assert!(host.bundles_for_listed(&[]).is_empty());
+        }
     }
 
     #[test]

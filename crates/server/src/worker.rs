@@ -94,8 +94,7 @@ impl EncodeRound {
             if i >= self.tasks.len() {
                 return;
             }
-            let (doc, bundle) = &self.tasks[i];
-            let frame = Message::Bundles(vec![(*doc, bundle.clone())]).encode();
+            let frame = Message::encode_bundles(std::slice::from_ref(&self.tasks[i]));
             self.results[i]
                 .set(frame)
                 .expect("encode task claimed twice");
@@ -262,12 +261,19 @@ impl Persistence {
 pub(crate) enum Job {
     /// Apply a batch of fleet edits to this shard.
     Edits(EditBatch),
-    /// Report this shard's per-document digests.
-    Digests(Sender<Vec<(DocId, Vec<RemoteId>)>>),
-    /// Extract bundles this shard has that the peer digest lacks. The
-    /// digest is sorted by `DocId` for binary search.
+    /// Report this shard's per-document digests: of the documents in
+    /// `only` (the host pre-routed them by affinity), or of every one.
+    Digests {
+        only: Option<Vec<DocId>>,
+        reply: Sender<Vec<(DocId, Vec<RemoteId>)>>,
+    },
+    /// Extract bundles this shard has that the peer digest lacks: from
+    /// every document of the shard, or with `listed_only` from just the
+    /// ones the digest names. The digest is sorted by `DocId` for binary
+    /// search.
     Extract {
         peer: Arc<Vec<(DocId, Vec<RemoteId>)>>,
+        listed_only: bool,
         reply: Sender<Vec<(DocId, EventBundle)>>,
     },
     /// Integrate remote bundles into this shard (host pre-routed them by
@@ -349,12 +355,31 @@ pub(crate) fn worker_main(
                 // Host gone mid-shutdown: recycling is best-effort.
                 let _ = recycle.send(items);
             }
-            Job::Digests(reply) => {
-                let _ = reply.send(replica.digest_all());
+            Job::Digests { only, reply } => {
+                let _ = reply.send(match only {
+                    None => replica.digest_all(),
+                    Some(docs) => docs
+                        .into_iter()
+                        .map(|doc| (doc, replica.digest_doc(doc)))
+                        .filter(|(_, vector)| !vector.is_empty())
+                        .collect(),
+                });
             }
-            Job::Extract { peer, reply } => {
+            Job::Extract {
+                peer,
+                listed_only,
+                reply,
+            } => {
+                let docs = if listed_only {
+                    peer.iter()
+                        .map(|e| e.0)
+                        .filter(|&doc| shard_for(doc, ctx.workers) == ctx.index)
+                        .collect()
+                } else {
+                    replica.doc_ids()
+                };
                 let mut out = Vec::new();
-                for doc in replica.doc_ids() {
+                for doc in docs {
                     let have = match peer.binary_search_by_key(&doc, |e| e.0) {
                         Ok(i) => peer[i].1.as_slice(),
                         Err(_) => &[],

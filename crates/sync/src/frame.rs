@@ -2,7 +2,8 @@
 //!
 //! The sync engine's [`Message`]s are already wire-safe (magic + CRC),
 //! but a byte stream needs boundaries: this module frames them — plus
-//! the daemon's session-control frames (hello, heartbeats) — as
+//! the daemon's session-control frames (hello, heartbeats, and the
+//! mark / reset pair that audits a link's sync frames) — as
 //!
 //! ```text
 //! [u32 LE body length][1 tag byte][body...]
@@ -32,7 +33,7 @@ pub const MAX_NAME_LEN: usize = 256;
 
 /// Protocol version spoken by this build. Bumped on any wire change;
 /// peers with a different version are refused at handshake.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Frame tag: [`WireFrame::Hello`].
 pub const TAG_HELLO: u8 = 1;
@@ -42,6 +43,10 @@ pub const TAG_PING: u8 = 2;
 pub const TAG_PONG: u8 = 3;
 /// Frame tag: [`WireFrame::Sync`] (first body byte of a sync frame).
 pub const TAG_SYNC: u8 = 4;
+/// Frame tag: [`WireFrame::Mark`].
+pub const TAG_MARK: u8 = 5;
+/// Frame tag: [`WireFrame::Reset`].
+pub const TAG_RESET: u8 = 6;
 
 /// Everything that can go wrong pulling frames off a byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -83,6 +88,34 @@ impl From<DecodeError> for FrameError {
     }
 }
 
+/// A running summary of the sync frames that went one way over a link
+/// since its last [`WireFrame::Reset`]: how many, and a rolling check
+/// over the CRC32 each one ends in. The sender keeps one of what it
+/// queued, the receiver one of what it decoded, and a
+/// [`WireFrame::Mark`] carries the sender's across so the two can be
+/// compared: a sync frame lost, repeated or replaced on the way shows as
+/// a difference.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameTally {
+    /// Sync frames counted.
+    pub frames: u64,
+    /// Order-sensitive fold of their trailing CRC32s.
+    pub check: u32,
+}
+
+impl FrameTally {
+    /// Counts one sync frame, given its body (tag + encoded message).
+    pub fn note(&mut self, body: &[u8]) {
+        let mut crc = [0u8; 4];
+        if let Some(tail) = body.len().checked_sub(4).and_then(|at| body.get(at..)) {
+            crc.copy_from_slice(tail);
+        }
+        self.frames = self.frames.wrapping_add(1);
+        // FNV-1a over 32-bit words: swapping two frames changes it.
+        self.check = (self.check ^ u32::from_le_bytes(crc)).wrapping_mul(0x0100_0193);
+    }
+}
+
 /// One frame of the daemon's session protocol.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireFrame {
@@ -104,36 +137,54 @@ pub enum WireFrame {
     /// A sync-engine [`Message`] (digest or bundle batch), carried with
     /// its own inner magic + CRC framing.
     Sync(Message),
+    /// The periodic audit: the sender's [`FrameTally`] of the sync frames
+    /// it has queued on this link. A receiver whose own tally agrees
+    /// knows it has seen every one of them; one whose tally differs
+    /// answers with a [`WireFrame::Reset`].
+    Mark(FrameTally),
+    /// Both ends forget what they believe about each other and reopen as
+    /// after [`WireFrame::Hello`]. The frame is also the point in the
+    /// stream where the tallies of its direction restart: the sender's
+    /// when it queues it, the receiver's when it reads it. `echo` is
+    /// false on the frame that asks for the reset and true on the answer
+    /// to it, which is not answered in turn.
+    Reset {
+        /// Whether this frame answers a reset the receiver asked for.
+        echo: bool,
+    },
 }
 
 impl WireFrame {
     /// Encodes the frame as `[len][tag][body]`, ready for a socket.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = Vec::new();
+        let mut out = vec![0u8; FRAME_HEADER_LEN];
         match self {
             WireFrame::Hello { proto, name } => {
-                body.push(TAG_HELLO);
-                varint::push_u64(&mut body, u64::from(*proto));
-                varint::push_usize(&mut body, name.len());
-                body.extend_from_slice(name.as_bytes());
+                out.push(TAG_HELLO);
+                varint::push_u64(&mut out, u64::from(*proto));
+                varint::push_usize(&mut out, name.len());
+                out.extend_from_slice(name.as_bytes());
             }
             WireFrame::Ping(seq) => {
-                body.push(TAG_PING);
-                varint::push_u64(&mut body, *seq);
+                out.push(TAG_PING);
+                varint::push_u64(&mut out, *seq);
             }
             WireFrame::Pong(seq) => {
-                body.push(TAG_PONG);
-                varint::push_u64(&mut body, *seq);
+                out.push(TAG_PONG);
+                varint::push_u64(&mut out, *seq);
             }
-            WireFrame::Sync(msg) => {
-                body.push(TAG_SYNC);
-                body.extend_from_slice(&msg.encode());
+            WireFrame::Sync(msg) => return frame_sync(&msg.encode()),
+            WireFrame::Mark(tally) => {
+                out.push(TAG_MARK);
+                varint::push_u64(&mut out, tally.frames);
+                out.extend_from_slice(&tally.check.to_le_bytes());
+            }
+            WireFrame::Reset { echo } => {
+                out.push(TAG_RESET);
+                out.push(u8::from(*echo));
             }
         }
-        let mut out = Vec::with_capacity(body.len().saturating_add(FRAME_HEADER_LEN));
-        out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        out.extend_from_slice(&body);
-        out
+        seal(out)
     }
 
     /// Decodes one complete frame body (tag + payload, no length
@@ -173,9 +224,47 @@ impl WireFrame {
                 Ok(WireFrame::Pong(seq))
             }
             TAG_SYNC => Ok(WireFrame::Sync(Message::decode(rest)?)),
+            TAG_MARK => {
+                let frames = varint::read_u64(&mut rest)?;
+                let mut check = [0u8; 4];
+                check.copy_from_slice(varint::take(&mut rest, 4)?);
+                if !rest.is_empty() {
+                    return Err(FrameError::Payload(DecodeError::Corrupt));
+                }
+                Ok(WireFrame::Mark(FrameTally {
+                    frames,
+                    check: u32::from_le_bytes(check),
+                }))
+            }
+            TAG_RESET => match rest {
+                [0] => Ok(WireFrame::Reset { echo: false }),
+                [1] => Ok(WireFrame::Reset { echo: true }),
+                _ => Err(FrameError::Payload(DecodeError::Corrupt)),
+            },
             other => Err(FrameError::BadTag(other)),
         }
     }
+}
+
+/// Frames an already encoded sync [`Message`] as a [`WireFrame::Sync`]:
+/// what `WireFrame::Sync(msg).encode()` returns for `msg.encode()`. A
+/// sender that encodes borrowed payloads ([`Message::encode_bundles`])
+/// frames them with this.
+pub fn frame_sync(message: &[u8]) -> Vec<u8> {
+    let mut out = Vec::with_capacity(message.len().saturating_add(FRAME_HEADER_LEN + 1));
+    out.extend_from_slice(&[0u8; FRAME_HEADER_LEN]);
+    out.push(TAG_SYNC);
+    out.extend_from_slice(message);
+    seal(out)
+}
+
+/// Writes the body length into the header bytes `out` was started with.
+fn seal(mut out: Vec<u8>) -> Vec<u8> {
+    let body_len = out.len().saturating_sub(FRAME_HEADER_LEN) as u32;
+    if let Some(header) = out.get_mut(..FRAME_HEADER_LEN) {
+        header.copy_from_slice(&body_len.to_le_bytes());
+    }
+    out
 }
 
 /// Returns `true` if a complete frame body carries an event-bundle
@@ -346,6 +435,12 @@ mod tests {
             WireFrame::Pong(u64::MAX),
             WireFrame::Sync(Message::Digest(r.digest_all())),
             WireFrame::Sync(Message::Bundles(vec![(DocId(3), b)])),
+            WireFrame::Mark(FrameTally {
+                frames: 300,
+                check: 0xDEAD_BEEF,
+            }),
+            WireFrame::Reset { echo: false },
+            WireFrame::Reset { echo: true },
         ]
     }
 
@@ -442,6 +537,65 @@ mod tests {
             assert_eq!(&WireFrame::decode(&body).unwrap(), f);
         }
         assert!(read_frame(&mut cursor, &mut decoder).unwrap().is_none());
+    }
+
+    #[test]
+    fn frame_sync_matches_the_owned_encoding() {
+        let mut r = Replica::new("alice");
+        let batch = vec![(DocId(3), r.insert_doc(DocId(3), 0, "hello"))];
+        assert_eq!(
+            frame_sync(&Message::encode_bundles(&batch)),
+            WireFrame::Sync(Message::Bundles(batch)).encode()
+        );
+    }
+
+    #[test]
+    fn tally_sees_loss_repeat_and_reorder() {
+        let frames: Vec<Vec<u8>> = sample_frames()
+            .iter()
+            .filter(|f| matches!(f, WireFrame::Sync(_)))
+            .map(|f| f.encode()[FRAME_HEADER_LEN..].to_vec())
+            .collect();
+        let tally = |order: &[usize]| {
+            let mut t = FrameTally::default();
+            for &i in order {
+                t.note(&frames[i]);
+            }
+            t
+        };
+        let sent = tally(&[0, 1]);
+        assert_eq!(sent.frames, 2);
+        assert_eq!(sent, tally(&[0, 1]));
+        assert_ne!(sent, tally(&[0]), "a lost frame");
+        assert_ne!(sent, tally(&[0, 1, 1]), "a repeated frame");
+        assert_ne!(sent, tally(&[1, 0]), "swapped frames");
+        assert_ne!(sent, tally(&[0, 0]), "one lost, another repeated");
+        // Bodies too short to end in a CRC still count.
+        let mut short = FrameTally::default();
+        short.note(&[TAG_SYNC]);
+        assert_eq!(short.frames, 1);
+    }
+
+    #[test]
+    fn mark_and_reset_refuse_malformed_bodies() {
+        let mark = WireFrame::Mark(FrameTally {
+            frames: 1,
+            check: 2,
+        })
+        .encode();
+        let body = &mark[FRAME_HEADER_LEN..];
+        for cut in 1..body.len() {
+            assert!(
+                WireFrame::decode(&body[..cut]).is_err(),
+                "mark cut at {cut}"
+            );
+        }
+        let mut long = body.to_vec();
+        long.push(0);
+        assert!(WireFrame::decode(&long).is_err(), "mark with a tail");
+        assert!(WireFrame::decode(&[TAG_RESET]).is_err());
+        assert!(WireFrame::decode(&[TAG_RESET, 2]).is_err());
+        assert!(WireFrame::decode(&[TAG_RESET, 0, 0]).is_err());
     }
 
     #[test]

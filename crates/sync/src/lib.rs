@@ -58,6 +58,7 @@
 
 mod faulty;
 pub mod frame;
+mod link_view;
 mod message;
 mod network;
 mod outbox;
@@ -66,7 +67,8 @@ mod topology;
 mod transport;
 
 pub use faulty::{FaultSpec, FaultStats, FaultyTransport, PartitionWindow};
-pub use frame::{FrameDecoder, FrameError, WireFrame, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use frame::{FrameDecoder, FrameError, FrameTally, WireFrame, MAX_FRAME_LEN, PROTOCOL_VERSION};
+pub use link_view::LinkView;
 pub use message::Message;
 pub use network::{NetStats, NetworkSim, SimBuilder, SimConfig};
 pub use outbox::Outbox;

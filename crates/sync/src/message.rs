@@ -3,8 +3,8 @@
 //! Exactly two message kinds exist, both framed by `eg-encoding` with
 //! magic + CRC so a transport can carry them as opaque bytes:
 //!
-//! * [`Message::Digest`] — per-document frontier digests, the compact
-//!   "what I have" probe of batched anti-entropy;
+//! * [`Message::Digest`] — per-document version-vector entries, the
+//!   "what I hold" half of anti-entropy;
 //! * [`Message::Bundles`] — per-document event bundles, the coalesced
 //!   payload of an outbox flush or a digest repair.
 
@@ -21,8 +21,14 @@ use egwalker::EventBundle;
 /// [`crate::Transport`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
-    /// Per-document frontier digests: the sender's whole shard space in
-    /// network form.
+    /// Per-document `(agent, last sequence number held)` entries. What
+    /// the entries cover is the sender's choice, not the codec's: the
+    /// simulator and [`crate::Replica::digest_all`] report every
+    /// document's whole version vector, while a daemon link sends that
+    /// once per session and afterwards only the entries that changed
+    /// since its last digest on that link ([`crate::LinkView::tell`]).
+    /// A receiver merges entries per agent by maximum, so both read the
+    /// same way; a document may be listed with no entries.
     Digest(Vec<(DocId, Vec<RemoteId>)>),
     /// Batched per-document event bundles.
     Bundles(Vec<(DocId, EventBundle)>),
@@ -33,16 +39,19 @@ impl Message {
     pub fn encode(&self) -> Vec<u8> {
         match self {
             Message::Digest(docs) => {
-                let raw: Vec<(u64, Vec<RemoteId>)> =
-                    docs.iter().map(|(d, v)| (d.0, v.clone())).collect();
+                let raw: Vec<(u64, &[RemoteId])> =
+                    docs.iter().map(|(d, v)| (d.0, v.as_slice())).collect();
                 encode_digest(&raw)
             }
-            Message::Bundles(docs) => {
-                let raw: Vec<(u64, EventBundle)> =
-                    docs.iter().map(|(d, b)| (d.0, b.clone())).collect();
-                encode_bundle_batch(&raw)
-            }
+            Message::Bundles(docs) => Message::encode_bundles(docs),
         }
+    }
+
+    /// The encoding of `Message::Bundles(docs.to_vec())` without building
+    /// it: a sender chunking a backlog encodes each chunk in place.
+    pub fn encode_bundles(docs: &[(DocId, EventBundle)]) -> Vec<u8> {
+        let raw: Vec<(u64, &EventBundle)> = docs.iter().map(|(d, b)| (d.0, b)).collect();
+        encode_bundle_batch(&raw)
     }
 
     /// Deserialises a message, dispatching on the frame magic.
@@ -95,6 +104,10 @@ mod tests {
         let decoded = Message::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
         assert!(!decoded.is_digest());
+        let Message::Bundles(docs) = &msg else {
+            unreachable!()
+        };
+        assert_eq!(Message::encode_bundles(docs), msg.encode());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use eg_encoding::crc32;
 use eg_sync::frame::{
-    read_frame, FrameDecoder, FrameError, WireFrame, FRAME_HEADER_LEN, MAX_FRAME_LEN,
-    PROTOCOL_VERSION, TAG_HELLO, TAG_PING, TAG_SYNC,
+    read_frame, FrameDecoder, FrameError, FrameTally, WireFrame, FRAME_HEADER_LEN, MAX_FRAME_LEN,
+    PROTOCOL_VERSION, TAG_HELLO, TAG_MARK, TAG_PING, TAG_RESET, TAG_SYNC,
 };
 use eg_sync::{DocId, Message, Replica};
 use std::io::Cursor;
@@ -189,11 +189,62 @@ fn sync_frame_with_trailing_garbage_after_crc_is_refused() {
 
 #[test]
 fn unknown_tag_is_refused() {
-    for tag in [0u8, 5, 9, 0x7F, 0xFF] {
+    for tag in [0u8, 7, 9, 0x7F, 0xFF] {
         let body = [tag, 0, 0];
         assert!(
             matches!(WireFrame::decode(&body), Err(FrameError::BadTag(t)) if t == tag),
             "tag {tag}"
+        );
+    }
+}
+
+#[test]
+fn mark_is_a_count_and_exactly_four_check_bytes() {
+    let mark = WireFrame::Mark(FrameTally {
+        frames: u64::MAX,
+        check: 0x8000_0001,
+    });
+    let wire = mark.encode();
+    let body = &wire[FRAME_HEADER_LEN..];
+    assert_eq!(WireFrame::decode(body).unwrap(), mark);
+    // Every shorter body is short of a field; a longer one has a tail.
+    for cut in 0..body.len() {
+        assert!(WireFrame::decode(&body[..cut]).is_err(), "cut {cut}");
+    }
+    let mut long = body.to_vec();
+    long.push(0);
+    assert!(matches!(
+        WireFrame::decode(&long),
+        Err(FrameError::Payload(_))
+    ));
+    // An overlong count varint is refused like any other.
+    let mut body = vec![TAG_MARK];
+    body.extend_from_slice(&[0xFF; 10]);
+    body.extend_from_slice(&[1, 0, 0, 0, 0]);
+    assert!(matches!(
+        WireFrame::decode(&body),
+        Err(FrameError::Payload(_))
+    ));
+}
+
+#[test]
+fn reset_is_one_flag_byte_and_nothing_else() {
+    for echo in [false, true] {
+        let wire = WireFrame::Reset { echo }.encode();
+        assert_eq!(wire.len(), FRAME_HEADER_LEN + 2);
+        let body = &wire[FRAME_HEADER_LEN..];
+        assert_eq!(WireFrame::decode(body).unwrap(), WireFrame::Reset { echo });
+    }
+    for body in [
+        &[TAG_RESET][..],
+        &[TAG_RESET, 2],
+        &[TAG_RESET, 0xFF],
+        &[TAG_RESET, 0, 0],
+        &[TAG_RESET, 1, 1],
+    ] {
+        assert!(
+            matches!(WireFrame::decode(body), Err(FrameError::Payload(_))),
+            "{body:?}"
         );
     }
 }
@@ -250,6 +301,11 @@ fn every_prefix_of_a_valid_stream_is_either_pending_or_complete() {
             name: "p".into(),
         },
         WireFrame::Sync(Message::Bundles(vec![(DocId(7), b)])),
+        WireFrame::Mark(FrameTally {
+            frames: 2,
+            check: 0xC0FF_EE00,
+        }),
+        WireFrame::Reset { echo: true },
         WireFrame::Ping(3),
     ];
     let mut wire = Vec::new();

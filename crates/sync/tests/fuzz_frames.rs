@@ -12,7 +12,8 @@
 //! ```
 //!
 //! Starting from valid wire images of every frame kind (hello, ping,
-//! pong, sync digests, sync bundle batches), each iteration mutates one
+//! pong, mark, reset, sync digests, sync bundle batches), each iteration
+//! mutates one
 //! image — bit flips, boundary bytes, truncation, tail garbage, splice
 //! crossover, ±1 nudges — and feeds it to the decoder three ways: one
 //! push, random chunks, and through the blocking `read_frame` helper.
@@ -23,7 +24,9 @@
 //! criterion is no panic: every input must come back `Ok` or `Err`.
 
 use eg_encoding::crc32;
-use eg_sync::frame::{read_frame, FrameDecoder, WireFrame, FRAME_HEADER_LEN, PROTOCOL_VERSION};
+use eg_sync::frame::{
+    read_frame, FrameDecoder, FrameTally, WireFrame, FRAME_HEADER_LEN, PROTOCOL_VERSION,
+};
 use eg_sync::{DocId, Message, Replica};
 use egwalker::testgen::SmallRng;
 use std::time::{Duration, Instant};
@@ -44,6 +47,14 @@ fn corpus() -> Vec<Vec<u8>> {
         WireFrame::Ping(0).encode(),
         WireFrame::Ping(u64::MAX).encode(),
         WireFrame::Pong(0xDEAD_BEEF).encode(),
+        WireFrame::Mark(FrameTally::default()).encode(),
+        WireFrame::Mark(FrameTally {
+            frames: u64::MAX,
+            check: u32::MAX,
+        })
+        .encode(),
+        WireFrame::Reset { echo: false }.encode(),
+        WireFrame::Reset { echo: true }.encode(),
     ];
     for seed in [1u64, 42, 0xF00D] {
         let mut rng = SmallRng::new(seed);
