@@ -239,6 +239,14 @@ impl OpLog {
         })
     }
 
+    /// Iterates every stored operation run, whole and in LV order: what
+    /// [`Self::ops_in`] yields over `0..len()`, without a search per run.
+    pub fn op_runs(&self) -> impl ExactSizeIterator<Item = (DTRange, OpRun)> + '_ {
+        self.ops
+            .iter()
+            .map(|pair| ((pair.0..pair.0 + pair.1.len()).into(), pair.1))
+    }
+
     /// The single-character operation of one event: `(kind, index, char)`.
     pub fn unit_op(&self, lv: LV) -> (ListOpKind, usize, Option<char>) {
         let (pair, offset) = self.ops.find_with_offset(lv).expect("LV out of range");

@@ -41,10 +41,11 @@ pub enum ControlCmd {
         full: bool,
     },
     /// Report connection and traffic counters: daemon-wide socket bytes
-    /// and lifecycle counts, and per peer the link state, queued bytes,
+    /// and lifecycle counts, the segment stores' size and what has been
+    /// written to them, and per peer the link state, queued bytes,
     /// digest and bundle bytes sent, resets and sheds.
     Status,
-    /// Force checkpoints on every document past its cadence.
+    /// Force a checkpoint on every document that has a tail.
     Checkpoint,
     /// Run the periodic round now: send every established peer its
     /// mark, which it checks and answers with what this daemon lacks.

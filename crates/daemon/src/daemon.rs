@@ -56,8 +56,6 @@ pub struct DaemonConfig {
     pub workers: usize,
     /// Segment-store directory; `None` runs in-memory.
     pub persist_dir: Option<PathBuf>,
-    /// Checkpoint cadence (events past last checkpoint).
-    pub checkpoint_every: usize,
     /// Period of the mark round: every established peer is sent the
     /// tally of this link's sync frames, checks it against what it read,
     /// and answers with whatever this daemon still lacks.
@@ -84,7 +82,6 @@ impl Default for DaemonConfig {
             peers: Vec::new(),
             workers: 2,
             persist_dir: None,
-            checkpoint_every: 512,
             sync_interval: Duration::from_millis(200),
             heartbeat_interval: Duration::from_millis(500),
             heartbeat_timeout: Duration::from_secs(3),
@@ -157,7 +154,6 @@ impl Daemon {
             name: config.name.clone(),
             workers: config.workers.max(1),
             persist_dir: config.persist_dir.clone(),
-            checkpoint_every: config.checkpoint_every,
             ..ServerConfig::default()
         });
         let now = Instant::now();
@@ -571,6 +567,12 @@ impl Daemon {
                             Value::UInt(self.stats.decode_errors as u64),
                         ),
                         ("docs_loaded", Value::UInt(persist.docs_loaded as u64)),
+                        ("store_bytes", Value::UInt(persist.store_bytes)),
+                        (
+                            "checkpoints_written",
+                            Value::UInt(persist.checkpoints_written),
+                        ),
+                        ("bytes_written", Value::UInt(persist.bytes_written)),
                     ]),
                     false,
                 )

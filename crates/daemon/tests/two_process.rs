@@ -90,8 +90,16 @@ fn sigkill_mid_sync_restart_converges_byte_identical() {
         a.status_counter("docs_loaded") > 0,
         "restarted daemon did not load from its segment store"
     );
+    // Store size is readable from outside, and nothing was written yet.
+    assert!(a.status_counter("store_bytes") > 0);
+    assert_eq!(a.status_counter("bytes_written"), 0);
 
     await_convergence(&mut a, &mut b, 4, Duration::from_secs(45));
+    // The edits beta made into the void arrived and were persisted. How
+    // many checkpoints that took depends on where the kill fell; the
+    // counter only has to be there.
+    assert!(a.status_counter("bytes_written") > 0);
+    a.status_counter("checkpoints_written");
     assert_eq!(
         a.full_texts(),
         b.full_texts(),

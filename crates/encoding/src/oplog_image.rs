@@ -90,10 +90,10 @@ pub fn encode_oplog_image(oplog: &OpLog) -> Vec<u8> {
 
     // Operation runs. Content ranges are cumulative in run order (the
     // arena is appended exactly as ops are), so only the text survives.
-    let runs: Vec<(DTRange, OpRun)> = oplog.ops_in((0..oplog.len()).into()).collect();
+    let runs = oplog.op_runs();
     varint::push_usize(&mut out, runs.len());
     let mut content_chars = 0;
-    for (_, run) in &runs {
+    for (_, run) in runs {
         let flags = match run.kind {
             ListOpKind::Ins => 0u8,
             ListOpKind::Del => 1,
@@ -347,6 +347,33 @@ mod tests {
             let bytes = encode_oplog_image(&oplog);
             let back = decode_oplog_image(&bytes).expect("roundtrip");
             assert_equivalent(&oplog, &back);
+        }
+    }
+
+    /// The ops section is written from `OpLog::op_runs`; it used to be
+    /// written from `ops_in` over the whole log, one search per run. The
+    /// two list the same runs, so the image bytes did not change.
+    #[test]
+    fn op_runs_are_what_ops_in_finds_over_the_whole_log() {
+        for seed in 0..40 {
+            let oplog = random_oplog(seed, 120, 3, 0.2);
+            let searched: Vec<_> = oplog.ops_in((0..oplog.len()).into()).collect();
+            assert!(searched.len() > 20, "seed {seed}");
+            assert_eq!(oplog.op_runs().len(), searched.len(), "seed {seed}");
+            assert!(oplog.op_runs().eq(searched), "seed {seed}");
+        }
+        // Length and CRC of the image the `ops_in` encoder wrote.
+        for (seed, len, crc) in [
+            (0, 1057, 0x5d62_367f_u32),
+            (17, 914, 0x13a7_66a4),
+            (39, 1012, 0xe652_ea9e),
+        ] {
+            let image = encode_oplog_image(&random_oplog(seed, 120, 3, 0.2));
+            assert_eq!(
+                (image.len(), crate::crc32(&image)),
+                (len, crc),
+                "seed {seed}"
+            );
         }
     }
 

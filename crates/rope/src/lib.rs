@@ -264,6 +264,11 @@ impl Rope {
         self.tree.iter().flat_map(|c| c.text.chars())
     }
 
+    /// Iterates the text as the string slices it is stored in, in order.
+    pub fn chunks(&self) -> impl Iterator<Item = &str> + '_ {
+        self.tree.iter().map(|c| c.text.as_str())
+    }
+
     /// Copies the characters in `[pos, pos + len)` into a `String`.
     pub fn slice_to_string(&self, pos: usize, len: usize) -> String {
         self.chars().skip(pos).take(len).collect()

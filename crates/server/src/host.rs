@@ -41,11 +41,6 @@ pub struct ServerConfig {
     /// every edit/receive batch to disk. `None` keeps the host purely
     /// in-memory.
     pub persist_dir: Option<PathBuf>,
-    /// Write a checkpoint record once a document accumulates this many
-    /// events past its last checkpoint. Cadence trades segment-file
-    /// growth (checkpoints embed the document text) against reopen cost
-    /// (the tail replayed on a warm open).
-    pub checkpoint_every: usize,
 }
 
 impl Default for ServerConfig {
@@ -55,7 +50,6 @@ impl Default for ServerConfig {
             workers: thread::available_parallelism().map_or(1, |n| n.get()),
             batch: 128,
             persist_dir: None,
-            checkpoint_every: 512,
         }
     }
 }
@@ -93,7 +87,6 @@ impl ServerHost {
                 index: i,
                 workers: config.workers,
                 persist_dir: config.persist_dir.clone(),
-                checkpoint_every: config.checkpoint_every.max(1),
             };
             let recycle_tx = recycle_tx.clone();
             let handle = thread::Builder::new()
@@ -232,8 +225,8 @@ impl ServerHost {
         written
     }
 
-    /// What persistence restored at startup, summed across workers
-    /// (all zeroes without a persist dir).
+    /// What persistence restored at startup and has written since, summed
+    /// across workers (all zeroes without a persist dir).
     pub fn persist_stats(&self) -> PersistStats {
         let (tx, rx) = mpsc::channel();
         for w in 0..self.senders.len() {
@@ -615,6 +608,21 @@ mod tests {
         }
     }
 
+    /// Events each resident document holds, read off its version vector.
+    fn events_per_doc(host: &ServerHost) -> Vec<usize> {
+        host.digest_all()
+            .iter()
+            .map(|(_, vector)| vector.iter().map(|id| id.seq + 1).sum())
+            .collect()
+    }
+
+    fn dir_bytes(dir: &std::path::Path) -> u64 {
+        std::fs::read_dir(dir)
+            .expect("scan persist dir")
+            .map(|entry| entry.expect("dir entry").metadata().expect("stat").len())
+            .sum()
+    }
+
     #[test]
     fn restarted_host_reopens_cached_and_converges() {
         let tmp = TempDir::new("restart");
@@ -632,12 +640,19 @@ mod tests {
             let host = ServerHost::with_config(ServerConfig {
                 workers: 3,
                 persist_dir: Some(tmp.0.clone()),
-                checkpoint_every: 64,
                 ..ServerConfig::default()
             });
             host.run_script(&script);
-            assert!(host.checkpoint_all() > 0, "some docs past their cadence");
+            assert!(host.checkpoint_all() > 0, "some docs have a tail");
             assert_eq!(host.checkpoint_all(), 0, "second pass has nothing new");
+        }
+
+        // What checkpoints interrupted by a crash would leave: a cut-off
+        // temp file beside a store, and one whose store never existed.
+        let leftovers = [tmp.0.join("doc-0.seg.tmp"), tmp.0.join("doc-4242.seg.tmp")];
+        assert!(tmp.0.join("doc-0.seg").exists());
+        for path in &leftovers {
+            std::fs::write(path, b"EGSEG1\x01\x02torn").expect("plant temp file");
         }
 
         // Restart on the same directory — with a different worker count,
@@ -647,7 +662,6 @@ mod tests {
         let host = ServerHost::with_config(ServerConfig {
             workers: 2,
             persist_dir: Some(tmp.0.clone()),
-            checkpoint_every: 64,
             ..ServerConfig::default()
         });
         let expect = replay_fleet_sequential("server", &script);
@@ -657,6 +671,9 @@ mod tests {
             stats.docs_cached, stats.docs_loaded,
             "every doc reopened via the checkpoint fast path"
         );
+        for path in &leftovers {
+            assert!(!path.exists(), "{} swept at startup", path.display());
+        }
         assert!(host.converged_with(&peer));
         assert_eq!(host.snapshot(), expect);
 
@@ -670,7 +687,8 @@ mod tests {
 
     #[test]
     fn persistence_survives_mid_run_restart_without_checkpoint_all() {
-        // No orderly checkpoint_all: rely on the per-batch appends alone.
+        // No orderly checkpoint_all: rely on the per-batch appends and
+        // whatever checkpoints fell due along the way.
         let tmp = TempDir::new("mid-run");
         let script = small_script();
         let expect = replay_fleet_sequential("server", &script);
@@ -678,7 +696,6 @@ mod tests {
             let host = ServerHost::with_config(ServerConfig {
                 workers: 2,
                 persist_dir: Some(tmp.0.clone()),
-                checkpoint_every: usize::MAX, // never checkpoint
                 ..ServerConfig::default()
             });
             host.run_script(&script);
@@ -690,8 +707,71 @@ mod tests {
         });
         let stats = host.persist_stats();
         assert_eq!(stats.docs_loaded, expect.len());
-        assert_eq!(stats.docs_cached, 0, "no checkpoints were ever written");
+        // A tail is persisted after every batch and earns its first
+        // checkpoint at 512 events, so exactly the documents that got
+        // that far reopen cached; the rest replay cold.
+        let events = events_per_doc(&host);
+        let earned = events.iter().filter(|&&n| n >= 512).count();
+        assert!(0 < earned && earned < events.len(), "script has both kinds");
+        assert_eq!(stats.docs_cached, earned);
         assert_eq!(host.snapshot(), expect, "cold replay still exact");
+    }
+
+    #[test]
+    fn doubling_rule_bounds_checkpoints_and_store_size() {
+        let tmp = TempDir::new("doubling");
+        // Few documents, so that each outgrows the 512-event floor
+        // several times over.
+        let script: Arc<[FleetOp]> = fleet_workload(&FleetSpec {
+            docs: 4,
+            sessions: 8,
+            edits: 4000,
+            ..FleetSpec::default()
+        })
+        .into();
+        let host = ServerHost::with_config(ServerConfig {
+            workers: 2,
+            persist_dir: Some(tmp.0.clone()),
+            ..ServerConfig::default()
+        });
+        host.run_script(&script);
+
+        // Each checkpoint is taken over at least twice the events of the
+        // one before and the first over at least 512, so k of them need
+        // 512 · 2^(k-1) events: k ≤ log2(n / 512) + 1.
+        let most: u64 = events_per_doc(&host)
+            .iter()
+            .map(|&n| {
+                (n / 512)
+                    .checked_ilog2()
+                    .map_or(0, |log| u64::from(log) + 1)
+            })
+            .sum();
+        let stats = host.persist_stats();
+        assert!(most >= 8, "script too small to exercise the rule: {most}");
+        assert!(
+            (4..=most).contains(&stats.checkpoints_written),
+            "{} checkpoints, rule allows {most}",
+            stats.checkpoints_written
+        );
+
+        // The counters are the directory: nothing hides beside the stores.
+        assert_eq!(stats.store_bytes, dir_bytes(&tmp.0));
+        assert!(stats.bytes_written >= stats.store_bytes);
+
+        // A tail never outgrows the checkpoint under it, so an orderly
+        // shutdown's checkpoints can at best halve the directory.
+        host.checkpoint_all();
+        let compact = host.persist_stats();
+        assert_eq!(compact.store_bytes, dir_bytes(&tmp.0));
+        assert!(
+            stats.store_bytes <= 2 * compact.store_bytes,
+            "{} B before checkpoint_all, {} B after",
+            stats.store_bytes,
+            compact.store_bytes
+        );
+        assert!(compact.checkpoints_written > stats.checkpoints_written);
+        assert!(compact.bytes_written > stats.bytes_written);
     }
 
     #[test]

@@ -131,11 +131,10 @@ pub(crate) struct WorkerCtx {
     /// files this worker claims at startup.
     pub workers: usize,
     pub persist_dir: Option<PathBuf>,
-    pub checkpoint_every: usize,
 }
 
-/// What the persistence layer restored at worker startup, summed across
-/// the pool by [`crate::ServerHost::persist_stats`].
+/// What the persistence layer restored at worker startup and has written
+/// since, summed across the pool by [`crate::ServerHost::persist_stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PersistStats {
     /// Documents restored from segment files.
@@ -143,23 +142,35 @@ pub struct PersistStats {
     /// Of those, how many opened through the cached-load fast path (a
     /// checkpoint resolved; the rest replayed their history cold).
     pub docs_cached: usize,
+    /// Total length of the open segment files.
+    pub store_bytes: u64,
+    /// Checkpoints written since startup (each replaced its file).
+    pub checkpoints_written: u64,
+    /// Bytes written to segment files since startup, replaced ones
+    /// included: ÷ `store_bytes` is the write amplification.
+    pub bytes_written: u64,
 }
 
 impl PersistStats {
     pub fn merge(&mut self, other: &PersistStats) {
         self.docs_loaded += other.docs_loaded;
         self.docs_cached += other.docs_cached;
+        self.store_bytes += other.store_bytes;
+        self.checkpoints_written += other.checkpoints_written;
+        self.bytes_written += other.bytes_written;
     }
 }
 
 /// The worker-private persistence layer: one open [`DocStore`] per owned
 /// document. Edits and received bundles are appended after every batch
 /// (crash-safe: a torn tail loses at most the last batch), checkpoints
-/// are written whenever a store's event counter passes the cadence.
+/// are written whenever a store says one is due
+/// ([`DocStore::checkpoint_due`]).
 struct Persistence {
     dir: PathBuf,
-    checkpoint_every: usize,
     stores: HashMap<DocId, DocStore>,
+    /// The startup counts and `checkpoints_written`; the byte totals are
+    /// read off the stores on demand ([`Self::stats`]).
     stats: PersistStats,
 }
 
@@ -171,18 +182,12 @@ impl Persistence {
     /// Opens the persist dir, claims every segment file whose document
     /// shards to this worker, and installs the restored documents into
     /// `replica`. Documents are materialised through the cached path when
-    /// their file holds a usable checkpoint.
-    fn open(
-        dir: PathBuf,
-        index: usize,
-        workers: usize,
-        checkpoint_every: usize,
-        replica: &mut Replica,
-    ) -> Self {
+    /// their file holds a usable checkpoint. Temp files that this
+    /// shard's interrupted checkpoints left behind are deleted.
+    fn open(dir: PathBuf, index: usize, workers: usize, replica: &mut Replica) -> Self {
         std::fs::create_dir_all(&dir).expect("create persist dir");
         let mut this = Persistence {
             dir,
-            checkpoint_every,
             stores: HashMap::new(),
             stats: PersistStats::default(),
         };
@@ -190,9 +195,13 @@ impl Persistence {
         for entry in entries {
             let entry = entry.expect("read persist dir entry");
             let name = entry.file_name();
+            let name = name.to_str().unwrap_or_default();
+            let (name, leftover) = match name.strip_suffix(".tmp") {
+                Some(stem) => (stem, true),
+                None => (name, false),
+            };
             let Some(doc) = name
-                .to_str()
-                .and_then(|n| n.strip_prefix("doc-"))
+                .strip_prefix("doc-")
                 .and_then(|n| n.strip_suffix(".seg"))
                 .and_then(|n| n.parse::<u64>().ok())
                 .map(DocId)
@@ -200,6 +209,12 @@ impl Persistence {
                 continue;
             };
             if shard_for(doc, workers) != index {
+                continue;
+            }
+            if leftover {
+                // `DocStore::open` on the store beside it may get there
+                // first.
+                let _ = std::fs::remove_file(entry.path());
                 continue;
             }
             let (store, loaded) = DocStore::open(entry.path())
@@ -217,7 +232,7 @@ impl Persistence {
     }
 
     /// Appends everything new in `doc` past its persisted frontier, and
-    /// writes a checkpoint when the cadence counter fills up.
+    /// writes a checkpoint when the store's tail has earned one.
     fn persist(&mut self, replica: &Replica, doc: DocId) {
         let Some((oplog, branch)) = replica.doc_parts(doc) else {
             return;
@@ -228,8 +243,9 @@ impl Persistence {
             store
         });
         store.append_new(oplog).expect("append to segment store");
-        if store.events_since_checkpoint() >= self.checkpoint_every {
+        if store.checkpoint_due() {
             store.write_checkpoint(oplog, branch).expect("checkpoint");
+            self.stats.checkpoints_written += 1;
         }
     }
 
@@ -252,7 +268,17 @@ impl Persistence {
                 written += 1;
             }
         }
+        self.stats.checkpoints_written += written as u64;
         written
+    }
+
+    fn stats(&self) -> PersistStats {
+        let mut stats = self.stats;
+        for store in self.stores.values() {
+            stats.store_bytes += store.file_bytes();
+            stats.bytes_written += store.bytes_written();
+        }
+        stats
     }
 }
 
@@ -289,8 +315,8 @@ pub(crate) enum Job {
     /// its last one; reply with the number written. No-op (0) without a
     /// persist dir.
     Checkpoint(Sender<usize>),
-    /// Report what persistence restored at startup (zeroes without a
-    /// persist dir).
+    /// Report what persistence restored at startup and has written since
+    /// (zeroes without a persist dir).
     Persisted(Sender<PersistStats>),
     /// Pure barrier: ack once every previously queued job is done.
     Flush(Sender<()>),
@@ -305,15 +331,9 @@ pub(crate) fn worker_main(
     let mut replica = Replica::new(&ctx.host_name);
     let mut names = SessionNames::new(&ctx.host_name);
     let mut report = LoadReport::default();
-    let mut persist = ctx.persist_dir.map(|dir| {
-        Persistence::open(
-            dir,
-            ctx.index,
-            ctx.workers,
-            ctx.checkpoint_every,
-            &mut replica,
-        )
-    });
+    let mut persist = ctx
+        .persist_dir
+        .map(|dir| Persistence::open(dir, ctx.index, ctx.workers, &mut replica));
     // Scratch list of documents an edit batch touched, reused per batch.
     let mut touched: Vec<DocId> = Vec::new();
 
@@ -416,7 +436,7 @@ pub(crate) fn worker_main(
                 let _ = reply.send(
                     persist
                         .as_ref()
-                        .map_or_else(PersistStats::default, |p| p.stats),
+                        .map_or_else(PersistStats::default, Persistence::stats),
                 );
             }
             Job::Flush(reply) => {

@@ -11,16 +11,23 @@
 //! A segment file is a fixed header followed by zero or more frames:
 //!
 //! ```text
+//! file    := header checkpoint? events*
 //! header  := "EGSEG1" u8(format_version)
 //! frame   := u8(kind) u32le(payload_len) payload u32le(crc)
 //! ```
+//!
+//! That grammar is what the store writes ([`checkpoint_file`] builds
+//! `header checkpoint` whole; event frames are appended behind it). The
+//! reader takes any sequence of frames — files from before compaction
+//! interleave event and checkpoint records — and the newest checkpoint
+//! wins.
 //!
 //! The CRC covers `kind`, `payload_len`, and `payload`, so neither a torn
 //! length field nor a torn payload can be mistaken for a committed record.
 //! [`scan_frames`] consumes frames until the first incomplete or
 //! CRC-invalid one and reports how many bytes of the file were valid; the
-//! store truncates the file there at recovery (a torn tail write is
-//! expected after a crash, never a panic).
+//! store truncates a torn tail there at recovery (expected after a crash,
+//! never a panic).
 //!
 //! Frame kinds:
 //!
@@ -168,11 +175,12 @@ pub struct Checkpoint {
     /// `None` means the loader re-derives tracker state with a fresh
     /// conflict-window walk — still O(tail), just without the warm resume.
     pub snapshot: Option<TrackerSnapshot>,
-    /// A bulk-loadable image of the whole oplog at `version`
-    /// ([`eg_encoding::encode_oplog_image`]). When present and valid, the
-    /// loader restores the oplog from it and replays only the event
-    /// records *after* this checkpoint — the O(tail) open. `None` (or a
-    /// corrupt image) downgrades to replaying every event record.
+    /// A bulk-loadable image of the whole oplog the writer held
+    /// ([`eg_encoding::encode_oplog_image`]). The loader restores the
+    /// oplog from it and replays only the event records *after* this
+    /// checkpoint — the O(tail) open. The store always writes one; without
+    /// it (or with a corrupt one) a file in the older layout, where event
+    /// records precede the checkpoint, is replayed from its start.
     pub oplog_image: Option<Vec<u8>>,
 }
 
@@ -195,32 +203,90 @@ fn read_str<'a>(input: &mut &'a [u8]) -> Result<&'a str, DecodeError> {
 /// [`RECORD_CHECKPOINT`] frame).
 pub fn encode_checkpoint(ck: &Checkpoint) -> Vec<u8> {
     let mut out = Vec::new();
-    varint::push_usize(&mut out, ck.version.len());
-    for id in &ck.version {
-        push_str(&mut out, &id.agent);
-        varint::push_usize(&mut out, id.seq);
-    }
-    push_str(&mut out, &ck.content);
-    match &ck.snapshot {
-        None => out.push(0),
-        Some(snap) => {
-            // Byte-length-prefixed so readers can skip the section: a
-            // loader with a sequential tail never parses the snapshot.
-            out.push(1);
-            let body = encode_snapshot(snap);
-            varint::push_usize(&mut out, body.len());
-            out.extend_from_slice(&body);
-        }
-    }
-    match &ck.oplog_image {
-        None => out.push(0),
-        Some(img) => {
-            out.push(1);
-            varint::push_usize(&mut out, img.len());
-            out.extend_from_slice(img);
-        }
-    }
+    push_checkpoint(
+        &mut out,
+        &ck.version,
+        ck.content.len(),
+        std::iter::once(ck.content.as_str()),
+        ck.snapshot.as_ref().map(encode_snapshot).as_deref(),
+        ck.oplog_image.as_deref(),
+    );
     out
+}
+
+/// The one checkpoint payload writer. The text arrives as the slices the
+/// caller stores it in (`content_len` bytes in total), so a rope is
+/// written without being flattened first; the two sections arrive
+/// encoded ([`encode_snapshot`], [`eg_encoding::encode_oplog_image`]).
+fn push_checkpoint<'a>(
+    out: &mut Vec<u8>,
+    version: &[RemoteId],
+    content_len: usize,
+    content: impl Iterator<Item = &'a str>,
+    snapshot: Option<&[u8]>,
+    oplog_image: Option<&[u8]>,
+) {
+    varint::push_usize(out, version.len());
+    for id in version {
+        push_str(out, &id.agent);
+        varint::push_usize(out, id.seq);
+    }
+    varint::push_usize(out, content_len);
+    for chunk in content {
+        out.extend_from_slice(chunk.as_bytes());
+    }
+    // Byte-length-prefixed so readers can skip a section: a loader with
+    // a sequential tail never parses the snapshot.
+    for section in [snapshot, oplog_image] {
+        match section {
+            None => out.push(0),
+            Some(body) => {
+                out.push(1);
+                varint::push_usize(out, body.len());
+                out.extend_from_slice(body);
+            }
+        }
+    }
+}
+
+/// A whole segment file holding one checkpoint and nothing else — header,
+/// frame head, payload and CRC built in a single buffer — which is what
+/// the store renames over the old file. Byte-identical to
+/// [`file_header`] + [`push_frame`] of [`encode_checkpoint`]. `None` if
+/// the payload outgrows the frame's `u32` length field.
+pub fn checkpoint_file<'a>(
+    version: &[RemoteId],
+    content_len: usize,
+    content: impl Iterator<Item = &'a str>,
+    snapshot: &TrackerSnapshot,
+    oplog_image: &[u8],
+) -> Option<Vec<u8>> {
+    let snapshot = encode_snapshot(snapshot);
+    let mut out = Vec::with_capacity(
+        content_len
+            .saturating_add(snapshot.len())
+            .saturating_add(oplog_image.len())
+            .saturating_add(HEADER_LEN + FRAME_OVERHEAD + 64),
+    );
+    out.extend_from_slice(&file_header());
+    out.push(RECORD_CHECKPOINT);
+    let len_at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    let payload_at = out.len();
+    push_checkpoint(
+        &mut out,
+        version,
+        content_len,
+        content,
+        Some(&snapshot),
+        Some(oplog_image),
+    );
+    let payload_len = u32::try_from(out.len().checked_sub(payload_at)?).ok()?;
+    out.get_mut(len_at..payload_at)?
+        .copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(out.get(HEADER_LEN..)?);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Some(out)
 }
 
 fn encode_snapshot(snap: &TrackerSnapshot) -> Vec<u8> {
@@ -469,6 +535,23 @@ mod tests {
             let bytes = encode_checkpoint(&ck);
             assert_eq!(decode_checkpoint(&bytes).expect("roundtrip"), ck);
         }
+    }
+
+    #[test]
+    fn checkpoint_file_is_header_plus_one_pushed_frame() {
+        let ck = sample_checkpoint();
+        let mut expect = file_header().to_vec();
+        push_frame(&mut expect, RECORD_CHECKPOINT, &encode_checkpoint(&ck));
+        // The text in uneven pieces, split on char boundaries.
+        let (head, tail) = ck.content.split_at(3);
+        let built = checkpoint_file(
+            &ck.version,
+            ck.content.len(),
+            [head, "", tail].into_iter(),
+            ck.snapshot.as_ref().expect("sample has a snapshot"),
+            ck.oplog_image.as_deref().expect("sample has an image"),
+        );
+        assert_eq!(built, Some(expect));
     }
 
     #[test]

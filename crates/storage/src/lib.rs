@@ -1,6 +1,7 @@
 //! # Eg-storage: the event graph on disk
 //!
-//! An append-only *segment store* per document, making the paper's
+//! A compacting *segment store* per document — on disk a document is its
+//! newest checkpoint plus the events appended since — making the paper's
 //! cached-load claim (§3.5/§3.6 — open is O(tail), not O(history))
 //! measurable on disk:
 //!
@@ -9,8 +10,9 @@
 //!   [`egwalker::TrackerSnapshot`]). Pure and panic-free on arbitrary
 //!   bytes; a torn tail write is detected and reported, never panicked on.
 //! * [`store`] — [`DocStore`]: an open segment file that appends event
-//!   bundles as edits commit, writes checkpoints on the caller's cadence,
-//!   and reopens documents warm through [`egwalker::OpLog::open_cached`].
+//!   bundles as edits commit, replaces itself with a checkpoint when one
+//!   falls due ([`DocStore::checkpoint_due`]), and reopens documents warm
+//!   through [`egwalker::OpLog::open_cached`].
 //!
 //! See `crates/storage/README.md` for the byte layout and recovery rules.
 

@@ -1,27 +1,34 @@
-//! [`DocStore`]: one document's append-only segment file.
+//! [`DocStore`]: one document's segment file — its newest checkpoint and
+//! the event records appended since.
 //!
-//! The store owns an append handle to the file and remembers which oplog
-//! version is already on disk, so persisting after an edit round is
-//! "encode the bundle since the persisted frontier, append one frame".
+//! The store owns a handle positioned at the end of the file and
+//! remembers which oplog version is already on disk, so persisting after
+//! an edit round is "encode the bundle since the persisted frontier,
+//! append one frame". A checkpoint holds every event, so writing one
+//! *replaces* the file (temp file + rename) instead of growing it: the
+//! file is never longer than one checkpoint plus the tail behind it.
 //! Opening scans the file, truncates any torn tail
-//! ([`format::scan_frames`]), rebuilds the oplog from the event frames,
-//! and materialises the document through the cached-load fast path when a
-//! usable checkpoint is present ([`egwalker::OpLog::open_cached`]).
+//! ([`format::scan_frames`]), restores the oplog from the checkpoint's
+//! image and the event frames after it, and materialises the document
+//! through the cached-load fast path ([`egwalker::OpLog::open_cached`]).
 
 use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use eg_dag::RemoteId;
 use eg_encoding::varint::DecodeError;
 use eg_encoding::{apply_bundle_bytes, encode_bundle, ApplyBundleError};
-use eg_rle::HasLength as _;
 use egwalker::walker::{self, WalkerOpts};
 use egwalker::{Branch, BundleError, Frontier, OpLog};
 
 use crate::format::{
-    self, encode_checkpoint, push_frame, scan_frames, Checkpoint, FRAME_OVERHEAD,
-    RECORD_CHECKPOINT, RECORD_EVENTS,
+    self, push_frame, scan_frames, FRAME_OVERHEAD, HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS,
 };
+
+/// The shortest tail that earns a checkpoint, however small the one under
+/// it: below this a document is as cheap to replay as to image.
+const MIN_CHECKPOINT_TAIL: usize = 512;
 
 /// Everything that can go wrong opening or appending to a segment store.
 #[derive(Debug)]
@@ -89,16 +96,35 @@ pub struct LoadedDoc {
     pub cached: bool,
 }
 
-/// An open, append-positioned segment file for one document.
+/// An open segment file for one document, positioned to append.
 #[derive(Debug)]
 pub struct DocStore {
     path: PathBuf,
+    /// Positioned at the end of the file at `path`.
     file: File,
-    /// The oplog version already committed to disk as event records.
+    /// The oplog version already committed to disk.
     persisted: Frontier,
-    /// Events appended since the last checkpoint record (the server's
-    /// checkpoint cadence counter).
-    events_since_checkpoint: usize,
+    /// Events held by the newest checkpoint's image (0 without one).
+    checkpoint_events: usize,
+    /// Events in the records after it: what a reopen replays.
+    tail_events: usize,
+    /// The file's current length.
+    file_bytes: u64,
+    /// Everything this handle has written, replaced bytes included.
+    bytes_written: u64,
+    /// [`Self::sync`] has been called on this handle, so what the file
+    /// holds may have been promised to survive power loss.
+    synced: bool,
+    /// The directory entry at `path` was created or renamed over since
+    /// the parent directory was last fsynced.
+    dir_dirty: bool,
+}
+
+/// Where [`DocStore::write_checkpoint`] builds the replacement file.
+fn tmp_path(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    tmp.into()
 }
 
 impl DocStore {
@@ -107,64 +133,82 @@ impl DocStore {
     ///
     /// Returns the store (positioned to append) together with the rebuilt
     /// [`LoadedDoc`].
+    ///
+    /// A file that opens with a checkpoint was renamed into place whole,
+    /// so a damaged or undecodable one there is corruption, not a torn
+    /// write: it is refused with [`StorageError::Decode`] and left
+    /// untouched, like a foreign file. A temp file left by a checkpoint
+    /// that died before its rename is removed.
     pub fn open(path: impl AsRef<Path>) -> Result<(Self, LoadedDoc), StorageError> {
         let path = path.as_ref();
+        let _ = std::fs::remove_file(tmp_path(path));
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
 
-        let (oplog, ck_view, image_len, since_checkpoint) = if bytes.is_empty() {
+        let (oplog, ck_view, image_len, file_len) = if bytes.is_empty() {
             std::fs::write(path, format::file_header())?;
-            (OpLog::new(), None, None, 0)
+            (OpLog::new(), None, None, HEADER_LEN)
         } else {
             let (frames, valid) = scan_frames(&bytes)?;
+            if frames.is_empty() && bytes.get(HEADER_LEN) == Some(&RECORD_CHECKPOINT) {
+                return Err(DecodeError::Corrupt.into());
+            }
 
             // The O(tail) fast path: restore the oplog from the newest
-            // checkpoint's bulk image and skip every event record before
-            // it (the writer commits covering event records *before* the
-            // checkpoint, so they are all contained in the image). A
-            // missing or corrupt image downgrades to replaying from the
-            // start of the file. The checkpoint itself is only *shallowly*
-            // parsed here — whether its tracker snapshot is ever decoded
-            // is decided below, after the tail's shape is known.
+            // checkpoint's bulk image and skip every record before it
+            // (the image holds every event the writer knew). In a file
+            // this version wrote that checkpoint is the first frame. In
+            // the older interleaved layout event records precede it, so
+            // there a missing or corrupt image downgrades to replaying
+            // from the start of the file. The checkpoint itself is only
+            // *shallowly* parsed here — whether its tracker snapshot is
+            // ever decoded is decided below, after the tail's shape is
+            // known.
             let last_ck = frames
                 .iter()
                 .enumerate()
                 .rfind(|(_, f)| f.kind == RECORD_CHECKPOINT);
             let mut ck_view: Option<format::CheckpointView<'_>> = None;
             let mut image_len: Option<usize> = None;
-            let mut replay_from = 0;
+            let mut replay_from = 0usize;
             let mut oplog = OpLog::new();
             if let Some((i, ck_frame)) = last_ck {
                 let view = format::read_checkpoint(ck_frame.payload)?;
-                if let Some(img) = view.oplog_image {
-                    if let Ok(log) = eg_encoding::decode_oplog_image(img) {
+                let image = view
+                    .oplog_image
+                    .ok_or(DecodeError::Corrupt)
+                    .and_then(eg_encoding::decode_oplog_image);
+                match image {
+                    Ok(log) => {
                         image_len = Some(log.len());
                         oplog = log;
-                        replay_from = i + 1;
+                        replay_from = i.saturating_add(1);
                     }
+                    // No event records to fall back on: never an empty
+                    // document with a tail that cannot apply.
+                    Err(e) if frames.first().map(|f| f.kind) == Some(RECORD_CHECKPOINT) => {
+                        return Err(e.into());
+                    }
+                    Err(_) => {}
                 }
                 ck_view = Some(view);
             }
 
-            let mut since_checkpoint = 0usize;
             for frame in frames.iter().skip(replay_from) {
                 match frame.kind {
                     RECORD_EVENTS => {
                         // Streaming apply: no intermediate EventBundle.
                         // Non-atomicity is fine here — `oplog` is local to
                         // this open and discarded on error.
-                        let new = apply_bundle_bytes(&mut oplog, frame.payload)
+                        apply_bundle_bytes(&mut oplog, frame.payload)
                             .map_err(StorageError::from)?;
-                        since_checkpoint += new.len();
                     }
-                    RECORD_CHECKPOINT => {
-                        // Only reached on the replay (downgrade) path or
-                        // for checkpoints before the newest one.
-                        since_checkpoint = 0;
-                    }
+                    // Only reached on the replay (downgrade) path or
+                    // for checkpoints before the newest one.
+                    RECORD_CHECKPOINT => {}
                     // `scan_frames` stops at the first unknown kind, so
                     // this arm is dead; error instead of panicking.
                     _ => return Err(DecodeError::Corrupt.into()),
@@ -179,7 +223,7 @@ impl DocStore {
                 let f = OpenOptions::new().write(true).open(path)?;
                 f.set_len(valid as u64)?;
             }
-            (oplog, ck_view, image_len, since_checkpoint)
+            (oplog, ck_view, image_len, valid.max(HEADER_LEN))
         };
 
         // Resolve the newest checkpoint against the rebuilt log. Each
@@ -240,11 +284,18 @@ impl DocStore {
         };
 
         let file = OpenOptions::new().append(true).open(path)?;
+        let checkpoint_events = image_len.unwrap_or(0);
         let store = DocStore {
             path: path.to_path_buf(),
             file,
             persisted: oplog.version().clone(),
-            events_since_checkpoint: since_checkpoint,
+            checkpoint_events,
+            tail_events: oplog.len().saturating_sub(checkpoint_events),
+            file_bytes: file_len as u64,
+            bytes_written: 0,
+            synced: false,
+            // Created just above.
+            dir_dirty: bytes.is_empty(),
         };
         Ok((
             store,
@@ -261,14 +312,37 @@ impl DocStore {
         &self.path
     }
 
-    /// The oplog version already committed as event records.
+    /// The oplog version already committed to disk.
     pub fn persisted_version(&self) -> &Frontier {
         &self.persisted
     }
 
-    /// Events appended since the last checkpoint record was written.
+    /// Events in the tail: appended since the newest checkpoint, and
+    /// replayed by the next open.
     pub fn events_since_checkpoint(&self) -> usize {
-        self.events_since_checkpoint
+        self.tail_events
+    }
+
+    /// The segment file's current length in bytes.
+    pub fn file_bytes(&self) -> u64 {
+        self.file_bytes
+    }
+
+    /// Bytes this handle has written since it was opened, including those
+    /// a later checkpoint replaced: ÷ [`Self::file_bytes`] is the store's
+    /// write amplification.
+    pub fn bytes_written(&self) -> u64 {
+        self.bytes_written
+    }
+
+    /// Whether the tail has grown as long as the checkpoint under it (and
+    /// to at least [`MIN_CHECKPOINT_TAIL`] events). Checkpointing exactly
+    /// then is classic doubling: all the checkpoints of a document's life
+    /// image at most twice its events between them, and a reopen after a
+    /// crash replays at most as many events as it restores from the
+    /// image (or 512).
+    pub fn checkpoint_due(&self) -> bool {
+        self.tail_events >= self.checkpoint_events.max(MIN_CHECKPOINT_TAIL)
     }
 
     /// Appends one event record covering everything in `oplog` past the
@@ -285,44 +359,79 @@ impl DocStore {
         push_frame(&mut frame, RECORD_EVENTS, &payload);
         self.file.write_all(&frame)?;
         self.persisted = oplog.version().clone();
-        self.events_since_checkpoint += events;
+        self.tail_events = self.tail_events.saturating_add(events);
+        self.file_bytes = self.file_bytes.saturating_add(frame.len() as u64);
+        self.bytes_written = self.bytes_written.saturating_add(frame.len() as u64);
         Ok(events)
     }
 
-    /// Appends a checkpoint record for `branch` (the document at some
-    /// version of `oplog`, normally the tip) and resets the cadence
-    /// counter. Any unpersisted events are committed first, so the
-    /// checkpoint's version is always covered by the event records before
-    /// it — the invariant recovery relies on.
+    /// Replaces the file with one checkpoint of `oplog` whole — an image
+    /// of every event, persisted or not — and of `branch` (the document
+    /// at some version of it, normally the tip). The new file is built
+    /// beside the old one and renamed over it, so a process killed at any
+    /// instruction leaves one of the two, complete.
     ///
     /// The tracker snapshot is built fresh at the branch version
     /// ([`walker::tracker_at`]); at a critical version it degenerates to
     /// the placeholder and costs nothing to restore.
     pub fn write_checkpoint(&mut self, oplog: &OpLog, branch: &Branch) -> Result<(), StorageError> {
-        self.append_new(oplog)?;
         let snapshot = walker::tracker_at(oplog, branch.version.as_slice(), WalkerOpts::default())
             .to_snapshot();
-        let ck = Checkpoint {
-            version: branch
-                .version
-                .iter()
-                .map(|&lv| oplog.lv_to_remote(lv))
-                .collect(),
-            content: branch.content.to_string(),
-            snapshot: Some(snapshot),
-            oplog_image: Some(eg_encoding::encode_oplog_image(oplog)),
-        };
-        let payload = encode_checkpoint(&ck);
-        let mut frame = Vec::with_capacity(payload.len().saturating_add(FRAME_OVERHEAD));
-        push_frame(&mut frame, RECORD_CHECKPOINT, &payload);
-        self.file.write_all(&frame)?;
-        self.events_since_checkpoint = 0;
+        let version: Vec<RemoteId> = branch
+            .version
+            .iter()
+            .map(|&lv| oplog.lv_to_remote(lv))
+            .collect();
+        let replacement = format::checkpoint_file(
+            &version,
+            branch.content.len_bytes(),
+            branch.content.chunks(),
+            &snapshot,
+            &eg_encoding::encode_oplog_image(oplog),
+        )
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "checkpoint exceeds the frame length field",
+            )
+        })?;
+
+        let tmp = tmp_path(&self.path);
+        let mut file = File::create(&tmp)?;
+        file.write_all(&replacement)?;
+        if self.synced {
+            // What `sync` made durable must not give way to pages that
+            // are not: flush the replacement before it takes the name.
+            file.sync_data()?;
+        }
+        std::fs::rename(&tmp, &self.path)?;
+        // Still at the end of what it wrote, so it appends from here.
+        self.file = file;
+        self.dir_dirty = true;
+        self.persisted = oplog.version().clone();
+        self.checkpoint_events = oplog.len();
+        self.tail_events = 0;
+        self.file_bytes = replacement.len() as u64;
+        self.bytes_written = self.bytes_written.saturating_add(self.file_bytes);
         Ok(())
     }
 
-    /// Forces the file's data to stable storage (`fdatasync`).
+    /// Forces the file's data to stable storage (`fdatasync`), and after
+    /// the file was created or replaced also its directory entry (one
+    /// `fsync` of the parent directory). The only call that buys
+    /// durability against power loss; a store it is never called on
+    /// issues no flush at all.
     pub fn sync(&mut self) -> Result<(), StorageError> {
         self.file.sync_data()?;
+        self.synced = true;
+        if self.dir_dirty {
+            let parent = match self.path.parent() {
+                Some(p) if !p.as_os_str().is_empty() => p,
+                _ => Path::new("."),
+            };
+            File::open(parent)?.sync_all()?;
+            self.dir_dirty = false;
+        }
         Ok(())
     }
 }

@@ -1,17 +1,24 @@
 //! Crash-safety and cached-load equivalence suites for the segment store.
 //!
-//! The two ISSUE-level properties:
+//! The properties:
 //!
-//! * truncating a segment file at **any** byte recovers the longest valid
-//!   prefix — no panic, and no CRC-complete record is ever lost;
+//! * truncating a segment file at **any** byte of its tail recovers the
+//!   longest valid prefix — no panic, and no CRC-complete record is ever
+//!   lost — while damage inside the checkpoint the file opens with is
+//!   refused and the file left as it was;
 //! * opening through a checkpoint (`open_cached`) is byte-identical to a
 //!   cold full replay (`checkout_tip`), across generated traces,
-//!   checkpoint cadences, and restart points.
+//!   checkpoint versions, and restart points;
+//! * whatever the sequence of appends, checkpoints and reopens, the file
+//!   is one checkpoint at most, first, plus the tail behind it.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use eg_storage::{scan_frames, DocStore, RECORD_EVENTS};
+use eg_storage::{
+    encode_checkpoint, push_frame, scan_frames, Checkpoint, DocStore, StorageError, FRAME_OVERHEAD,
+    HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS,
+};
 use egwalker::testgen::{random_oplog, SmallRng};
 use egwalker::OpLog;
 
@@ -31,6 +38,53 @@ struct TempFile(PathBuf);
 impl Drop for TempFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.0);
+        let _ = std::fs::remove_file(tmp_beside(&self.0));
+    }
+}
+
+/// Where a store builds the file that replaces it.
+fn tmp_beside(path: &Path) -> PathBuf {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    tmp.into()
+}
+
+/// Ground truth from the (independently tested) frame scanner: the offset
+/// at which each complete frame ends, with the events the file holds up to
+/// there. A checkpoint's image holds every event before it.
+fn frame_boundaries(bytes: &[u8]) -> Vec<(usize, usize)> {
+    let (frames, valid) = scan_frames(bytes).expect("scan");
+    assert_eq!(valid, bytes.len(), "source file has no torn tail");
+    let mut boundaries = vec![(HEADER_LEN, 0)];
+    let mut pos = HEADER_LEN;
+    let mut events = 0usize;
+    for f in &frames {
+        pos += f.payload.len() + FRAME_OVERHEAD;
+        if f.kind == RECORD_EVENTS {
+            events += eg_encoding::decode_bundle(f.payload)
+                .expect("bundle")
+                .runs
+                .iter()
+                .map(|r| r.len())
+                .sum::<usize>();
+        } else {
+            let view = eg_storage::read_checkpoint(f.payload).expect("checkpoint");
+            let image = view.oplog_image.expect("stores always write an image");
+            events = eg_encoding::decode_oplog_image(image).expect("image").len();
+        }
+        boundaries.push((pos, events));
+    }
+    boundaries
+}
+
+/// An owned checkpoint of `oplog` at its tip, as the store would write it.
+fn checkpoint_of(oplog: &OpLog) -> Checkpoint {
+    let tip = oplog.checkout_tip();
+    Checkpoint {
+        version: oplog.remote_version(),
+        content: tip.content.to_string(),
+        snapshot: None,
+        oplog_image: Some(eg_encoding::encode_oplog_image(oplog)),
     }
 }
 
@@ -114,55 +168,14 @@ fn open_cached_equivalence_across_traces_and_cut_points() {
     }
 }
 
-/// The crash-recovery property: for a file with several event and
-/// checkpoint records, truncation at EVERY byte offset opens without
-/// panicking, loses no CRC-complete event record, and still matches a
-/// cold replay of whatever survived. The recovered file accepts further
-/// appends.
-#[test]
-fn truncation_at_any_byte_recovers_longest_valid_prefix() {
-    let (_guard, path) = temp_file("trunc-src");
-    let mut oplog = OpLog::new();
-    let agent = oplog.get_or_create_agent("alice");
-    let (mut store, _) = DocStore::open(&path).expect("create");
-    for round in 0..6 {
-        for i in 0..8 {
-            oplog.add_insert(agent, (round * 8 + i).min(oplog.len()), "x");
-        }
-        store.append_new(&oplog).expect("append");
-        if round % 2 == 1 {
-            store
-                .write_checkpoint(&oplog, &oplog.checkout_tip())
-                .expect("checkpoint");
-        }
-    }
-    drop(store);
-    let bytes = std::fs::read(&path).expect("read segment");
-
-    // Ground truth: cumulative event counts at each complete-frame
-    // boundary, from the (independently tested) frame scanner.
-    let (frames, valid) = scan_frames(&bytes).expect("scan");
-    assert_eq!(valid, bytes.len(), "source file has no torn tail");
-    assert!(frames.len() >= 9, "events + checkpoints recorded");
-    let mut boundaries: Vec<(usize, usize)> = vec![(eg_storage::HEADER_LEN, 0)];
-    {
-        let mut pos = eg_storage::HEADER_LEN;
-        let mut events = 0usize;
-        for f in &frames {
-            pos += f.payload.len() + eg_storage::FRAME_OVERHEAD;
-            if f.kind == RECORD_EVENTS {
-                events += eg_encoding::decode_bundle(f.payload)
-                    .expect("bundle")
-                    .runs
-                    .iter()
-                    .map(|r| r.len())
-                    .sum::<usize>();
-            }
-            boundaries.push((pos, events));
-        }
-    }
-
-    for cut in 0..=bytes.len() {
+/// Opens every prefix of `bytes` from `from` bytes up and checks that it
+/// holds exactly the events of the frames that are whole — the longest
+/// valid prefix, nothing more, nothing less — that the document equals a
+/// cold replay of them, and that the recovered store takes the missing
+/// events of `oplog` again.
+fn check_every_cut(bytes: &[u8], from: usize, oplog: &OpLog) {
+    let boundaries = frame_boundaries(bytes);
+    for cut in from..=bytes.len() {
         let (_g, p) = temp_file("trunc");
         std::fs::write(&p, &bytes[..cut]).expect("write prefix");
         let (mut reopened, loaded) =
@@ -173,16 +186,12 @@ fn truncation_at_any_byte_recovers_longest_valid_prefix() {
             .find(|&&(off, _)| off <= cut)
             .map(|&(_, ev)| ev)
             .unwrap_or(0);
-        assert_eq!(
-            loaded.oplog.len(),
-            expected_events,
-            "cut {cut}: longest valid prefix, nothing more, nothing less"
-        );
+        assert_eq!(loaded.oplog.len(), expected_events, "cut {cut}");
         assert_eq!(loaded.branch, loaded.oplog.checkout_tip(), "cut {cut}");
 
         // The truncated store keeps working: append the missing tail.
         if loaded.oplog.len() < oplog.len() {
-            reopened.append_new(&oplog).expect("re-append");
+            reopened.append_new(oplog).expect("re-append");
             let (_, healed) = DocStore::open(&p).expect("healed open");
             assert_eq!(healed.oplog.len(), oplog.len(), "cut {cut}");
             assert_eq!(healed.branch, oplog.checkout_tip(), "cut {cut}");
@@ -190,9 +199,311 @@ fn truncation_at_any_byte_recovers_longest_valid_prefix() {
     }
 }
 
+/// The crash-recovery property, on the two shapes a file has: truncation
+/// at EVERY byte offset opens without panicking, loses no CRC-complete
+/// event record, and still matches a cold replay of whatever survived —
+/// except inside the checkpoint a file opens with. That frame is only ever
+/// renamed into place whole, so a cut there is damage: the open is refused
+/// and the file stays byte for byte what it was.
+#[test]
+fn truncation_at_any_byte_recovers_longest_valid_prefix() {
+    let (_guard, path) = temp_file("trunc-src");
+    let mut oplog = OpLog::new();
+    let agent = oplog.get_or_create_agent("alice");
+    let (mut store, _) = DocStore::open(&path).expect("create");
+    let type_and_append = |store: &mut DocStore, oplog: &mut OpLog, rounds: usize| {
+        for _ in 0..rounds {
+            for _ in 0..8 {
+                oplog.add_insert(agent, oplog.len() / 2, "x");
+            }
+            store.append_new(oplog).expect("append");
+        }
+    };
+
+    // (a) Events only.
+    type_and_append(&mut store, &mut oplog, 4);
+    let bytes = std::fs::read(&path).expect("read segment");
+    assert_eq!(frame_boundaries(&bytes).len(), 1 + 4);
+    check_every_cut(&bytes, 0, &oplog);
+
+    // (b) A checkpoint with a tail behind it.
+    store
+        .write_checkpoint(&oplog, &oplog.checkout_tip())
+        .expect("checkpoint");
+    type_and_append(&mut store, &mut oplog, 4);
+    drop(store);
+    let bytes = std::fs::read(&path).expect("read segment");
+    let boundaries = frame_boundaries(&bytes);
+    assert_eq!(boundaries.len(), 1 + 1 + 4);
+    let (base_end, base_events) = boundaries[1];
+    assert_eq!(base_events, 32);
+    check_every_cut(&bytes, base_end, &oplog);
+    for cut in HEADER_LEN + 1..base_end {
+        let (_g, p) = temp_file("trunc-base");
+        std::fs::write(&p, &bytes[..cut]).expect("write prefix");
+        match DocStore::open(&p) {
+            Err(StorageError::Decode(_)) => {}
+            other => panic!(
+                "cut {cut} inside the base: {:?}",
+                other.map(|(_, d)| d.oplog.len())
+            ),
+        }
+        assert_eq!(
+            std::fs::read(&p).expect("read back"),
+            &bytes[..cut],
+            "cut {cut}"
+        );
+    }
+}
+
+/// The rest of the refusal rule: a checkpoint that opens the file, passes
+/// its CRC and still cannot restore the oplog is an error — never an empty
+/// document with a tail that cannot apply — and so is a complete base
+/// frame with a damaged byte. Neither open touches the file.
+#[test]
+fn undecodable_base_checkpoint_is_refused_untouched() {
+    let mut oplog = OpLog::new();
+    let agent = oplog.get_or_create_agent("alice");
+    oplog.add_insert(agent, 0, "hello world");
+    let good = checkpoint_of(&oplog);
+    let with_tail = |ck: &Checkpoint| {
+        let mut bytes = eg_storage::format::file_header().to_vec();
+        push_frame(&mut bytes, RECORD_CHECKPOINT, &encode_checkpoint(ck));
+        let mut later = oplog.clone();
+        later.add_insert(agent, 11, "!");
+        let tail = eg_encoding::encode_bundle(&later.bundle_since_local(oplog.version()));
+        push_frame(&mut bytes, RECORD_EVENTS, &tail);
+        bytes
+    };
+
+    let intact = with_tail(&good);
+    let mut garbled_image = good.clone();
+    garbled_image.oplog_image = Some(b"EGIM\x01 not an image".to_vec());
+    let mut no_image = good.clone();
+    no_image.oplog_image = None;
+    let mut flipped = intact.clone();
+    flipped[HEADER_LEN + 20] ^= 0x10;
+    for (what, bytes) in [
+        ("garbled image", with_tail(&garbled_image)),
+        ("no image", with_tail(&no_image)),
+        ("flipped bit", flipped),
+    ] {
+        let (_g, p) = temp_file("bad-base");
+        std::fs::write(&p, &bytes).expect("write");
+        assert!(
+            matches!(DocStore::open(&p), Err(StorageError::Decode(_))),
+            "{what}"
+        );
+        assert_eq!(std::fs::read(&p).expect("read back"), bytes, "{what}");
+    }
+
+    // The same file undamaged opens, tail and all.
+    let (_g, p) = temp_file("good-base");
+    std::fs::write(&p, &intact).expect("write");
+    let (_, loaded) = DocStore::open(&p).expect("intact base");
+    assert!(loaded.cached);
+    assert_eq!(loaded.branch.content.to_string(), "hello world!");
+}
+
+/// The layout invariant: after ANY sequence of appends, checkpoints and
+/// reopens the file holds at most one checkpoint, as its first frame, and
+/// behind it only the event records appended since — and it reopens equal
+/// to a cold replay.
+#[test]
+fn file_is_one_checkpoint_plus_its_tail_after_any_sequence() {
+    for seed in 0..6u64 {
+        let (_guard, path) = temp_file("layout");
+        let mut rng = SmallRng::new(seed ^ 0xC0FFEE);
+        let (mut store, _) = DocStore::open(&path).expect("create");
+        let mut steps = 0;
+        let mut oplog = OpLog::new();
+        let mut checkpointed = false;
+        for step in 0..40 {
+            match rng.below(5) {
+                0 | 1 => {
+                    // `random_oplog` extends the same history as `steps`
+                    // grows (one seeded draw sequence), concurrency included.
+                    steps += 1 + rng.below(12);
+                    let grown = random_oplog(seed, steps, 3, 0.25);
+                    assert!(grown.len() >= oplog.len());
+                    oplog = grown;
+                    store.append_new(&oplog).expect("append");
+                }
+                2 => {
+                    // Sometimes at an older version, sometimes with
+                    // events the store has not been handed yet.
+                    steps += rng.below(3);
+                    oplog = random_oplog(seed, steps, 3, 0.25);
+                    let all: Vec<usize> = (0..oplog.len()).collect();
+                    let upto = if rng.below(2) == 0 {
+                        all.len()
+                    } else {
+                        all.len() / 2
+                    };
+                    let version = oplog.graph.find_dominators(&all[..upto]);
+                    store
+                        .write_checkpoint(&oplog, &oplog.checkout(version.as_slice()))
+                        .expect("checkpoint");
+                    checkpointed = true;
+                }
+                _ => {
+                    drop(store);
+                    let (s, loaded) = DocStore::open(&path).expect("reopen");
+                    store = s;
+                    assert_eq!(loaded.cached, checkpointed, "seed {seed} step {step}");
+                    assert_eq!(store.persisted_version(), loaded.oplog.version());
+                    assert_eq!(loaded.branch, loaded.oplog.checkout_tip());
+                }
+            }
+
+            let bytes = std::fs::read(&path).expect("read segment");
+            assert_eq!(
+                store.file_bytes(),
+                bytes.len() as u64,
+                "seed {seed} step {step}"
+            );
+            let boundaries = frame_boundaries(&bytes);
+            let (frames, _) = scan_frames(&bytes).expect("scan");
+            let checkpoints = frames
+                .iter()
+                .filter(|f| f.kind == RECORD_CHECKPOINT)
+                .count();
+            assert_eq!(
+                checkpoints,
+                usize::from(checkpointed),
+                "seed {seed} step {step}"
+            );
+            if checkpointed {
+                assert_eq!(frames[0].kind, RECORD_CHECKPOINT, "seed {seed} step {step}");
+            }
+            // No longer than that frame plus its tail: every record behind
+            // the base adds events, and together they are the tail.
+            let base_events = if checkpointed { boundaries[1].1 } else { 0 };
+            let held = boundaries.last().expect("header boundary").1;
+            assert!(boundaries.windows(2).skip(1).all(|w| w[0].1 < w[1].1));
+            assert_eq!(store.events_since_checkpoint(), held - base_events);
+            assert!(!tmp_beside(&path).exists(), "seed {seed} step {step}");
+        }
+    }
+}
+
+/// A file from before compaction — event records with three checkpoints
+/// among them — still opens through the newest one, and the first
+/// checkpoint this version writes folds it into the new layout.
+#[test]
+fn old_interleaved_layout_opens_and_compacts() {
+    let full = random_oplog(11, 120, 3, 0.25);
+    let mut bytes = eg_storage::format::file_header().to_vec();
+    let mut held = OpLog::new();
+    for (round, steps) in [30, 60, 90, 120].into_iter().enumerate() {
+        let grown = random_oplog(11, steps, 3, 0.25);
+        let events = eg_encoding::encode_bundle(&grown.bundle_since_local(held.version()));
+        push_frame(&mut bytes, RECORD_EVENTS, &events);
+        held = grown;
+        if round < 3 {
+            let ck = encode_checkpoint(&checkpoint_of(&held));
+            push_frame(&mut bytes, RECORD_CHECKPOINT, &ck);
+        }
+    }
+    assert_eq!(held.len(), full.len());
+    let (_guard, path) = temp_file("old-layout");
+    std::fs::write(&path, &bytes).expect("write fixture");
+
+    let (mut store, loaded) = DocStore::open(&path).expect("open old layout");
+    assert!(loaded.cached);
+    assert_eq!(loaded.oplog.len(), full.len());
+    assert_eq!(loaded.branch, full.checkout_tip());
+    assert_eq!(
+        std::fs::read(&path).expect("read").len(),
+        bytes.len(),
+        "open rewrites nothing"
+    );
+    let image_events = random_oplog(11, 90, 3, 0.25).len();
+    assert_eq!(store.events_since_checkpoint(), full.len() - image_events);
+
+    store
+        .write_checkpoint(&loaded.oplog, &loaded.branch)
+        .expect("checkpoint");
+    let compacted = std::fs::read(&path).expect("read");
+    let (frames, valid) = scan_frames(&compacted).expect("scan");
+    assert_eq!(valid, compacted.len());
+    assert_eq!(frames.len(), 1);
+    assert_eq!(frames[0].kind, RECORD_CHECKPOINT);
+    assert!(compacted.len() < bytes.len());
+    drop(store);
+    let (_, again) = DocStore::open(&path).expect("reopen compacted");
+    assert!(again.cached);
+    assert_eq!(again.branch, full.checkout_tip());
+}
+
+/// A checkpoint that died before its rename leaves a cut-off temp file
+/// beside an intact store: the open ignores and removes it, and the next
+/// checkpoint goes through.
+#[test]
+fn stale_temp_file_is_ignored_and_removed() {
+    let (_guard, path) = temp_file("stale-tmp");
+    let oplog = random_oplog(5, 80, 3, 0.25);
+    let (mut store, _) = DocStore::open(&path).expect("create");
+    store
+        .write_checkpoint(&oplog, &oplog.checkout_tip())
+        .expect("checkpoint");
+    drop(store);
+    let intact = std::fs::read(&path).expect("read");
+    let tmp = tmp_beside(&path);
+    std::fs::write(&tmp, &intact[..intact.len() / 2]).expect("plant temp file");
+
+    let (mut store, loaded) = DocStore::open(&path).expect("open beside a temp file");
+    assert!(loaded.cached);
+    assert_eq!(loaded.branch, oplog.checkout_tip());
+    assert!(!tmp.exists());
+    assert_eq!(std::fs::read(&path).expect("read"), intact);
+
+    let grown = random_oplog(5, 100, 3, 0.25);
+    store
+        .write_checkpoint(&grown, &grown.checkout_tip())
+        .expect("next checkpoint");
+    assert!(!tmp.exists());
+    drop(store);
+    let (_, loaded) = DocStore::open(&path).expect("reopen");
+    assert_eq!(loaded.branch, grown.checkout_tip());
+}
+
+/// The cadence is a rule of the file: a checkpoint falls due when the tail
+/// has as many events as the checkpoint under it, and never under 512.
+#[test]
+fn checkpoint_falls_due_when_the_tail_matches_the_base() {
+    let (_guard, path) = temp_file("due");
+    let mut oplog = OpLog::new();
+    let agent = oplog.get_or_create_agent("alice");
+    let (mut store, _) = DocStore::open(&path).expect("create");
+    let mut written = Vec::new();
+    while oplog.len() < 5000 {
+        oplog.add_insert(agent, 0, "abcdefg");
+        store.append_new(&oplog).expect("append");
+        let base = oplog.len() - store.events_since_checkpoint();
+        assert_eq!(
+            store.checkpoint_due(),
+            store.events_since_checkpoint() >= base.max(512)
+        );
+        if store.checkpoint_due() {
+            store
+                .write_checkpoint(&oplog, &oplog.checkout_tip())
+                .expect("checkpoint");
+            assert!(!store.checkpoint_due());
+            written.push(oplog.len());
+            // The rule survives a restart: it is read off the file.
+            drop(store);
+            store = DocStore::open(&path).expect("reopen").0;
+            assert!(!store.checkpoint_due());
+        }
+    }
+    // 7-event steps: 518 is the first length past 512, then doubling.
+    assert_eq!(written, [518, 1036, 2072, 4144]);
+}
+
 /// Flipping any single bit inside a committed record must never panic on
-/// open: either the CRC rejects the frame (file truncates there) or — for
-/// the few bits the CRC itself occupies — the frame dies with it.
+/// open: in the tail the CRC rejects the frame and the file truncates
+/// there; in the checkpoint the file opens with, the open is refused.
 #[test]
 fn single_bit_corruption_never_panics() {
     let (_guard, path) = temp_file("bitflip-src");
@@ -200,10 +511,12 @@ fn single_bit_corruption_never_panics() {
     let agent = oplog.get_or_create_agent("alice");
     let (mut store, _) = DocStore::open(&path).expect("create");
     oplog.add_insert(agent, 0, "hello world");
-    store.append_new(&oplog).expect("append");
     store
         .write_checkpoint(&oplog, &oplog.checkout_tip())
         .expect("checkpoint");
+    let base_end = std::fs::metadata(&path).expect("meta").len() as usize;
+    oplog.add_insert(agent, 0, "tail ");
+    store.append_new(&oplog).expect("append");
     drop(store);
     let bytes = std::fs::read(&path).expect("read");
 
@@ -214,9 +527,32 @@ fn single_bit_corruption_never_panics() {
         corrupt[byte] ^= 1 << rng.below(8);
         let (_g, p) = temp_file("bitflip");
         std::fs::write(&p, &corrupt).expect("write");
-        // Header corruption is a BadMagic error; anything else recovers a
-        // prefix. Either way: no panic.
-        let _ = DocStore::open(&p);
+        let opened = DocStore::open(&p);
+        if byte < HEADER_LEN {
+            assert!(
+                matches!(opened, Err(StorageError::Decode(_))),
+                "byte {byte}"
+            );
+        } else if byte == HEADER_LEN {
+            // The kind byte itself: the frame no longer says checkpoint.
+        } else if byte < base_end {
+            assert!(
+                matches!(opened, Err(StorageError::Decode(_))),
+                "byte {byte}"
+            );
+            assert_eq!(
+                std::fs::read(&p).expect("read back"),
+                corrupt,
+                "byte {byte}"
+            );
+        } else {
+            let (_, loaded) = opened.expect("tail damage recovers the base");
+            assert_eq!(
+                loaded.branch.content.to_string(),
+                "hello world",
+                "byte {byte}"
+            );
+        }
     }
 }
 
@@ -239,8 +575,20 @@ fn append_is_incremental_and_idempotent() {
     oplog.add_insert(agent, 3, "def");
     assert_eq!(store.append_new(&oplog).expect("second"), 3);
     assert_eq!(store.events_since_checkpoint(), 6);
+    let appended = store.bytes_written();
+    assert_eq!(store.file_bytes(), HEADER_LEN as u64 + appended);
+
+    // A checkpoint takes events the store was never handed, too.
+    oplog.add_insert(agent, 6, "ghi");
     store
         .write_checkpoint(&oplog, &oplog.checkout_tip())
         .expect("checkpoint");
     assert_eq!(store.events_since_checkpoint(), 0);
+    assert_eq!(store.persisted_version(), oplog.version());
+    assert_eq!(store.append_new(&oplog).expect("nothing left"), 0);
+    assert_eq!(store.bytes_written(), appended + store.file_bytes());
+    assert_eq!(
+        store.file_bytes(),
+        std::fs::metadata(&path).expect("meta").len()
+    );
 }

@@ -10,7 +10,7 @@
 //! * [`rle`], [`dag`], [`content_tree`], [`rope`] — its substrates;
 //! * [`crdt_ref`], [`ot`] — the evaluation baselines;
 //! * [`encoding`] — the on-disk format;
-//! * [`storage`] — the append-only segment store and checkpointed loads;
+//! * [`storage`] — the compacting segment store and checkpointed loads;
 //! * [`sync`] — causal broadcast replication over a simulated network;
 //! * [`server`] — the multi-core shard-affinity host over [`sync`];
 //! * [`trace`] — the benchmark workload suite.
