@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eg_trace::{builtin_specs, generate};
-use egwalker::{Branch, WalkerOpts};
+use egwalker::{Branch, Tracker, WalkerOpts};
 
 fn ff_benches(c: &mut Criterion) {
     let scale = std::env::var("EG_SCALE")
@@ -18,13 +18,14 @@ fn ff_benches(c: &mut Criterion) {
             group.bench_function(label, |b| {
                 b.iter(|| {
                     let mut branch = Branch::new();
-                    branch.merge_with_opts(
+                    branch.merge_to(
                         &oplog,
                         oplog.version(),
                         WalkerOpts {
                             enable_clearing: enable,
                             ..Default::default()
                         },
+                        &mut Tracker::new(),
                     );
                     std::hint::black_box(branch.len_chars())
                 })

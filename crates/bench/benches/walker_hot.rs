@@ -1,12 +1,11 @@
-//! Walker hot-path microbenchmarks: the tracker-tree fanout sweep and the
-//! cursor-cache ablation on the concurrent traces (C1/C2) whose merge
-//! time is dominated by tracker work, plus a scan-heavy sweep on the
-//! asynchronous traces (A1/A2) whose long-running branches drive the
-//! `integrate` scan and its `raw_pos_of` memo.
+//! Walker hot-path microbenchmarks: the cursor-cache ablation on the
+//! concurrent traces (C1/C2) whose merge time is dominated by tracker
+//! work, plus a scan-heavy sweep on the asynchronous traces (A1/A2) whose
+//! long-running branches drive the `integrate` scan and its `raw_pos_of`
+//! memo.
 //!
-//! The shipped defaults — `TRACKER_FANOUT` and `WalkerOpts::cursor_cache`
-//! — were chosen from this bench; re-run it after changing the tracker's
-//! data layout:
+//! The shipped `WalkerOpts::cursor_cache` default was chosen from this
+//! bench; re-run it after changing the tracker's data layout:
 //!
 //! ```text
 //! EG_SCALE=0.02 cargo bench -p eg-bench --bench walker_hot
@@ -14,7 +13,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eg_trace::{generate, spec_by_name};
-use egwalker::walker::{transformed_ops_with_fanout, WalkerOpts};
+use egwalker::walker::{transformed_ops, WalkerOpts};
 use egwalker::OpLog;
 
 fn scale() -> f64 {
@@ -38,33 +37,6 @@ fn concurrent_traces() -> Vec<(String, OpLog)> {
     traces(&["C1", "C2"])
 }
 
-fn merge_with_fanout<const N: usize>(oplog: &OpLog, opts: WalkerOpts) -> usize {
-    let (_, ops) = transformed_ops_with_fanout::<N>(oplog, &[], oplog.version(), opts);
-    ops.len()
-}
-
-fn bench_fanout(c: &mut Criterion) {
-    let traces = concurrent_traces();
-    let mut group = c.benchmark_group("walker_hot/fanout");
-    group.sample_size(10);
-    for (name, oplog) in &traces {
-        let opts = WalkerOpts::default();
-        group.bench_with_input(BenchmarkId::new(name, 8), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<8>(o, opts))
-        });
-        group.bench_with_input(BenchmarkId::new(name, 16), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<16>(o, opts))
-        });
-        group.bench_with_input(BenchmarkId::new(name, 32), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<32>(o, opts))
-        });
-        group.bench_with_input(BenchmarkId::new(name, 64), oplog, |b, o| {
-            b.iter(|| merge_with_fanout::<64>(o, opts))
-        });
-    }
-    group.finish();
-}
-
 fn bench_cursor_cache(c: &mut Criterion) {
     let traces = concurrent_traces();
     let mut group = c.benchmark_group("walker_hot/cursor_cache");
@@ -78,7 +50,7 @@ fn bench_cursor_cache(c: &mut Criterion) {
             let label = if cache { "on" } else { "off" };
             group.bench_with_input(BenchmarkId::new(name, label), oplog, |b, o| {
                 b.iter(|| {
-                    let (_, ops) = egwalker::walker::transformed_ops(o, &[], o.version(), opts);
+                    let (_, ops) = transformed_ops(o, &[], o.version(), opts);
                     ops.len()
                 })
             });
@@ -109,7 +81,7 @@ fn bench_scan_heavy(c: &mut Criterion) {
             };
             group.bench_with_input(BenchmarkId::new(name, label), oplog, |b, o| {
                 b.iter(|| {
-                    let (_, ops) = egwalker::walker::transformed_ops(o, &[], o.version(), opts);
+                    let (_, ops) = transformed_ops(o, &[], o.version(), opts);
                     ops.len()
                 })
             });
@@ -118,10 +90,5 @@ fn bench_scan_heavy(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(
-    walker_hot,
-    bench_fanout,
-    bench_cursor_cache,
-    bench_scan_heavy
-);
+criterion_group!(walker_hot, bench_cursor_cache, bench_scan_heavy);
 criterion_main!(walker_hot);

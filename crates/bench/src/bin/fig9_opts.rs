@@ -4,7 +4,7 @@
 use eg_bench::harness::{
     build_traces, fmt_time, json_num, json_str, parse_args, row, time_mean, write_json,
 };
-use egwalker::{Branch, WalkerOpts};
+use egwalker::{Branch, Tracker, WalkerOpts};
 
 fn main() {
     let args = parse_args();
@@ -26,25 +26,27 @@ fn main() {
     for (spec, oplog) in &traces {
         let on = time_mean(args.iters, || {
             let mut b = Branch::new();
-            b.merge_with_opts(
+            b.merge_to(
                 oplog,
                 oplog.version(),
                 WalkerOpts {
                     enable_clearing: true,
                     ..Default::default()
                 },
+                &mut Tracker::new(),
             );
             std::hint::black_box(b.len_chars());
         });
         let off = time_mean(args.iters, || {
             let mut b = Branch::new();
-            b.merge_with_opts(
+            b.merge_to(
                 oplog,
                 oplog.version(),
                 WalkerOpts {
                     enable_clearing: false,
                     ..Default::default()
                 },
+                &mut Tracker::new(),
             );
             std::hint::black_box(b.len_chars());
         });

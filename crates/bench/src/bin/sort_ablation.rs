@@ -11,7 +11,7 @@
 
 use eg_bench::harness::{build_traces, fmt_time, parse_args, row, time_mean};
 use eg_dag::walk::PlanOrder;
-use egwalker::{Branch, WalkerOpts};
+use egwalker::{Branch, Tracker, WalkerOpts};
 
 fn main() {
     let args = parse_args();
@@ -40,7 +40,7 @@ fn main() {
         let run = |order: PlanOrder| {
             time_mean(args.iters, || {
                 let mut b = Branch::new();
-                b.merge_with_opts(
+                b.merge_to(
                     oplog,
                     oplog.version(),
                     WalkerOpts {
@@ -48,6 +48,7 @@ fn main() {
                         plan_order: order,
                         ..Default::default()
                     },
+                    &mut Tracker::new(),
                 );
                 std::hint::black_box(b.len_chars());
             })

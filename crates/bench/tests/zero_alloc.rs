@@ -57,12 +57,13 @@ fn transform_allocs(oplog: &OpLog, from: &[usize]) -> usize {
     let (base, spans) = oplog.graph.conflict_window(from, &target);
     let before = alloc_calls();
     let mut sum = 0usize;
-    walker::walk(
+    walker::walk_reusing(
         oplog,
         &base,
         &spans,
         &diff.only_b,
         WalkerOpts::default(),
+        &mut Tracker::new(),
         &mut |lvs, op| {
             // Touch the borrowed content so the slice is really served.
             sum += lvs.len() + op.pos + op.content.map_or(0, str::len);

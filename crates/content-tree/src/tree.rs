@@ -115,9 +115,8 @@ impl NodeRef {
 }
 
 /// Default fanout of a [`ContentTree`]: maximum children per internal node
-/// and maximum entries per leaf. Chosen by the `walker_hot` fanout sweep in
-/// `crates/bench/benches/walker_hot.rs` — re-run it when the entry type or
-/// workload changes materially.
+/// and maximum entries per leaf. Settled by two sweeps over 8/16/32/64 on
+/// the tracker's workload (`crates/core/README.md`, "Fanout tuning").
 pub const DEFAULT_FANOUT: usize = 16;
 
 /// A fixed-capacity inline vector: `N` slots in the node itself, no heap.

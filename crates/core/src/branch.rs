@@ -4,7 +4,7 @@
 use crate::tracker::{Tracker, TrackerSnapshot};
 use crate::walker::{self, WalkerOpts};
 use crate::{ListOpKind, OpLog};
-use eg_dag::{Frontier, Graph, LV};
+use eg_dag::{Frontier, LV};
 use eg_rle::{DTRange, HasLength as _};
 use eg_rope::Rope;
 
@@ -29,31 +29,9 @@ impl Branch {
     }
 
     /// Merges all events of the oplog into this branch (up to the oplog's
-    /// current version).
+    /// current version), on a throwaway [`Tracker`].
     pub fn merge(&mut self, oplog: &OpLog) {
-        let tip = oplog.version().clone();
-        self.merge_to(oplog, &tip);
-    }
-
-    /// Merges the events of `Events(to)` into this branch.
-    ///
-    /// The branch ends up at version `self.version ∪ to`; events the branch
-    /// already reflects are not re-applied.
-    pub fn merge_to(&mut self, oplog: &OpLog, to: &[LV]) {
-        self.merge_with_opts(oplog, to, WalkerOpts::default());
-    }
-
-    /// [`Branch::merge_to`] with explicit walker options (used by the
-    /// benchmarks to toggle the §3.5 optimisations).
-    ///
-    /// Transformed operations are applied to the rope as borrowed
-    /// [`crate::TextOpRef`]s: insert content goes straight from the
-    /// oplog's UTF-8 arena into the rope's chunks without materialising an
-    /// intermediate `String` — the merge path performs no per-op heap
-    /// allocation.
-    pub fn merge_with_opts(&mut self, oplog: &OpLog, to: &[LV], opts: WalkerOpts) {
-        let mut tracker = Tracker::new();
-        self.merge_with_opts_reusing(oplog, to, opts, &mut tracker);
+        self.merge_reusing(oplog, &mut Tracker::new());
     }
 
     /// [`Branch::merge`] driving a caller-owned [`Tracker`]: the tracker is
@@ -61,39 +39,60 @@ impl Branch {
     /// capacity, so a replica merging repeatedly (a sync daemon, a session
     /// loop) pays the tracker's allocation cost once instead of per merge.
     pub fn merge_reusing(&mut self, oplog: &OpLog, tracker: &mut Tracker) {
-        let tip = oplog.version().clone();
-        self.merge_with_opts_reusing(oplog, &tip, WalkerOpts::default(), tracker);
+        self.merge_to(oplog, oplog.version(), WalkerOpts::default(), tracker);
     }
 
-    /// [`Branch::merge_with_opts`] with a caller-owned [`Tracker`] (see
-    /// [`Branch::merge_reusing`]).
-    pub fn merge_with_opts_reusing(
+    /// Merges the events of `Events(to)` into this branch — the general
+    /// merge behind [`Branch::merge`] and [`Branch::merge_reusing`].
+    ///
+    /// The branch ends up at version `self.version ∪ to`; events the branch
+    /// already reflects are not re-applied. `opts` sets the walk's switches
+    /// (the benchmarks toggle the §3.5 optimisations with it) and `tracker`
+    /// is the walk's reusable context (see [`walker::walk_reusing`]).
+    ///
+    /// Transformed operations are applied to the rope as borrowed
+    /// [`crate::TextOpRef`]s: insert content goes straight from the
+    /// oplog's UTF-8 arena into the rope's chunks without materialising an
+    /// intermediate `String` — the merge path performs no per-op heap
+    /// allocation.
+    pub fn merge_to(&mut self, oplog: &OpLog, to: &[LV], opts: WalkerOpts, tracker: &mut Tracker) {
+        self.apply_merge(oplog, to, opts, tracker, false);
+    }
+
+    /// Merges the oplog tip into this branch by *resuming* a restored
+    /// tracker instead of rebuilding one (the cached-load fast path):
+    /// `tracker` was restored from a [`TrackerSnapshot`] taken at exactly
+    /// `self.version`. Returns `true` if the resumed path was taken, `false`
+    /// if tail events concurrent with the checkpoint forced the
+    /// conflict-window merge (see [`walker::merge_walk`]).
+    fn merge_resuming(&mut self, oplog: &OpLog, tracker: &mut Tracker) -> bool {
+        self.apply_merge(oplog, oplog.version(), WalkerOpts::default(), tracker, true)
+    }
+
+    /// Applies [`walker::merge_walk`]'s output to the rope and moves the
+    /// branch to the merged version. Returns whether the walk resumed.
+    fn apply_merge(
         &mut self,
         oplog: &OpLog,
         to: &[LV],
         opts: WalkerOpts,
         tracker: &mut Tracker,
-    ) {
-        let target = oplog.graph.version_union(&self.version, to);
-        if target.as_slice() == self.version.as_slice() {
-            return;
-        }
-        let diff = oplog.graph.diff(&self.version, &target);
-        debug_assert!(diff.only_a.is_empty());
-        let (base, spans) = oplog.graph.conflict_window(&self.version, &target);
+        resume: bool,
+    ) -> bool {
         let content = &mut self.content;
-        walker::walk_reusing(
+        let (target, resumed) = walker::merge_walk(
             oplog,
-            &base,
-            &spans,
-            &diff.only_b,
+            &self.version,
+            to,
             opts,
             tracker,
+            resume,
             &mut |_, op| {
                 op.apply_to(content);
             },
         );
         self.version = target;
+        resumed
     }
 
     /// Rehydrates a branch from persisted parts: the materialised text and
@@ -105,56 +104,10 @@ impl Branch {
         }
     }
 
-    /// Merges the oplog tip into this branch by *resuming* a restored
-    /// tracker instead of rebuilding one (the cached-load fast path).
-    ///
-    /// `tracker` must represent the document at `self.version` — i.e. it
-    /// was restored from a [`TrackerSnapshot`] taken at exactly this
-    /// version. When every new event is causally after `self.version`
-    /// (the common append-only tail after a reopen), the walk extends the
-    /// restored tracker over just the tail. Otherwise — new events
-    /// concurrent with the checkpoint version — resuming is unsound, and
-    /// this falls back to the fresh-tracker conflict-window merge, which
-    /// is always correct.
-    ///
-    /// Returns `true` if the resumed fast path was taken.
-    pub fn merge_resuming(
-        &mut self,
-        oplog: &OpLog,
-        opts: WalkerOpts,
-        tracker: &mut Tracker,
-    ) -> bool {
-        let tip = oplog.version().clone();
-        let target = oplog.graph.version_union(&self.version, &tip);
-        if target.as_slice() == self.version.as_slice() {
-            return true;
-        }
-        let diff = oplog.graph.diff(&self.version, &target);
-        debug_assert!(diff.only_a.is_empty());
-        if !spans_dominate(&oplog.graph, self.version.as_slice(), &diff.only_b) {
-            self.merge_with_opts_reusing(oplog, &tip, opts, tracker);
-            return false;
-        }
-        let content = &mut self.content;
-        walker::walk_resuming(
-            oplog,
-            &self.version,
-            &diff.only_b,
-            &diff.only_b,
-            opts,
-            tracker,
-            &mut |_, op| {
-                op.apply_to(content);
-            },
-        );
-        self.version = target;
-        true
-    }
-
     /// Applies an *uncontended* tail of events directly to the document:
     /// the cached-load fast path for the common case where everything
     /// after a checkpoint is one linear chain
-    /// ([`Graph::is_sequential_extension`] from `tail.start` off
+    /// ([`eg_dag::Graph::is_sequential_extension`] from `tail.start` off
     /// `self.version`).
     ///
     /// With nothing concurrent in the tail, each run's recorded `loc` is
@@ -192,49 +145,6 @@ impl Branch {
     }
 }
 
-/// Returns `true` if every event in `spans` is causally after the whole of
-/// `base` — the precondition for walking `spans` on a tracker that already
-/// represents the document at `base`.
-///
-/// Events are scanned in ascending LV order (a topological order), so an
-/// event whose parent lies inside `spans` inherits domination from that
-/// already-checked parent; only the minimal events of `spans` pay a graph
-/// query.
-fn spans_dominate(graph: &Graph, base: &[LV], spans: &[DTRange]) -> bool {
-    let in_spans = |lv: LV| -> bool {
-        spans
-            .binary_search_by(|s| {
-                if s.end <= lv {
-                    std::cmp::Ordering::Less
-                } else if s.start > lv {
-                    std::cmp::Ordering::Greater
-                } else {
-                    std::cmp::Ordering::Equal
-                }
-            })
-            .is_ok()
-    };
-    for &r in spans {
-        let mut lv = r.start;
-        while lv < r.end {
-            let (entry, offset) = graph.entry_for(lv);
-            let dominated = if offset > 0 {
-                // Mid-run: the parent is `lv - 1`.
-                in_spans(lv - 1) || graph.frontier_contains_frontier(&[lv - 1], base)
-            } else if entry.parents.as_slice().iter().any(|&p| in_spans(p)) {
-                true
-            } else {
-                graph.frontier_contains_frontier(entry.parents.as_slice(), base)
-            };
-            if !dominated {
-                return false;
-            }
-            lv = entry.span.end.min(r.end);
-        }
-    }
-    true
-}
-
 impl OpLog {
     /// Builds the document at the oplog's current version by replaying the
     /// (entire) event graph.
@@ -247,7 +157,7 @@ impl OpLog {
     /// Builds the historical document at an arbitrary version.
     pub fn checkout(&self, version: &[LV]) -> Branch {
         let mut b = Branch::new();
-        b.merge_to(self, version);
+        b.merge_to(self, version, WalkerOpts::default(), &mut Tracker::new());
         b
     }
 
@@ -258,7 +168,7 @@ impl OpLog {
     /// instead of the whole history.
     ///
     /// With a snapshot whose version matches `version`, the restored
-    /// tracker is resumed over the tail ([`Branch::merge_resuming`]);
+    /// tracker is resumed over the tail;
     /// without one (or when tail events are concurrent with the
     /// checkpoint) a fresh conflict-window merge runs from `version`,
     /// which is still O(tail + conflict window), not O(history).
@@ -276,8 +186,7 @@ impl OpLog {
         let mut b = Branch::from_cached(content, Frontier::from(version));
         match snapshot {
             Some(snap) => {
-                let mut tracker = Tracker::from_snapshot(snap);
-                b.merge_resuming(self, WalkerOpts::default(), &mut tracker);
+                b.merge_resuming(self, &mut Tracker::from_snapshot(snap));
             }
             None => b.merge(self),
         }
@@ -326,40 +235,59 @@ mod tests {
 
     #[test]
     fn open_cached_matches_checkout_tip() {
-        use crate::testgen::random_oplog;
+        use crate::testgen::{mid_run_criticals_oplog, random_oplog};
         use crate::walker;
 
-        for seed in 0..8u64 {
-            let oplog = random_oplog(seed, 400, 3, 0.2);
+        // Random concurrent histories cut at the quarters (their tails are
+        // concurrent with the cut), and one with planted critical versions
+        // cut everywhere (window ends resume).
+        let mut cases: Vec<(OpLog, Vec<usize>)> = (0..8u64)
+            .map(|seed| {
+                let oplog = random_oplog(seed, 400, 3, 0.2);
+                let n = oplog.len();
+                (oplog, vec![(n / 4).max(1), n / 2, n * 3 / 4])
+            })
+            .collect();
+        let (planted, _) = mid_run_criticals_oplog(5, 8);
+        let every_cut = (1..planted.len()).collect();
+        cases.push((planted, every_cut));
+
+        let mut resumed_any = false;
+        for (case, (oplog, cuts)) in cases.iter().enumerate() {
             let expect = oplog.checkout_tip();
             let all: Vec<LV> = (0..oplog.len()).collect();
             // Checkpoint at a mid-history version, then open cached with
             // and without a tracker snapshot.
-            for frac in [1, 2, 3] {
-                let cut = oplog.len() * frac / 4;
-                let version = oplog.graph.find_dominators(&all[..cut.max(1)]);
+            for &cut in cuts {
+                let version = oplog.graph.find_dominators(&all[..cut]);
                 let at = oplog.checkout(version.as_slice());
                 let content = at.content.to_string();
 
                 let cold = oplog.open_cached(&content, version.as_slice(), None);
-                assert_eq!(
-                    cold.content, expect.content,
-                    "seed {seed} frac {frac} no-snapshot"
-                );
-                assert_eq!(cold.version, expect.version);
+                assert_eq!(cold, expect, "case {case} cut {cut} no-snapshot");
 
-                let tracker = walker::tracker_at(&oplog, version.as_slice(), WalkerOpts::default());
+                let tracker = walker::tracker_at(oplog, version.as_slice(), WalkerOpts::default());
                 let snap = tracker.to_snapshot();
                 snap.validate(oplog.len())
                     .expect("self-made snapshot validates");
                 let warm = oplog.open_cached(&content, version.as_slice(), Some(&snap));
-                assert_eq!(
-                    warm.content, expect.content,
-                    "seed {seed} frac {frac} snapshot"
-                );
-                assert_eq!(warm.version, expect.version);
+                assert_eq!(warm, expect, "case {case} cut {cut} snapshot");
+
+                // The same open by hand: it resumes exactly when the whole
+                // tail is causally after the checkpoint, and leaves a sound
+                // tracker either way.
+                let mut by_hand = Branch::from_cached(&content, version.clone());
+                let mut restored = Tracker::from_snapshot(&snap);
+                let resumed = by_hand.merge_resuming(oplog, &mut restored);
+                restored.check();
+                let tail_after = (cut..oplog.len())
+                    .all(|lv| oplog.graph.frontier_contains_frontier(&[lv], &version));
+                assert_eq!(resumed, tail_after, "case {case} cut {cut}");
+                assert_eq!(by_hand, expect);
+                resumed_any |= resumed && snap.records.len() > 1;
             }
         }
+        assert!(resumed_any, "no cut resumed a tracker with live records");
     }
 
     #[test]
@@ -420,7 +348,7 @@ mod tests {
 
         let mut warm = Branch::from_cached(&at.content.to_string(), checkpoint.clone());
         let mut tracker = Tracker::from_snapshot(&snap);
-        let resumed = warm.merge_resuming(&oplog, WalkerOpts::default(), &mut tracker);
+        let resumed = warm.merge_resuming(&oplog, &mut tracker);
         assert!(!resumed, "concurrent tail must take the fallback path");
         assert_eq!(warm, oplog.checkout_tip());
     }

@@ -11,7 +11,7 @@
 
 use crate::tracker::{is_underwater_id, CrdtChange, Tracker, ORIGIN_END, ORIGIN_START};
 use crate::{OpLog, LV};
-use eg_dag::walk::plan_walk;
+use eg_dag::walk::WalkPlan;
 use eg_dag::Frontier;
 use eg_rle::{DTRange, HasLength};
 
@@ -44,14 +44,15 @@ pub fn to_crdt_ops(oplog: &OpLog) -> Vec<CrdtOp> {
         return ops;
     }
     let spans = [DTRange::from(0..oplog.len())];
-    let plan = plan_walk(&oplog.graph, &Frontier::root(), &spans, &spans);
+    let mut plan = WalkPlan::new();
+    plan.plan(&oplog.graph, &Frontier::root(), &spans, &spans);
     let mut tracker: Tracker = Tracker::new();
     let mut sink = |_lvs: DTRange, _op: crate::TextOpRef<'_>| {};
-    for step in &plan {
+    for step in plan.iter() {
         for r in step.retreat.iter().rev() {
             tracker.retreat(oplog, *r);
         }
-        for r in &step.advance {
+        for r in step.advance {
             tracker.advance(oplog, *r);
         }
         tracker.apply_range_observed(oplog, step.consume, false, &mut sink, &mut |change| {

@@ -14,9 +14,9 @@ use eg_dag::{Frontier, LV};
 const NO_TARGET: usize = usize::MAX;
 
 /// Delete-event LV → id of the deleted character, dense over the event-LV
-/// space — the same representation the optimised tracker uses
-/// ([`crate::tracker`]'s `DelTargetIndex`), kept structurally identical
-/// here so the two implementations stay comparable.
+/// space — the representation the optimised tracker uses
+/// ([`crate::tracker`]'s `LvIndex`, here always counting from LV 0), kept
+/// structurally alike so the two implementations stay comparable.
 #[derive(Debug, Default)]
 struct DenseDelTargets {
     dense: Vec<usize>,

@@ -23,12 +23,13 @@ use eg_rle::{DTRange, HasLength, IntervalMap, MergableSpan, SplitableSpan};
 use std::cell::Cell;
 use std::collections::HashMap;
 
-/// Fanout of the tracker's record tree. Chosen by the `walker_hot` fanout
-/// sweep (`cargo bench -p eg-bench --bench walker_hot`): on the C1/C2
-/// concurrent traces 16 and 32 are within noise of each other on C1 while
-/// 16 wins clearly on C2, and both beat 8 (deep trees: more descent and
-/// repair levels) and 64 (wide nodes: linear scans and `Vec` shifts
-/// dominate). Re-run the sweep after changing the record layout.
+/// Fanout of the tracker's record tree. Settled by two sweeps over
+/// 8/16/32/64 on the C1/C2 concurrent traces (results in this crate's
+/// README): 16 and 32 are within noise of each other on C1 while 16 wins
+/// clearly on C2, and both beat 8 (deep trees: more descent and repair
+/// levels) and 64 (wide nodes: linear scans and `Vec` shifts dominate).
+/// To re-sweep after changing the record layout, edit this constant and
+/// read `merge_events_per_s` on `egbench`'s `doc_conc`.
 pub const TRACKER_FANOUT: usize = 16;
 
 /// Origin sentinel: inserted at the start of the document.
@@ -188,7 +189,8 @@ const NO_TARGET: usize = usize::MAX;
 /// restore.
 ///
 /// A tracker restored from a snapshot behaves byte-identically to the
-/// tracker that produced it (pinned by the `cached_load_props` suite).
+/// tracker that produced it (pinned by `arena_tree_props.rs` here and
+/// `store_props.rs` in `eg-storage`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct TrackerSnapshot {
     /// The record runs in document order, placeholder (underwater) spans
@@ -432,9 +434,6 @@ impl IdIndex {
 
 /// The transient internal state of the Eg-walker algorithm.
 ///
-/// `N` is the fanout of the record tree (see [`TRACKER_FANOUT`]); it is a
-/// parameter so the `walker_hot` benchmark can sweep it.
-///
 /// A tracker is `Send` — the multi-core server host moves one onto each
 /// worker thread — but deliberately **not** `Sync`: the cursor and
 /// emit-position caches are plain [`Cell`]s, so sharing a tracker across
@@ -447,8 +446,8 @@ impl IdIndex {
 /// assert_sync::<egwalker::Tracker>();
 /// ```
 #[derive(Debug)]
-pub struct Tracker<const N: usize = TRACKER_FANOUT> {
-    tree: ContentTree<CrdtSpan, N>,
+pub struct Tracker {
+    tree: ContentTree<CrdtSpan, TRACKER_FANOUT>,
     /// Character ID → tree leaf holding its record.
     ins_loc: IdIndex,
     /// Delete-event LV → target character id.
@@ -531,25 +530,17 @@ enum Dir {
     Advance,
 }
 
-impl<const N: usize> Default for Tracker<N> {
+impl Default for Tracker {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<const N: usize> Tracker<N> {
+impl Tracker {
     /// Creates a cleared tracker: a single placeholder standing for the
     /// (unknown) document at the replay base version.
     pub fn new() -> Self {
-        Self::new_with_cache(true)
-    }
-
-    /// [`Tracker::new`] with the cursor cache switched on or off (the
-    /// emit-position cache stays on). The two modes produce byte-identical
-    /// output; disabling exists for the equivalence property tests and the
-    /// cache ablation benchmark.
-    pub fn new_with_cache(cache_enabled: bool) -> Self {
-        Self::new_with_caches(cache_enabled, true)
+        Self::new_with_caches(true, true)
     }
 
     /// [`Tracker::new`] with both the cursor cache and the emit-position
@@ -594,9 +585,8 @@ impl<const N: usize> Tracker<N> {
 
     /// [`Tracker::clear`] plus cache-switch reconfiguration: resets the
     /// tracker for a fresh walk while retaining every allocation. This is
-    /// the entry point for reusing one tracker across merge windows (see
-    /// `walker::walk_reusing`).
-    pub fn reset_with_caches(&mut self, cache_enabled: bool, emit_cache_enabled: bool) {
+    /// how `walker::walk_reusing` recycles one tracker across merge windows.
+    pub(crate) fn reset_with_caches(&mut self, cache_enabled: bool, emit_cache_enabled: bool) {
         self.cache_enabled = cache_enabled;
         self.emit_cache_enabled = emit_cache_enabled;
         self.clear();
@@ -684,16 +674,6 @@ impl<const N: usize> Tracker<N> {
     /// For untrusted input, call [`TrackerSnapshot::validate`] first —
     /// this constructor trusts the snapshot's structural invariants.
     pub fn from_snapshot(snap: &TrackerSnapshot) -> Self {
-        Self::from_snapshot_with_caches(snap, true, true)
-    }
-
-    /// [`Tracker::from_snapshot`] with explicit cache switches (the
-    /// equivalence property tests sweep them).
-    pub fn from_snapshot_with_caches(
-        snap: &TrackerSnapshot,
-        cache_enabled: bool,
-        emit_cache_enabled: bool,
-    ) -> Self {
         let mut ins_loc = IdIndex::new();
         let real_ids = snap.records.iter().filter(|r| !r.is_underwater());
         ins_loc
@@ -718,9 +698,9 @@ impl<const N: usize> Tracker<N> {
             ins_loc,
             del_targets,
             cache: Cell::new(None),
-            cache_enabled,
+            cache_enabled: true,
             emit_cache: Cell::new(None),
-            emit_cache_enabled,
+            emit_cache_enabled: true,
             integrate_memo: HashMap::new(),
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),
@@ -1395,8 +1375,7 @@ impl<const N: usize> Tracker<N> {
     pub fn check(&self) {
         self.tree.check();
     }
-}
-impl<const N: usize> Tracker<N> {
+
     /// Debug helper: dumps the record sequence (id range, sp, se) in order.
     pub fn dump_entries(&self) -> Vec<(DTRange, String, bool)> {
         self.tree

@@ -5,10 +5,10 @@
 //! windows on merge (§3.6).
 
 use crate::op::{ListOpKind, TextOpRef, TextOperation};
-use crate::tracker::{Tracker, TRACKER_FANOUT};
+use crate::tracker::Tracker;
 use crate::OpLog;
 use eg_dag::walk::{PlanOrder, WalkPlan};
-use eg_dag::{Frontier, LV};
+use eg_dag::{Frontier, Graph, LV};
 use eg_rle::{DTRange, HasLength};
 
 /// Tuning knobs for the walker.
@@ -60,62 +60,19 @@ impl Default for WalkerOpts {
 /// of the callback. Callers that need ownership convert with
 /// [`TextOpRef::to_owned`] (that is the only per-op allocation in the
 /// pipeline, and it is opt-in).
-pub fn walk<F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    walk_with_fanout::<TRACKER_FANOUT, F>(oplog, base, spans, emit, opts, out)
-}
-
-/// [`walk`] with an explicit tracker-tree fanout, for the `walker_hot`
-/// fanout sweep. Production callers use [`walk`], which fixes the fanout
-/// at [`TRACKER_FANOUT`].
-pub fn walk_with_fanout<const N: usize, F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    let mut tracker = Tracker::<N>::new_with_caches(opts.cursor_cache, opts.emit_cache);
-    walk_reusing_with_fanout(oplog, base, spans, emit, opts, &mut tracker, out)
-}
-
-/// [`walk`] driving a caller-owned [`Tracker`] instead of building a fresh
-/// one: the tracker is reset (retaining its slab, index, and scratch
-/// capacity) and left populated on return, so a long-lived replica can
-/// replay thousands of windows with near-zero allocator traffic.
+///
+/// The caller-owned [`Tracker`] is the walk's context: it is reset on
+/// entry (retaining its slab, index, and scratch capacity) and left
+/// populated on return, so a long-lived replica can replay thousands of
+/// windows with near-zero allocator traffic. A one-off walk passes
+/// `&mut Tracker::new()`.
 pub fn walk_reusing<F>(
     oplog: &OpLog,
     base: &Frontier,
     spans: &[DTRange],
     emit: &[DTRange],
     opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
-    out: &mut F,
-) where
-    F: FnMut(DTRange, TextOpRef<'_>),
-{
-    walk_reusing_with_fanout(oplog, base, spans, emit, opts, tracker, out)
-}
-
-/// [`walk_reusing`] with an explicit tracker-tree fanout.
-pub fn walk_reusing_with_fanout<const N: usize, F>(
-    oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
-    opts: WalkerOpts,
-    tracker: &mut Tracker<N>,
+    tracker: &mut Tracker,
     out: &mut F,
 ) where
     F: FnMut(DTRange, TextOpRef<'_>),
@@ -123,34 +80,94 @@ pub fn walk_reusing_with_fanout<const N: usize, F>(
     walk_driver(oplog, base, spans, emit, opts, tracker, false, out);
 }
 
-/// [`walk_reusing`] *without* the tracker reset: the caller-owned tracker
-/// already represents the document at `base` (a restored checkpoint
-/// snapshot, or the final state of a previous walk whose window ended
-/// exactly at `base`), and the walk extends it over `spans`.
+/// The one merge preamble (§3.6): replays what `Events(to)` adds to a
+/// document at version `from`, calling `out` with each transformed
+/// operation in application order. Returns the merged version
+/// `from ∪ to`, and whether the walk resumed `tracker`.
 ///
-/// This is the cached-load fast path (paper §3.5): instead of rebuilding
-/// tracker state from the latest critical version, a resumed walk replays
-/// only the oplog tail. `base` must be the tracker's current (prepare ==
-/// effect) version, and — as with every walk — a version dominated by all
-/// events in `spans`. Every event walked is then a descendant of, and so
-/// has a higher LV than, everything the tracker holds
-/// ([`Tracker::begin_segment`] relies on it).
+/// Events the document already reflects are not re-emitted; when nothing
+/// is new, nothing is walked. Otherwise the conflict window — back to the
+/// latest critical version below the new events — is replayed on a reset
+/// `tracker`.
 ///
-/// The walk starts with the tracker considered dirty, so the §3.5
-/// fast-forward stays off until the first critical version is crossed and
-/// the state cleared; output is byte-identical to a fresh walk either way.
-pub fn walk_resuming<F>(
+/// With `resume`, `tracker` must represent the document at `from` (it was
+/// restored from a snapshot taken at exactly that version). When every
+/// new event is causally after `from` — the common append-only tail after
+/// a reopen — the walk extends the restored tracker over just the new
+/// events instead of rebuilding it (the cached-load fast path, §3.5).
+/// Otherwise — new events concurrent with `from` — resuming is unsound,
+/// and the reset-tracker conflict-window walk runs, which is always
+/// correct.
+pub(crate) fn merge_walk<F>(
     oplog: &OpLog,
-    base: &Frontier,
-    spans: &[DTRange],
-    emit: &[DTRange],
+    from: &[LV],
+    to: &[LV],
     opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
+    tracker: &mut Tracker,
+    resume: bool,
     out: &mut F,
-) where
+) -> (Frontier, bool)
+where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    walk_driver(oplog, base, spans, emit, opts, tracker, true, out);
+    let target = oplog.graph.version_union(from, to);
+    if target.as_slice() == from {
+        return (target, resume);
+    }
+    let diff = oplog.graph.diff(from, &target);
+    debug_assert!(diff.only_a.is_empty());
+    let new = &diff.only_b;
+    let resumed = resume && spans_dominate(&oplog.graph, from, new);
+    if resumed {
+        walk_driver(oplog, from, new, new, opts, tracker, true, out);
+    } else {
+        let (base, spans) = oplog.graph.conflict_window(from, &target);
+        walk_driver(oplog, &base, &spans, new, opts, tracker, false, out);
+    }
+    (target, resumed)
+}
+
+/// Returns `true` if every event in `spans` is causally after the whole of
+/// `base` — the precondition for walking `spans` on a tracker that already
+/// represents the document at `base`.
+///
+/// Events are scanned in ascending LV order (a topological order), so an
+/// event whose parent lies inside `spans` inherits domination from that
+/// already-checked parent; only the minimal events of `spans` pay a graph
+/// query.
+fn spans_dominate(graph: &Graph, base: &[LV], spans: &[DTRange]) -> bool {
+    let in_spans = |lv: LV| -> bool {
+        spans
+            .binary_search_by(|s| {
+                if s.end <= lv {
+                    std::cmp::Ordering::Less
+                } else if s.start > lv {
+                    std::cmp::Ordering::Greater
+                } else {
+                    std::cmp::Ordering::Equal
+                }
+            })
+            .is_ok()
+    };
+    for &r in spans {
+        let mut lv = r.start;
+        while lv < r.end {
+            let (entry, offset) = graph.entry_for(lv);
+            let dominated = if offset > 0 {
+                // Mid-run: the parent is `lv - 1`.
+                in_spans(lv - 1) || graph.frontier_contains_frontier(&[lv - 1], base)
+            } else if entry.parents.as_slice().iter().any(|&p| in_spans(p)) {
+                true
+            } else {
+                graph.frontier_contains_frontier(entry.parents.as_slice(), base)
+            };
+            if !dominated {
+                return false;
+            }
+            lv = entry.span.end.min(r.end);
+        }
+    }
+    true
 }
 
 /// The walk driver's pooled buffers, owned by the [`Tracker`] so that reuse
@@ -167,10 +184,19 @@ pub(crate) struct WalkScratch {
     base: Frontier,
 }
 
-/// Shared walk loop behind [`walk_reusing_with_fanout`] (fresh tracker
-/// state) and [`walk_resuming`] (tracker restored at `base`). Returns the
-/// last event the walk consumed — the tracker's prepare version — or
-/// `None` for an empty window.
+/// The walk loop. Returns the last event the walk consumed — the
+/// tracker's prepare version — or `None` for an empty window.
+///
+/// Without `resume` the tracker is reset first. With it, the tracker
+/// already represents the document at `base` (a restored checkpoint
+/// snapshot) and the walk extends it over `spans`: `base` must be the
+/// tracker's current (prepare == effect) version, and — as with every
+/// walk — a version dominated by all events in `spans`. Every event walked
+/// is then a descendant of, and so has a higher LV than, everything the
+/// tracker holds ([`Tracker::begin_segment`] relies on it). A resumed walk
+/// starts with the tracker considered dirty, so the §3.5 fast-forward
+/// stays off until the first critical version is crossed and the state
+/// cleared; output is byte-identical to a reset walk either way.
 ///
 /// The window is cut after every maximal run of critical versions
 /// (§3.5). A critical version `c` splits the LV space exactly — every
@@ -183,13 +209,13 @@ pub(crate) struct WalkScratch {
 /// emitted untransformed. With `enable_clearing` off the whole window is
 /// one piece.
 #[allow(clippy::too_many_arguments)]
-fn walk_driver<const N: usize, F>(
+fn walk_driver<F>(
     oplog: &OpLog,
-    base: &Frontier,
+    base: &[LV],
     spans: &[DTRange],
     emit: &[DTRange],
     opts: WalkerOpts,
-    tracker: &mut Tracker<N>,
+    tracker: &mut Tracker,
     resume: bool,
     out: &mut F,
 ) -> Option<LV>
@@ -213,7 +239,7 @@ where
     let mut scratch = std::mem::take(&mut tracker.walk);
     scratch.base.0.clear();
     // ALLOC: pooled segment base, capacity retained across walks
-    scratch.base.0.extend_from_slice(base.as_slice());
+    scratch.base.0.extend_from_slice(base);
 
     let criticals = oplog.graph.criticals_runs();
     let mut next_run = if opts.enable_clearing {
@@ -273,11 +299,11 @@ where
 
 /// Replays one planned segment through the tracker, emitting the events
 /// inside `emit`. Returns the last event consumed.
-fn walk_segment<const N: usize, F>(
+fn walk_segment<F>(
     oplog: &OpLog,
     plan: &WalkPlan,
     emit: &[DTRange],
-    tracker: &mut Tracker<N>,
+    tracker: &mut Tracker,
     out: &mut F,
 ) -> Option<LV>
 where
@@ -367,13 +393,13 @@ where
 
 /// Builds a tracker representing the document at `version`, with the
 /// prepare and effect dimensions both at exactly `version` — the state a
-/// checkpoint snapshot captures ([`Tracker::to_snapshot`]) and that
-/// [`walk_resuming`] later extends over the oplog tail.
+/// checkpoint snapshot captures ([`Tracker::to_snapshot`]) and that a
+/// resumed walk ([`OpLog::open_cached`]) later extends over the oplog tail.
 ///
 /// Only the §3.5 conflict window (from the latest critical version at or
 /// below `version`) is replayed, not the whole history; at a critical
 /// version the window is empty and the tracker is just the placeholder.
-pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker<TRACKER_FANOUT> {
+pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker {
     let mut tracker = Tracker::new_with_caches(opts.cursor_cache, opts.emit_cache);
     if version.is_empty() {
         return tracker;
@@ -428,12 +454,13 @@ pub fn events_apply_cleanly(oplog: &OpLog) -> bool {
     let spans = [DTRange::from(0..oplog.len())];
     let mut len = 0usize;
     let mut ok = true;
-    walk(
+    walk_reusing(
         oplog,
         &Frontier::root(),
         &spans,
         &spans,
         WalkerOpts::default(),
+        &mut Tracker::new(),
         &mut |_, op| {
             if !ok {
                 return;
@@ -462,56 +489,14 @@ pub fn transformed_ops(
     merge_frontier: &[LV],
     opts: WalkerOpts,
 ) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    transformed_ops_with_fanout::<TRACKER_FANOUT>(oplog, from, merge_frontier, opts)
-}
-
-/// [`transformed_ops`] with an explicit tracker-tree fanout (see
-/// [`walk_with_fanout`]).
-pub fn transformed_ops_with_fanout<const N: usize>(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    let mut tracker = Tracker::<N>::new_with_caches(opts.cursor_cache, opts.emit_cache);
-    transformed_ops_reusing_with_fanout(oplog, from, merge_frontier, opts, &mut tracker)
-}
-
-/// [`transformed_ops`] driving a caller-owned [`Tracker`] (see
-/// [`walk_reusing`]).
-pub fn transformed_ops_reusing(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-    tracker: &mut Tracker<TRACKER_FANOUT>,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    transformed_ops_reusing_with_fanout(oplog, from, merge_frontier, opts, tracker)
-}
-
-/// [`transformed_ops_reusing`] with an explicit tracker-tree fanout.
-pub fn transformed_ops_reusing_with_fanout<const N: usize>(
-    oplog: &OpLog,
-    from: &[LV],
-    merge_frontier: &[LV],
-    opts: WalkerOpts,
-    tracker: &mut Tracker<N>,
-) -> (Frontier, Vec<(DTRange, TextOperation)>) {
-    let target = oplog.graph.version_union(from, merge_frontier);
-    if target.as_slice() == from {
-        return (target, Vec::new());
-    }
-    let diff = oplog.graph.diff(from, &target);
-    debug_assert!(diff.only_a.is_empty());
-    let (base, spans) = oplog.graph.conflict_window(from, &target);
     let mut out = Vec::new();
-    walk_reusing_with_fanout::<N, _>(
+    let (target, _) = merge_walk(
         oplog,
-        &base,
-        &spans,
-        &diff.only_b,
+        from,
+        merge_frontier,
         opts,
-        tracker,
+        &mut Tracker::new(),
+        false,
         &mut |lvs, op| out.push((lvs, op.to_owned())),
     );
     (target, out)

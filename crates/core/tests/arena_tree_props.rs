@@ -1,5 +1,5 @@
 //! Reused-tracker equivalence: a [`Tracker`] recycled across walk windows
-//! (via `reset_with_caches` / the `_reusing` walker entry points) must be
+//! (`walker::walk_reusing`, `Branch::merge_to`) must be
 //! indistinguishable from a freshly constructed one — byte-identical
 //! transformed-operation streams and byte-identical merged documents —
 //! under testgen's multi-byte UTF-8 concurrent workloads.
@@ -8,11 +8,38 @@
 //! `clear()`: if any scrap of state survives a reset (a stale cache entry,
 //! a dirty free-list slot, a dense-index remnant), these properties break.
 
+use eg_dag::walk::PlanOrder;
+use eg_rle::DTRange;
 use egwalker::testgen::{mid_run_criticals_oplog, random_oplog};
 use egwalker::tracker::Tracker;
-use egwalker::walker::{self, transformed_ops, transformed_ops_reusing};
-use egwalker::{Branch, WalkerOpts};
+use egwalker::walker::{self, transformed_ops};
+use egwalker::{Branch, Frontier, OpLog, TextOperation, WalkerOpts, LV};
 use proptest::prelude::*;
+
+/// What [`transformed_ops`] computes, walked on the caller's tracker: the
+/// same window through [`walker::walk_reusing`], collected into owned ops.
+fn transformed_ops_on(
+    oplog: &OpLog,
+    from: &[LV],
+    to: &[LV],
+    opts: WalkerOpts,
+    tracker: &mut Tracker,
+) -> (Frontier, Vec<(DTRange, TextOperation)>) {
+    let target = oplog.graph.version_union(from, to);
+    let diff = oplog.graph.diff(from, &target);
+    let (base, spans) = oplog.graph.conflict_window(from, &target);
+    let mut out = Vec::new();
+    walker::walk_reusing(
+        oplog,
+        &base,
+        &spans,
+        &diff.only_b,
+        opts,
+        tracker,
+        &mut |lvs, op| out.push((lvs, op.to_owned())),
+    );
+    (target, out)
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -30,7 +57,7 @@ proptest! {
         for doc in 0..4u64 {
             let oplog = random_oplog(seed.wrapping_add(doc), steps, replicas, merge_prob);
             let fresh = transformed_ops(&oplog, &[], oplog.version(), WalkerOpts::default());
-            let recycled = transformed_ops_reusing(
+            let recycled = transformed_ops_on(
                 &oplog,
                 &[],
                 oplog.version(),
@@ -44,7 +71,8 @@ proptest! {
 
     /// Incremental merges through one long-lived tracker produce the same
     /// document as batch checkouts with per-merge trackers, at every
-    /// intermediate version.
+    /// intermediate version — with the default switches and, on the same
+    /// tracker, with clearing off and a non-default plan order.
     #[test]
     fn incremental_reused_merges_match_batch_checkout(
         seed in 0u64..1_000_000,
@@ -53,7 +81,13 @@ proptest! {
         merge_prob in 0.1f64..0.6,
     ) {
         let oplog = random_oplog(seed, steps, replicas, merge_prob);
+        let ablated = WalkerOpts {
+            enable_clearing: false,
+            plan_order: [PlanOrder::LargestFirst, PlanOrder::Arrival][seed as usize % 2],
+            ..Default::default()
+        };
         let mut live = Branch::new();
+        let mut live_ablated = Branch::new();
         let mut tracker: Tracker = Tracker::new();
         // Merge in growing prefixes of the LV space: each step exercises a
         // reset tracker against partially merged state.
@@ -65,17 +99,13 @@ proptest! {
             // so the prefix's frontier is its dominator set.
             let all: Vec<usize> = (0..upto).collect();
             let frontier = oplog.graph.find_dominators(&all);
-            live.merge_with_opts_reusing(
-                &oplog,
-                frontier.as_slice(),
-                WalkerOpts::default(),
-                &mut tracker,
-            );
-            let batch = oplog.checkout(live.version.as_slice());
+            live.merge_to(&oplog, &frontier, WalkerOpts::default(), &mut tracker);
+            live_ablated.merge_to(&oplog, &frontier, ablated, &mut tracker);
+            let batch = oplog.checkout(&frontier);
+            prop_assert_eq!(&live, &batch, "documents diverged at {}/{} events", upto, n);
             prop_assert_eq!(
-                live.content.to_string(),
-                batch.content.to_string(),
-                "documents diverged at {}/{} events", upto, n
+                &live_ablated, &batch,
+                "documents diverged at {}/{} events under {:?}", upto, n, ablated
             );
             if upto == n {
                 break;
@@ -106,7 +136,7 @@ proptest! {
             [(true, true), (false, true), (true, false), (false, false)]
         {
             let opts = WalkerOpts { cursor_cache, emit_cache, ..Default::default() };
-            let got = transformed_ops_reusing(&oplog, &[], oplog.version(), opts, &mut tracker);
+            let got = transformed_ops_on(&oplog, &[], oplog.version(), opts, &mut tracker);
             prop_assert_eq!(&expected.0, &got.0);
             prop_assert_eq!(&expected.1, &got.1,
                 "op streams diverged at caches ({}, {})", cursor_cache, emit_cache);
@@ -126,7 +156,7 @@ proptest! {
     ) {
         let (oplog, _) = mid_run_criticals_oplog(seed, windows);
         let mut reused: Tracker = Tracker::new();
-        let mut from = egwalker::Frontier::root();
+        let mut from = Frontier::root();
         let mut upto = 0;
         while upto < oplog.len() {
             upto = (upto + stride).min(oplog.len());
@@ -134,7 +164,7 @@ proptest! {
             let to = oplog.graph.find_dominators(&all);
             let fresh = transformed_ops(&oplog, &from, &to, WalkerOpts::default());
             let recycled =
-                transformed_ops_reusing(&oplog, &from, &to, WalkerOpts::default(), &mut reused);
+                transformed_ops_on(&oplog, &from, &to, WalkerOpts::default(), &mut reused);
             reused.check();
             prop_assert_eq!(&fresh.0, &recycled.0, "versions diverged at {}", upto);
             prop_assert_eq!(&fresh.1, &recycled.1, "op streams diverged at {}", upto);
@@ -163,16 +193,17 @@ proptest! {
             let tracker = walker::tracker_at(&oplog, version.as_slice(), WalkerOpts::default());
             let snap = tracker.to_snapshot();
             prop_assert!(snap.validate(oplog.len()).is_ok());
-            let mut restored = Tracker::from_snapshot(&snap);
-            prop_assert_eq!(restored.to_snapshot(), snap, "snapshot did not round-trip at {}", cut);
-            let mut warm = Branch::from_cached(&at.content.to_string(), version);
-            // Cuts inside a concurrent window leave tail events concurrent
-            // with the checkpoint, where resuming is unsound and this
-            // falls back to a fresh merge; window ends resume.
-            let resumed = warm.merge_resuming(&oplog, WalkerOpts::default(), &mut restored);
+            let restored = Tracker::from_snapshot(&snap);
             restored.check();
-            resumed_any |= resumed && restored.num_records() > 1;
-            prop_assert_eq!(&warm, &tip, "cut {} (resumed: {})", cut, resumed);
+            prop_assert_eq!(restored.to_snapshot(), snap.clone(), "snapshot did not round-trip at {}", cut);
+            // Cuts inside a concurrent window leave tail events concurrent
+            // with the checkpoint, where resuming is unsound and the open
+            // falls back to a fresh merge; window ends resume.
+            let resumes = (cut..oplog.len())
+                .all(|lv| oplog.graph.frontier_contains_frontier(&[lv], &version));
+            resumed_any |= resumes && snap.records.len() > 1;
+            let warm = oplog.open_cached(&at.content.to_string(), &version, Some(&snap));
+            prop_assert_eq!(&warm, &tip, "cut {} (resumes: {})", cut, resumes);
         }
         prop_assert!(resumed_any, "no cut exercised the resumed path with live records");
     }

@@ -98,6 +98,7 @@ fn tracker_state_is_bounded_by_the_segment_not_the_history() {
 fn windows_that_start_and_end_anywhere() {
     let (oplog, _) = mid_run_criticals_oplog(11, 12);
     let mut live = egwalker::Branch::new();
+    let mut tracker = Tracker::new();
     for lv in 0..oplog.len() {
         let expect = egwalker::reference::replay_reference_version(&oplog, &[lv]);
         assert_eq!(
@@ -105,8 +106,9 @@ fn windows_that_start_and_end_anywhere() {
             expect,
             "checkout at {lv}"
         );
-        // And incrementally, one event at a time, through the same branch.
-        live.merge_to(&oplog, &[lv]);
+        // And incrementally, one event at a time, through the same branch
+        // and tracker.
+        live.merge_to(&oplog, &[lv], WalkerOpts::default(), &mut tracker);
     }
     live.merge(&oplog);
     assert_eq!(live.content.to_string(), replay_reference(&oplog));

@@ -7,7 +7,7 @@ use eg_dag::walk::PlanOrder;
 use eg_rle::HasLength;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::{random_oplog, SmallRng};
-use egwalker::{Branch, EventBundle, OpLog, TextOperation, WalkerOpts};
+use egwalker::{Branch, EventBundle, OpLog, TextOperation, Tracker, WalkerOpts};
 use proptest::prelude::*;
 
 // ---------------------------------------------------------------------------
@@ -182,10 +182,11 @@ proptest! {
         let mut texts = Vec::new();
         for order in [PlanOrder::SmallestFirst, PlanOrder::LargestFirst, PlanOrder::Arrival] {
             let mut b = Branch::new();
-            b.merge_with_opts(
+            b.merge_to(
                 &oplog,
                 oplog.version(),
                 WalkerOpts { enable_clearing: true, plan_order: order, ..Default::default() },
+                &mut Tracker::new(),
             );
             texts.push(b.content.to_string());
         }

@@ -9,7 +9,7 @@
 //! * The tracker's emit-position cache is pure memoisation: cache-on and
 //!   cache-off replays must stay identical step by step.
 
-use eg_dag::walk::{plan_walk_with_order, PlanOrder};
+use eg_dag::walk::WalkPlan;
 use eg_rle::DTRange;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::{mid_run_criticals_oplog, random_oplog};
@@ -26,25 +26,20 @@ fn replay_emit_cache_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
     let target = oplog.version().clone();
     let diff = oplog.graph.diff(&[], &target);
     let (base, spans) = oplog.graph.conflict_window(&[], &target);
-    let plan = plan_walk_with_order(
-        &oplog.graph,
-        &base,
-        &spans,
-        &diff.only_b,
-        PlanOrder::SmallestFirst,
-    );
+    let mut plan = WalkPlan::new();
+    plan.plan(&oplog.graph, &base, &spans, &diff.only_b);
 
     let mut cached: Tracker = Tracker::new_with_caches(true, true);
     let mut reference: Tracker = Tracker::new_with_caches(true, false);
     let mut ops_cached: Vec<(DTRange, TextOperation)> = Vec::new();
     let mut ops_reference: Vec<(DTRange, TextOperation)> = Vec::new();
 
-    for step in &plan {
+    for step in plan.iter() {
         for r in step.retreat.iter().rev() {
             cached.retreat(oplog, *r);
             reference.retreat(oplog, *r);
         }
-        for r in &step.advance {
+        for r in step.advance {
             cached.advance(oplog, *r);
             reference.advance(oplog, *r);
         }

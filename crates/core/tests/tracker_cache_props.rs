@@ -5,7 +5,7 @@
 //! invariants intact throughout. The cache is pure memoisation; any
 //! divergence is a bug in its validation rules.
 
-use eg_dag::walk::{plan_walk_with_order, PlanOrder};
+use eg_dag::walk::WalkPlan;
 use eg_rle::DTRange;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::{coalesce_ops, mid_run_criticals_oplog, random_oplog};
@@ -21,16 +21,11 @@ fn replay_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
     let target = oplog.version().clone();
     let diff = oplog.graph.diff(&[], &target);
     let (base, spans) = oplog.graph.conflict_window(&[], &target);
-    let plan = plan_walk_with_order(
-        &oplog.graph,
-        &base,
-        &spans,
-        &diff.only_b,
-        PlanOrder::SmallestFirst,
-    );
+    let mut plan = WalkPlan::new();
+    plan.plan(&oplog.graph, &base, &spans, &diff.only_b);
 
-    let mut cached: Tracker = Tracker::new_with_cache(true);
-    let mut reference: Tracker = Tracker::new_with_cache(false);
+    let mut cached: Tracker = Tracker::new_with_caches(true, true);
+    let mut reference: Tracker = Tracker::new_with_caches(false, true);
     let mut ops_cached: Vec<(DTRange, TextOperation)> = Vec::new();
     let mut ops_reference: Vec<(DTRange, TextOperation)> = Vec::new();
 
@@ -46,13 +41,13 @@ fn replay_lockstep(oplog: &OpLog) -> Result<(), TestCaseError> {
         Ok(())
     };
 
-    for step in &plan {
+    for step in plan.iter() {
         for r in step.retreat.iter().rev() {
             cached.retreat(oplog, *r);
             reference.retreat(oplog, *r);
             assert_in_sync(&cached, &reference, &ops_cached, &ops_reference)?;
         }
-        for r in &step.advance {
+        for r in step.advance {
             cached.advance(oplog, *r);
             reference.advance(oplog, *r);
             assert_in_sync(&cached, &reference, &ops_cached, &ops_reference)?;

@@ -5,7 +5,7 @@
 
 use egwalker::reference::{replay_reference, replay_reference_version};
 use egwalker::testgen::{random_oplog, random_oplog_prefixed, SmallRng};
-use egwalker::{Branch, WalkerOpts};
+use egwalker::{Branch, Tracker, WalkerOpts};
 use proptest::prelude::*;
 
 proptest! {
@@ -36,9 +36,9 @@ proptest! {
     ) {
         let oplog = random_oplog(seed, steps, replicas, merge_prob);
         let mut with_opt = Branch::new();
-        with_opt.merge_with_opts(&oplog, oplog.version(), WalkerOpts { enable_clearing: true, ..Default::default() });
+        with_opt.merge_to(&oplog, oplog.version(), WalkerOpts { enable_clearing: true, ..Default::default() }, &mut Tracker::new());
         let mut without_opt = Branch::new();
-        without_opt.merge_with_opts(&oplog, oplog.version(), WalkerOpts { enable_clearing: false, ..Default::default() });
+        without_opt.merge_to(&oplog, oplog.version(), WalkerOpts { enable_clearing: false, ..Default::default() }, &mut Tracker::new());
         prop_assert_eq!(with_opt.content.to_string(), without_opt.content.to_string());
     }
 
@@ -59,7 +59,7 @@ proptest! {
         while lv < oplog.len() {
             lv += 1 + rng.below(7);
             let target = lv.min(oplog.len()) - 1;
-            live.merge_to(&oplog, &[target]);
+            live.merge_to(&oplog, &[target], WalkerOpts::default(), &mut Tracker::new());
         }
         live.merge(&oplog);
         let batch = oplog.checkout_tip();
@@ -151,10 +151,15 @@ fn offline_branches_merge() {
 
     // Either merge order converges.
     let mut doc = oplog.checkout(&alice_tip);
-    doc.merge_to(&oplog, &bob_tip);
+    doc.merge_to(&oplog, &bob_tip, WalkerOpts::default(), &mut Tracker::new());
     assert_eq!(doc.content.to_string(), expected);
 
     let mut doc = oplog.checkout(&bob_tip);
-    doc.merge_to(&oplog, &alice_tip);
+    doc.merge_to(
+        &oplog,
+        &alice_tip,
+        WalkerOpts::default(),
+        &mut Tracker::new(),
+    );
     assert_eq!(doc.content.to_string(), expected);
 }

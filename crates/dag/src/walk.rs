@@ -6,9 +6,9 @@
 //! planning passes need (node pools, CSR edges, diff scratch, the
 //! retreat/advance range pool) and recycles them across calls, so a
 //! long-lived replica re-planning on every merge performs no per-step and —
-//! once warm — no per-plan heap allocation. The convenience functions
-//! [`plan_walk`] / [`plan_walk_with_order`] wrap a throwaway [`WalkPlan`]
-//! and copy the result out into owned [`WalkStep`]s.
+//! once warm — no per-plan heap allocation. The walker iterates the plan
+//! in place ([`WalkPlan::iter`]); tests copy it out into owned
+//! [`WalkStep`]s with [`WalkPlan::to_steps`].
 
 use crate::diff::DiffScratch;
 use crate::{Frontier, Graph, LV};
@@ -504,37 +504,21 @@ impl WalkPlan {
     }
 }
 
-/// Plans a walk over `spans` into owned steps (see [`WalkPlan::plan`]).
-///
-/// Convenience wrapper building a throwaway [`WalkPlan`]; allocation-
-/// sensitive callers (the walker hot path) hold a reusable [`WalkPlan`]
-/// instead.
-pub fn plan_walk(
-    graph: &Graph,
-    base: &Frontier,
-    spans: &[DTRange],
-    new_ranges: &[DTRange],
-) -> Vec<WalkStep> {
-    plan_walk_with_order(graph, base, spans, new_ranges, PlanOrder::SmallestFirst)
-}
-
-/// [`plan_walk`] with an explicit branch-ordering policy (see
-/// [`PlanOrder`]); used by the traversal-order ablation.
-pub fn plan_walk_with_order(
-    graph: &Graph,
-    base: &Frontier,
-    spans: &[DTRange],
-    new_ranges: &[DTRange],
-    order: PlanOrder,
-) -> Vec<WalkStep> {
-    let mut plan = WalkPlan::new();
-    plan.plan_with_order(graph, base, spans, new_ranges, order);
-    plan.to_steps()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A throwaway plan's steps, in owned form.
+    fn fresh_steps(
+        g: &Graph,
+        base: &Frontier,
+        spans: &[DTRange],
+        new_ranges: &[DTRange],
+    ) -> Vec<WalkStep> {
+        let mut plan = WalkPlan::new();
+        plan.plan(g, base, spans, new_ranges);
+        plan.to_steps()
+    }
 
     /// The paper's Figure 4 example, §3.2: the plan must retreat e3/e4
     /// before the concurrent branch and advance them again before the merge.
@@ -546,7 +530,7 @@ mod tests {
         g.push(&[1], (4..7).into()); // e5 e6 e7
         g.push(&[3, 6], (7..8).into()); // e8
         let all = [(0..8).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &all, &all);
+        let steps = fresh_steps(&g, &Frontier::root(), &all, &all);
         assert_eq!(
             steps,
             vec![
@@ -574,7 +558,7 @@ mod tests {
         let mut g = Graph::new();
         g.push(&[], (0..100).into());
         let all = [(0..100).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &all, &all);
+        let steps = fresh_steps(&g, &Frontier::root(), &all, &all);
         assert_eq!(
             steps,
             vec![WalkStep {
@@ -593,7 +577,7 @@ mod tests {
         g.push(&[4], (8..10).into()); // branch b
                                       // Window: just the two branches, base at {4}; everything new.
         let spans = [(5..10).into()];
-        let steps = plan_walk(&g, &Frontier::new_1(4), &spans, &spans);
+        let steps = fresh_steps(&g, &Frontier::new_1(4), &spans, &spans);
         // Small branch (8..10, 2 events) visited before the big one (5..8).
         assert_eq!(steps.len(), 2);
         assert_eq!(steps[0].consume, (8..10).into());
@@ -612,7 +596,7 @@ mod tests {
         g.push(&[4], (5..11).into()); // old branch (6 events, larger)
         g.push(&[4], (11..12).into()); // new branch (1 event, smaller)
         let spans = [(5..12).into()];
-        let steps = plan_walk(&g, &Frontier::new_1(4), &spans, &[(11..12).into()]);
+        let steps = fresh_steps(&g, &Frontier::new_1(4), &spans, &[(11..12).into()]);
         assert_eq!(steps[0].consume, (5..11).into());
         assert_eq!(steps[1].consume, (11..12).into());
     }
@@ -626,7 +610,7 @@ mod tests {
         g.push(&[3], (4..8).into()); // old prefix 4..6, new suffix 6..8
         g.push(&[3], (8..10).into()); // old concurrent branch
         let spans = [(0..10).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &[(6..8).into()]);
+        let steps = fresh_steps(&g, &Frontier::root(), &spans, &[(6..8).into()]);
         // The new range 6..8 must come after the old branch 8..10.
         let order: Vec<DTRange> = steps.iter().map(|s| s.consume).collect();
         let pos_new = order.iter().position(|r| r.contains(6)).unwrap();
@@ -641,7 +625,7 @@ mod tests {
         g.push(&[2], (6..8).into()); // forks off the middle of the run
         g.push(&[5, 7], (8..9).into());
         let spans = [(0..9).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &spans);
+        let steps = fresh_steps(&g, &Frontier::root(), &spans, &spans);
         let total: usize = steps.iter().map(|s| s.consume.len()).sum();
         assert_eq!(total, 9);
         assert!(steps
@@ -652,7 +636,7 @@ mod tests {
     #[test]
     fn empty_plan() {
         let g = Graph::new();
-        assert!(plan_walk(&g, &Frontier::root(), &[], &[]).is_empty());
+        assert!(fresh_steps(&g, &Frontier::root(), &[], &[]).is_empty());
     }
 
     #[test]
@@ -664,7 +648,7 @@ mod tests {
         g.push(&[4, 5], (6..7).into());
         g.push(&[2, 6], (7..10).into());
         let spans = [(0..10).into()];
-        let steps = plan_walk(&g, &Frontier::root(), &spans, &[(4..7).into()]);
+        let steps = fresh_steps(&g, &Frontier::root(), &spans, &[(4..7).into()]);
         let mut seen = [false; 10];
         for s in &steps {
             for lv in s.consume.iter() {
@@ -690,7 +674,7 @@ mod tests {
         // Warm the buffers on a different window first.
         plan.plan(&g, &Frontier::root(), &[(0..5).into()], &[(0..5).into()]);
         plan.plan(&g, &Frontier::root(), &spans, &[(4..7).into()]);
-        let fresh = plan_walk(&g, &Frontier::root(), &spans, &[(4..7).into()]);
+        let fresh = fresh_steps(&g, &Frontier::root(), &spans, &[(4..7).into()]);
         assert_eq!(plan.to_steps(), fresh);
         assert_eq!(plan.len(), fresh.len());
         for (i, (r, o)) in plan.iter().zip(&fresh).enumerate() {

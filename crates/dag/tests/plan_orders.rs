@@ -3,7 +3,7 @@
 //! exactly once, respect causality, and keep its retreat/advance lists
 //! consistent with the prepare-version transitions.
 
-use eg_dag::walk::{plan_walk_with_order, PlanOrder};
+use eg_dag::walk::{PlanOrder, WalkPlan, WalkStep};
 use eg_dag::{Frontier, Graph, LV};
 use eg_rle::DTRange;
 use proptest::prelude::*;
@@ -42,10 +42,17 @@ fn random_graph(seed: u64, steps: usize, branches: usize) -> Graph {
     g
 }
 
+/// The owned steps of a throwaway plan over `spans`, everything new.
+fn steps_with_order(g: &Graph, spans: &[DTRange], order: PlanOrder) -> Vec<WalkStep> {
+    let mut plan = WalkPlan::new();
+    plan.plan_with_order(g, &Frontier::root(), spans, spans, order);
+    plan.to_steps()
+}
+
 /// Checks one plan for structural soundness.
 fn check_plan_sound(g: &Graph, order: PlanOrder) {
     let spans = [DTRange::from(0..g.len())];
-    let steps = plan_walk_with_order(g, &Frontier::root(), &spans, &spans, order);
+    let steps = steps_with_order(g, &spans, order);
 
     // 1. Every event consumed exactly once.
     let mut seen: HashSet<LV> = HashSet::new();
@@ -134,23 +141,11 @@ fn orders_differ_on_asymmetric_branches() {
     g.push(&[1], (2..10).into()); // big branch
     g.push(&[1], (10..12).into()); // small branch
     let spans = [DTRange::from(0..12)];
-    let small_first = plan_walk_with_order(
-        &g,
-        &Frontier::root(),
-        &spans,
-        &spans,
-        PlanOrder::SmallestFirst,
-    );
-    let large_first = plan_walk_with_order(
-        &g,
-        &Frontier::root(),
-        &spans,
-        &spans,
-        PlanOrder::LargestFirst,
-    );
+    let small_first = steps_with_order(&g, &spans, PlanOrder::SmallestFirst);
+    let large_first = steps_with_order(&g, &spans, PlanOrder::LargestFirst);
     // Consecutive consumption merges into one step, so compare the step
     // positions of a representative event from each branch.
-    let pos_of = |steps: &[eg_dag::walk::WalkStep], lv: LV| -> usize {
+    let pos_of = |steps: &[WalkStep], lv: LV| -> usize {
         steps
             .iter()
             .position(|s| s.consume.contains(lv))

@@ -140,7 +140,8 @@ proptest! {
         let a = pick_frontier(&naive, s1);
         let full = graph.frontier().clone();
         let (base, spans) = graph.conflict_window(&a, &full);
-        let plan = eg_dag::walk::plan_walk(&graph, &base, &spans, &spans);
+        let mut plan = eg_dag::walk::WalkPlan::new();
+        plan.plan(&graph, &base, &spans, &spans);
 
         let expected_total: usize = spans.iter().map(|r| r.len()).sum();
         let total: usize = plan.iter().map(|s| s.consume.len()).sum();
@@ -149,13 +150,13 @@ proptest! {
         // Simulate the prepare version as an event set.
         let mut prepare: HashSet<LV> = naive.events_of(&base);
         let mut seen: HashSet<LV> = HashSet::new();
-        for step in &plan {
-            for r in &step.retreat {
+        for step in plan.iter() {
+            for r in step.retreat {
                 for lv in r.iter() {
                     prop_assert!(prepare.remove(&lv), "retreat of absent event {}", lv);
                 }
             }
-            for r in &step.advance {
+            for r in step.advance {
                 for lv in r.iter() {
                     prop_assert!(prepare.insert(lv), "advance of present event {}", lv);
                     prop_assert!(seen.contains(&lv), "advance of never-applied event {}", lv);

@@ -19,9 +19,7 @@ use eg_trace::FleetOp;
 use egwalker::EventBundle;
 
 use crate::shard::shard_for;
-use crate::worker::{
-    worker_main, EditBatch, EncodeRound, Job, LoadReport, PersistStats, WorkerCtx,
-};
+use crate::worker::{worker_main, EditBatch, Job, LoadReport, PersistStats, WorkerCtx};
 
 /// Pool construction knobs.
 #[derive(Debug, Clone)]
@@ -55,8 +53,7 @@ impl Default for ServerConfig {
 }
 
 /// A multi-threaded in-process document host: shard-affinity worker pool
-/// over [`eg_sync::Replica`] state, parallel anti-entropy, work-stealing
-/// wire encoding.
+/// over [`eg_sync::Replica`] state, parallel anti-entropy.
 pub struct ServerHost {
     config: ServerConfig,
     senders: Vec<Sender<Job>>,
@@ -364,39 +361,11 @@ impl ServerHost {
         }
     }
 
-    /// Wire-encodes extracted bundles as one frame per document via a
-    /// work-stealing round: every worker gets a handle to the shared
-    /// round, the coordinator steals too, and whoever is idle drains the
-    /// task cursor. Also acts as a soft barrier (each worker touches the
-    /// round when it reaches it in queue order).
-    pub fn encode_bundles(&self, bundles: Vec<(DocId, EventBundle)>) -> Vec<(DocId, Vec<u8>)> {
-        let round = Arc::new(EncodeRound::new(bundles));
-        for w in 0..self.senders.len() {
-            self.send(w, Job::Encode(Arc::clone(&round)));
-        }
-        round.steal();
-        while !round.done() {
-            thread::yield_now();
-        }
-        // Wait for workers to drop their handles so the round can be
-        // consumed; they already can't add results (cursor is dry).
-        let mut round = round;
-        let round = loop {
-            match Arc::try_unwrap(round) {
-                Ok(r) => break r,
-                Err(again) => {
-                    thread::yield_now();
-                    round = again;
-                }
-            }
-        };
-        round.into_frames()
-    }
-
     /// One full bidirectional anti-entropy round with `peer` over real
-    /// wire frames: digest fan-out, owner-affine extraction, work-stolen
-    /// encoding, `Message::decode` on the receiving side, owner-routed
-    /// integration, flush. Returns frames shipped (to_self, to_peer).
+    /// wire frames: digest fan-out, owner-affine extraction, one encoded
+    /// frame per document, `Message::decode` on the receiving side,
+    /// owner-routed integration, flush. Returns frames shipped (to_self,
+    /// to_peer).
     pub fn sync_with(&self, peer: &ServerHost) -> (usize, usize) {
         let to_peer = Self::pull(self, peer);
         let to_self = Self::pull(peer, self);
@@ -407,13 +376,13 @@ impl ServerHost {
     fn pull(src: &ServerHost, dst: &ServerHost) -> usize {
         let digest = dst.digest_all();
         let bundles = src.bundles_for(&digest);
-        let frames = src.encode_bundles(bundles);
-        let shipped = frames.len();
-        let mut incoming = Vec::new();
-        for (_, frame) in &frames {
-            match Message::decode(frame).expect("self-encoded frame must decode") {
+        let shipped = bundles.len();
+        let mut incoming = Vec::with_capacity(shipped);
+        for entry in &bundles {
+            let frame = Message::encode_bundles(std::slice::from_ref(entry));
+            match Message::decode(&frame).expect("self-encoded frame must decode") {
                 Message::Bundles(batch) => incoming.extend(batch),
-                Message::Digest(_) => unreachable!("encode round emits bundle frames"),
+                Message::Digest(_) => unreachable!("encode_bundles emits a bundle frame"),
             }
         }
         dst.receive_bundles(incoming);
@@ -527,6 +496,9 @@ mod tests {
         });
         a.run_script(&script);
         assert!(!a.converged_with(&b));
+        // An untouched host reports nothing.
+        assert!(b.digest_all().is_empty());
+        assert!(b.snapshot().is_empty());
         let (to_a, to_b) = a.sync_with(&b);
         assert_eq!(to_a, 0, "b had nothing a lacks");
         assert!(to_b > 0);
@@ -564,28 +536,6 @@ mod tests {
             assert_eq!(listed.len(), 1);
             assert_eq!(listed[0].0, all[3].0);
             assert!(host.bundles_for_listed(&[]).is_empty());
-        }
-    }
-
-    #[test]
-    fn encode_round_frames_decode() {
-        let script = small_script();
-        let host = ServerHost::new(2);
-        host.run_script(&script);
-        let bundles = host.bundles_for(&[]);
-        assert!(!bundles.is_empty());
-        let frames = host.encode_bundles(bundles.clone());
-        assert_eq!(frames.len(), bundles.len());
-        for ((doc, bundle), (fdoc, frame)) in bundles.iter().zip(&frames) {
-            assert_eq!(doc, fdoc);
-            match Message::decode(frame).unwrap() {
-                Message::Bundles(batch) => {
-                    assert_eq!(batch.len(), 1);
-                    assert_eq!(batch[0].0, *doc);
-                    assert_eq!(&batch[0].1, bundle);
-                }
-                Message::Digest(_) => panic!("expected bundle frame"),
-            }
         }
     }
 
@@ -772,13 +722,5 @@ mod tests {
         );
         assert!(compact.checkpoints_written > stats.checkpoints_written);
         assert!(compact.bytes_written > stats.bytes_written);
-    }
-
-    #[test]
-    fn empty_encode_round_is_fine() {
-        let host = ServerHost::new(2);
-        assert!(host.encode_bundles(Vec::new()).is_empty());
-        assert!(host.digest_all().is_empty());
-        assert!(host.snapshot().is_empty());
     }
 }

@@ -13,8 +13,8 @@
 //!
 //! * [`shard`] — the `DocId → worker` map (splitmix64, stable, uniform);
 //! * [`host`] — [`ServerHost`]: edit routing, barriers, parallel
-//!   anti-entropy (digest fan-out, owner-affine bundle extraction,
-//!   work-stealing wire encoding), host↔host sync over real frames;
+//!   anti-entropy (digest fan-out, owner-affine bundle extraction),
+//!   host↔host sync over real frames;
 //! * [`fleet`] — the one shared interpreter for `eg-trace` fleet scripts,
 //!   used identically by workers and by the single-threaded reference
 //!   replay so parallel runs are byte-checkable against sequential ones;

@@ -11,14 +11,13 @@
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 use eg_dag::RemoteId;
 use eg_storage::DocStore;
-use eg_sync::{DocId, Message, Replica};
+use eg_sync::{DocId, Replica};
 use eg_trace::FleetOp;
 use egwalker::EventBundle;
 
@@ -58,67 +57,6 @@ impl LoadReport {
         self.skipped += other.skipped;
         self.insert_latency.merge(&other.insert_latency);
         self.delete_latency.merge(&other.delete_latency);
-    }
-}
-
-/// A work-stealing wire-encode round. The coordinator enqueues one
-/// `Job::Encode(Arc<EncodeRound>)` per worker *and participates itself*:
-/// everyone pulls task indices from a shared atomic cursor, so however
-/// many workers are idle right now do the encoding, and a pool drowning
-/// in edits degrades gracefully to coordinator-only encoding instead of
-/// stalling the round. Encoding needs no shard state — the bundles are
-/// extracted, owned data — which is why this is the one job that ignores
-/// affinity.
-pub(crate) struct EncodeRound {
-    tasks: Vec<(DocId, EventBundle)>,
-    next: AtomicUsize,
-    remaining: AtomicUsize,
-    results: Vec<OnceLock<Vec<u8>>>,
-}
-
-impl EncodeRound {
-    pub(crate) fn new(tasks: Vec<(DocId, EventBundle)>) -> Self {
-        let n = tasks.len();
-        EncodeRound {
-            tasks,
-            next: AtomicUsize::new(0),
-            remaining: AtomicUsize::new(n),
-            results: (0..n).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// Claims and encodes tasks until the cursor runs dry.
-    pub(crate) fn steal(&self) {
-        loop {
-            let i = self.next.fetch_add(1, Ordering::Relaxed);
-            if i >= self.tasks.len() {
-                return;
-            }
-            let frame = Message::encode_bundles(std::slice::from_ref(&self.tasks[i]));
-            self.results[i]
-                .set(frame)
-                .expect("encode task claimed twice");
-            self.remaining.fetch_sub(1, Ordering::Release);
-        }
-    }
-
-    pub(crate) fn done(&self) -> bool {
-        self.remaining.load(Ordering::Acquire) == 0
-    }
-
-    /// Consumes the finished round into `(doc, frame)` pairs. Panics if
-    /// called before [`Self::done`].
-    pub(crate) fn into_frames(self) -> Vec<(DocId, Vec<u8>)> {
-        assert!(self.remaining.load(Ordering::Acquire) == 0);
-        self.tasks
-            .iter()
-            .map(|(d, _)| *d)
-            .zip(
-                self.results
-                    .into_iter()
-                    .map(|c| c.into_inner().expect("missing encode result")),
-            )
-            .collect()
     }
 }
 
@@ -305,8 +243,6 @@ pub(crate) enum Job {
     /// Integrate remote bundles into this shard (host pre-routed them by
     /// affinity).
     Receive(Vec<(DocId, EventBundle)>),
-    /// Join a work-stealing encode round.
-    Encode(Arc<EncodeRound>),
     /// Report a canonical snapshot of this shard.
     Snapshot(Sender<Vec<(DocId, Vec<RemoteId>, String)>>),
     /// Hand over (and reset) the accumulated load report.
@@ -421,7 +357,6 @@ pub(crate) fn worker_main(
                     }
                 }
             }
-            Job::Encode(round) => round.steal(),
             Job::Snapshot(reply) => {
                 let _ = reply.send(replica.snapshot());
             }

@@ -395,7 +395,7 @@ impl Replica {
             let mut progressed = false;
             let mut i = 0;
             while i < d.pending.len() {
-                match d.oplog.apply_bundle(&d.pending[i].clone()) {
+                match d.oplog.apply_bundle(&d.pending[i]) {
                     Ok(new) => {
                         total += new.len();
                         d.pending.swap_remove(i);
@@ -508,6 +508,28 @@ mod tests {
         assert_eq!(b.pending_len(), 0);
         assert!(a.converged_with(&b));
         assert_eq!(b.stats().buffered, 1);
+    }
+
+    /// A chain buffered newest-first needs one fixpoint pass per link: the
+    /// bundle that unblocks it drains all of it in a single `receive_doc`.
+    #[test]
+    fn three_deep_out_of_order_chain_drains_in_one_receive() {
+        let doc = DocId(7);
+        let mut a = Replica::new("alice");
+        let mut b = Replica::new("bob");
+        let first = a.insert_doc(doc, 0, "one ");
+        let second = a.insert_doc(doc, 4, "two ");
+        let third = a.insert_doc(doc, 8, "three ");
+        let fourth = a.insert_doc(doc, 14, "four");
+        for late in [&fourth, &third, &second] {
+            assert_eq!(b.receive_doc(doc, late), ReceiveOutcome::Buffered);
+        }
+        assert_eq!(b.pending_len_doc(doc), 3);
+        assert_eq!(b.receive_doc(doc, &first), ReceiveOutcome::Applied(18));
+        assert_eq!(b.pending_len_doc(doc), 0);
+        assert_eq!(b.text_doc(doc), "one two three four");
+        assert!(a.converged_with(&b));
+        assert_eq!(b.stats().buffered, 3);
     }
 
     #[test]

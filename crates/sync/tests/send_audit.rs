@@ -1,10 +1,10 @@
 //! Compile-time thread-safety audit for the sync-engine types the
 //! multi-core server host partitions across worker threads. `Replica` is
 //! the unit of shard ownership — each `eg-server` worker owns one and
-//! moves it onto its thread at spawn — and `Message` frames cross threads
-//! during the work-stealing encode rounds. A regression here (an `Rc` in
-//! the pending buffer, a thread-bound cache) breaks the server host at a
-//! distance; fail it in this crate instead.
+//! moves it onto its thread at spawn — and `Message` payloads (digests,
+//! bundles) cross threads in the extract and receive jobs. A regression
+//! here (an `Rc` in the pending buffer, a thread-bound cache) breaks the
+//! server host at a distance; fail it in this crate instead.
 
 use eg_sync::{Message, Replica};
 

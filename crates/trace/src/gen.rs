@@ -9,7 +9,7 @@
 use crate::spec::{TraceKind, TraceSpec};
 use eg_dag::Frontier;
 use egwalker::testgen::SmallRng;
-use egwalker::{Branch, OpLog};
+use egwalker::{Branch, OpLog, Tracker, WalkerOpts};
 
 /// One simulated author: a version, the document at it, and a cursor.
 struct Author {
@@ -168,6 +168,7 @@ fn gen_concurrent(spec: &TraceSpec) -> OpLog {
         .collect();
     // The shared merged state both editors observe (with latency).
     let mut shared = Branch::new();
+    let mut tracker = Tracker::new();
     let mut emitted = 0;
     while emitted < spec.target_events {
         let mut tips: Vec<Frontier> = Vec::new();
@@ -196,7 +197,7 @@ fn gen_concurrent(spec: &TraceSpec) -> OpLog {
         }
         // Deliver: both sides receive each other's burst.
         for tip in tips {
-            shared.merge_to(&oplog, &tip);
+            shared.merge_to(&oplog, &tip, WalkerOpts::default(), &mut tracker);
         }
     }
     oplog
@@ -215,6 +216,7 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
         .collect();
     // Branch pool: (frontier, doc at it). Start with a small trunk.
     let mut trunk = Branch::new();
+    let mut tracker = Tracker::new();
     {
         let mut author = Author {
             frontier: Frontier::root(),
@@ -232,7 +234,12 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
             24,
             10,
         );
-        trunk.merge_to(&oplog, &author.frontier);
+        trunk.merge_to(
+            &oplog,
+            &author.frontier,
+            WalkerOpts::default(),
+            &mut tracker,
+        );
     }
     let mut branches: Vec<Branch> = vec![trunk];
     let mut emitted = oplog.len();
@@ -251,7 +258,7 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
                 b = (b + 1) % branches.len();
             }
             let tip = branches[b].version.clone();
-            branches[a].merge_to(&oplog, &tip);
+            branches[a].merge_to(&oplog, &tip, WalkerOpts::default(), &mut tracker);
             branches.remove(b);
             continue;
         }
@@ -278,13 +285,13 @@ fn gen_async(spec: &TraceSpec) -> OpLog {
             12,
         );
         let tip = author.frontier.clone();
-        branch.merge_to(&oplog, &tip);
+        branch.merge_to(&oplog, &tip, WalkerOpts::default(), &mut tracker);
     }
     // Merge everything at the end (the paper's traces end merged).
     let mut final_branch = branches.pop().unwrap();
     for b in branches {
         let tip = b.version.clone();
-        final_branch.merge_to(&oplog, &tip);
+        final_branch.merge_to(&oplog, &tip, WalkerOpts::default(), &mut tracker);
     }
     // Record the final merge event so the graph frontier is a single
     // version, as in the real traces.
