@@ -257,6 +257,48 @@ fn transform_and_apply_allocates_sublinearly() {
 /// other tests of this binary are to each of them under `cargo test`'s
 /// default parallelism — leaves the count exact, while the process-wide
 /// counter is billed for both.
+/// An autosave costs buffer growth, not runs: the store writes the new
+/// events' frame straight from the oplog's run lists, into one buffer, so
+/// the allocator calls of an append do not count what it appends. (Built
+/// from an owned bundle, as it was, every run cost more than three.)
+#[test]
+fn append_new_allocates_per_call_not_per_run() {
+    let path = std::env::temp_dir().join(format!(
+        "eg-bench-zero-alloc-{}-append.seg",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_file(&path);
+    let (mut store, _) = eg_storage::DocStore::open(&path).expect("create segment store");
+
+    let mut oplog = OpLog::new();
+    let agents: Vec<u32> = (0..3)
+        .map(|i| oplog.get_or_create_agent(&format!("peer{i}")))
+        .collect();
+    let mut rng = SmallRng::new(0xa99e);
+    append_sequential(&mut oplog, agents[0], &mut rng, 400);
+    store.append_new(&oplog).expect("append the base");
+
+    let events = append_concurrent(&mut oplog, &agents, &mut rng, 15_000);
+    let runs = oplog
+        .bundle_since_local(store.persisted_version())
+        .runs
+        .len();
+    assert!(runs >= 10_000, "only {runs} runs in {events} events");
+
+    const BOUND: usize = 64;
+    let before = alloc_calls();
+    let appended = store.append_new(&oplog);
+    let allocs = alloc_calls() - before;
+    drop(store);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(appended.expect("append the suffix"), events);
+    eprintln!("{allocs} allocs for {runs} runs ({events} events)");
+    assert!(
+        allocs < BOUND,
+        "appending {runs} runs allocated {allocs} times (bound {BOUND})"
+    );
+}
+
 #[test]
 fn counts_are_per_thread() {
     use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

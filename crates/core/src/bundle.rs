@@ -16,6 +16,12 @@
 //! parent is neither known locally nor supplied earlier in the bundle, the
 //! bundle is rejected with the missing IDs so the caller can causally
 //! buffer it (paper §2.2: "the replica waits for them to arrive").
+//!
+//! The owned bundle is the form for handing events around; between an
+//! oplog and bytes they travel as borrowed [`RunView`]s, in both
+//! directions: [`OpLog::for_each_run`] lends the runs of a set of events
+//! to an encoder straight from the oplog's run-length encoded lists, and
+//! [`OpLog::apply_run_view`] takes one from a decoder.
 
 use crate::op::{ListOpKind, OpRun};
 use crate::OpLog;
@@ -85,11 +91,12 @@ impl EventBundle {
 /// A [`BundleRun`] in pre-resolved, borrowed form: agents as local
 /// [`AgentId`]s, content as a borrowed slice.
 ///
-/// This is the zero-copy shape streaming decoders hand to
-/// [`OpLog::apply_run_view`] — rebuilding a document from its segment
-/// store ingests thousands of runs, and materialising an owned
+/// This is the zero-copy shape in which runs cross between an oplog and
+/// bytes: streaming decoders hand it to [`OpLog::apply_run_view`], and
+/// [`OpLog::for_each_run`] hands it to encoders. Saving or rebuilding a
+/// document moves thousands of runs, and materialising an owned
 /// [`BundleRun`] (agent `String`, parent `RemoteId`s, content `String`)
-/// for each dominates the open time.
+/// for each dominates the time.
 #[derive(Debug, Clone, Copy)]
 pub struct RunView<'a> {
     /// The generating agent, already interned in the target oplog.
@@ -192,52 +199,97 @@ impl OpLog {
         }
         let diff = self.graph.diff(have, self.version());
         debug_assert!(diff.only_a.is_empty());
+        let remote = |&(agent, seq): &(AgentId, usize)| RemoteId {
+            agent: self.agents.agent_name(agent).to_string(),
+            seq,
+        };
         let mut runs = Vec::new();
-        for &range in diff.only_b.iter() {
-            self.push_bundle_runs(range, &mut runs);
-        }
+        self.for_each_run(&diff.only_b, |run| {
+            runs.push(BundleRun {
+                agent: self.agents.agent_name(run.agent).to_string(),
+                seq_start: run.seq_start,
+                parents: run.parents.iter().map(remote).collect(),
+                kind: run.kind,
+                loc: run.loc,
+                fwd: run.fwd,
+                content: run.content.map(str::to_string),
+            })
+        });
         EventBundle { runs }
     }
 
-    /// Converts one ascending LV range into bundle runs, splitting wherever
-    /// the agent run, the op run, or the parent chain breaks.
-    fn push_bundle_runs(&self, range: DTRange, runs: &mut Vec<BundleRun>) {
-        let mut lv = range.start;
-        while lv < range.end {
-            let agent_span = self.agents.lv_to_agent_span(lv);
-            let (op_lvs, op_run) = self.op_at(lv);
-            let (entry, entry_offset) = self.graph.entry_for(lv);
-            let entry_left = entry.span.end - lv;
+    /// Calls `emit` with each run of the events in `spans` (ascending LV
+    /// ranges), in LV order: the form in which events leave an oplog, as
+    /// [`OpLog::apply_run_view`] is how they enter one. A run ends where
+    /// the agent span, the op run, the graph entry or the span does.
+    ///
+    /// The three RLE lists are each searched once per span and then only
+    /// stepped through. A run's parents are its graph entry's at the
+    /// entry's head and the event before it anywhere else; they are lent
+    /// from one buffer reused for every run, which is why this is a
+    /// callback and not an `Iterator`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a span reaches past [`OpLog::len`].
+    pub fn for_each_run(&self, spans: &[DTRange], mut emit: impl FnMut(&RunView<'_>)) {
+        let id_of = |lv: LV| {
+            let span = self.agents.lv_to_agent_span(lv);
+            (span.agent, span.seq_range.start)
+        };
+        let mut parents: Vec<(AgentId, usize)> = Vec::new();
+        for span in spans {
+            let mut lv = span.start;
+            let mut agent_spans = self.agents.lv_spans_from(lv).iter().peekable();
+            let mut op_runs = self.op_runs_from(lv).iter().peekable();
+            let mut entries = self.graph.entries_from(lv).iter().peekable();
+            // The id of `lv - 1`: looked up when the span starts inside an
+            // entry, the last event of the run before from then on.
+            let mut prev: Option<(AgentId, usize)> = None;
+            while lv < span.end {
+                let (Some(agent_span), Some(op_run), Some(entry)) =
+                    (agent_spans.peek(), op_runs.peek(), entries.peek())
+                else {
+                    panic!("span {span:?} reaches past the end of the oplog");
+                };
+                let end = span
+                    .end
+                    .min(agent_span.end())
+                    .min(op_run.end())
+                    .min(entry.span.end);
+                let len = end - lv;
 
-            let len = (range.end - lv)
-                .min(agent_span.seq_range.len())
-                .min(op_lvs.len())
-                .min(entry_left);
-            debug_assert!(len > 0);
+                let agent = agent_span.1.agent;
+                let seq_start = agent_span.1.seq_range.start + (lv - agent_span.0);
+                parents.clear();
+                if lv == entry.span.start {
+                    parents.extend(entry.parents.iter().map(|&p| id_of(p)));
+                } else {
+                    parents.push(prev.unwrap_or_else(|| id_of(lv - 1)));
+                }
+                let mut op = op_run.1;
+                if lv > op_run.0 {
+                    op = op.truncate(lv - op_run.0);
+                }
+                if op.len() > len {
+                    op.truncate(len);
+                }
+                emit(&RunView {
+                    agent,
+                    seq_start,
+                    parents: &parents,
+                    kind: op.kind,
+                    loc: op.loc,
+                    fwd: op.fwd,
+                    content: op.content.map(|c| self.content_slice(c)),
+                });
 
-            let mut op = op_run;
-            if op.len() > len {
-                op.truncate(len);
+                prev = Some((agent, seq_start + len - 1));
+                agent_spans.next_if(|s| s.end() == end);
+                op_runs.next_if(|r| r.end() == end);
+                entries.next_if(|e| e.span.end == end);
+                lv = end;
             }
-            let parents: Vec<RemoteId> = if entry_offset == 0 {
-                entry
-                    .parents
-                    .iter()
-                    .map(|&p| self.lv_to_remote(p))
-                    .collect()
-            } else {
-                vec![self.lv_to_remote(lv - 1)]
-            };
-            runs.push(BundleRun {
-                agent: self.agents.agent_name(agent_span.agent).to_string(),
-                seq_start: agent_span.seq_range.start,
-                parents,
-                kind: op.kind,
-                loc: op.loc,
-                fwd: op.fwd,
-                content: op.content.map(|c| self.content_slice(c).to_string()),
-            });
-            lv += len;
         }
     }
 

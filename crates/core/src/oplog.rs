@@ -221,6 +221,12 @@ impl OpLog {
         ((lv..pair.0 + pair.1.len()).into(), run)
     }
 
+    /// The stored operation runs from the one holding `lv` on (untrimmed:
+    /// the first may start before `lv`); empty when `lv` is out of range.
+    pub(crate) fn op_runs_from(&self, lv: LV) -> &[KVPair<OpRun>] {
+        self.ops.entries_from(lv)
+    }
+
     /// Iterates the (trimmed) operation runs covering an LV range.
     pub fn ops_in(&self, range: DTRange) -> impl Iterator<Item = (DTRange, OpRun)> + '_ {
         let mut lv = range.start;

@@ -281,6 +281,12 @@ impl AgentAssignment {
     pub fn iter_lv_map(&self) -> impl Iterator<Item = &KVPair<AgentSpan>> {
         self.lv_map.iter()
     }
+
+    /// The LV → agent-span runs from the one holding `lv` on (untrimmed:
+    /// the first may start before `lv`); empty when `lv` is unassigned.
+    pub fn lv_spans_from(&self, lv: LV) -> &[KVPair<AgentSpan>] {
+        self.lv_map.entries_from(lv)
+    }
 }
 
 #[cfg(test)]
@@ -322,6 +328,11 @@ mod tests {
                 seq: 12
             }
         );
+        // A cursor from mid-run starts at the (untrimmed) run holding it.
+        let from = a.lv_spans_from(12);
+        assert_eq!(from.iter().map(|s| s.0).collect::<Vec<_>>(), [10, 15]);
+        assert_eq!(a.lv_spans_from(0).len(), 3);
+        assert!(a.lv_spans_from(20).is_empty());
         assert_eq!(a.try_remote_to_lv(alice, 3), Some(3));
         assert_eq!(a.try_remote_to_lv(alice, 12), Some(17));
         assert_eq!(a.try_remote_to_lv(bob, 4), Some(14));

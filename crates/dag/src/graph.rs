@@ -277,6 +277,12 @@ impl Graph {
         self.entries.find_with_offset(lv).expect("LV out of bounds")
     }
 
+    /// The entries from the one holding `lv` on (untrimmed: the first may
+    /// start before `lv`); empty when `lv` is out of bounds.
+    pub fn entries_from(&self, lv: LV) -> &[GraphEntry] {
+        self.entries.entries_from(lv)
+    }
+
     /// LVs of the events with no parents.
     pub fn root_events(&self) -> &[LV] {
         &self.root_events
@@ -312,6 +318,12 @@ mod tests {
         assert_eq!(g.parents_of(4), Frontier::new_1(3));
         assert_eq!(g.parents_of(5), Frontier::from_unsorted(&[2, 4]));
         assert_eq!(g.root_events(), &[0]);
+        // A cursor from mid-run starts at the (untrimmed) entry holding it.
+        let from = g.entries_from(4);
+        assert_eq!(from.len(), 2);
+        assert_eq!(from[0].span, (3..5).into());
+        assert_eq!(g.entries_from(0).len(), 3);
+        assert!(g.entries_from(6).is_empty());
     }
 
     #[test]

@@ -19,60 +19,128 @@
 //!   Ins only: content byte length | UTF-8 content
 //! CRC32 of everything above (4 bytes little-endian)
 //! ```
+//!
+//! The agent table is part of the format, not a free choice of the
+//! writer: an agent's index is the order of its first appearance, reading
+//! each run's agent and then its parents' agents, run by run. Equal runs
+//! therefore give equal bytes, which the segment store and its tests rely
+//! on.
+//!
+//! There are two encoders and one writer. [`encode_bundle`] takes an owned
+//! [`EventBundle`] (a peer's reply, a test's hand-built bundle);
+//! [`encode_runs`] takes an oplog and LV spans and never builds one — it
+//! is how an autosave's frame is written, and its bytes are exactly
+//! `encode_bundle(&oplog.bundle_since_local(have))`. Both hand
+//! [`RunView`]s to the private `RunWriter`, which alone knows the columns
+//! of a run. It writes the runs first, interning agents in a slot table
+//! indexed by [`AgentId`] as they come, and puts the table and the run
+//! count — which precede the runs in the layout but are known only after
+//! them — in front when it finishes.
 
 use crate::crc::{crc32, split_crc};
 use crate::varint::{push_usize, read_u8, read_usize, take, DecodeError};
-use eg_dag::{AgentId, RemoteId};
-use eg_rle::HasLength;
+use eg_dag::{AgentAssignment, AgentId, RemoteId};
+use eg_rle::{DTRange, HasLength};
 use egwalker::{BundleError, BundleRun, EventBundle, ListOpKind, OpLog, RunView};
-use std::collections::HashMap;
 
 const BUNDLE_MAGIC: &[u8; 4] = b"EGWB";
 const BUNDLE_VERSION: u8 = 1;
 
 /// Serialises an event bundle for the network.
 pub fn encode_bundle(bundle: &EventBundle) -> Vec<u8> {
-    // Intern agent names (run agents and parent agents alike).
-    fn intern<'a>(
-        name: &'a str,
-        names: &mut Vec<&'a str>,
-        index: &mut HashMap<&'a str, usize>,
-    ) -> usize {
-        if let Some(&i) = index.get(name) {
-            return i;
-        }
-        let i = names.len();
-        names.push(name);
-        index.insert(name, i);
-        i
-    }
-    let mut names: Vec<&str> = Vec::new();
-    let mut index: HashMap<&str, usize> = HashMap::new();
-
-    let mut agent_of_run = Vec::with_capacity(bundle.runs.len());
-    let mut parents_of_run: Vec<Vec<(usize, usize)>> = Vec::with_capacity(bundle.runs.len());
-    for run in &bundle.runs {
-        agent_of_run.push(intern(&run.agent, &mut names, &mut index));
-        parents_of_run.push(
-            run.parents
-                .iter()
-                .map(|p| (intern(&p.agent, &mut names, &mut index), p.seq))
-                .collect(),
-        );
-    }
-
     let mut out = Vec::new();
-    out.extend_from_slice(BUNDLE_MAGIC);
-    out.push(BUNDLE_VERSION);
-    push_usize(&mut out, names.len());
-    for name in &names {
-        push_usize(&mut out, name.len());
-        out.extend_from_slice(name.as_bytes());
+    let mut writer = RunWriter::begin(&mut out);
+    // Names become ids in the order the writer meets them, so each is
+    // hashed here and nowhere else.
+    let mut names = AgentAssignment::new();
+    let mut parents: Vec<(AgentId, usize)> = Vec::new();
+    for run in &bundle.runs {
+        let agent = names.get_or_create_agent(&run.agent);
+        parents.clear();
+        for p in &run.parents {
+            parents.push((names.get_or_create_agent(&p.agent), p.seq));
+        }
+        writer.push(&RunView {
+            agent,
+            seq_start: run.seq_start,
+            parents: &parents,
+            kind: run.kind,
+            loc: run.loc,
+            fwd: run.fwd,
+            content: run.content.as_deref(),
+        });
     }
-    push_usize(&mut out, bundle.runs.len());
-    for (i, run) in bundle.runs.iter().enumerate() {
-        push_usize(&mut out, agent_of_run[i]);
-        push_usize(&mut out, run.seq_start);
+    writer.finish(&names);
+    out
+}
+
+/// Appends to `out` the bundle of the events of `oplog` in `spans`
+/// (ascending LV ranges), straight from the oplog's runs
+/// ([`OpLog::for_each_run`]), and returns how many events that is.
+///
+/// The bytes are exactly `encode_bundle(&oplog.bundle_since_local(have))`
+/// for the `have` whose difference to the oplog's version is `spans`; no
+/// [`EventBundle`] is built and nothing is allocated per run.
+pub fn encode_runs(oplog: &OpLog, spans: &[DTRange], out: &mut Vec<u8>) -> usize {
+    let mut writer = RunWriter::begin(out);
+    oplog.for_each_run(spans, |run| writer.push(run));
+    writer.finish(&oplog.agents)
+}
+
+/// The one writer of the format: runs are pushed as they come, and the
+/// agent table and run count, known only at the end, are then put in
+/// front of them.
+struct RunWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Where the bundle starts in `out`, and where its runs do.
+    bundle_at: usize,
+    runs_at: usize,
+    /// Wire index by [`AgentId`] (`usize::MAX` until the agent is met),
+    /// and the agents in wire order.
+    slot_of: Vec<usize>,
+    agents: Vec<AgentId>,
+    runs: usize,
+    events: usize,
+}
+
+impl<'a> RunWriter<'a> {
+    fn begin(out: &'a mut Vec<u8>) -> Self {
+        let bundle_at = out.len();
+        out.extend_from_slice(BUNDLE_MAGIC);
+        out.push(BUNDLE_VERSION);
+        RunWriter {
+            runs_at: out.len(),
+            out,
+            bundle_at,
+            slot_of: Vec::new(),
+            agents: Vec::new(),
+            runs: 0,
+            events: 0,
+        }
+    }
+
+    /// The wire index of `agent`, the next free one at its first use.
+    fn slot(&mut self, agent: AgentId) -> usize {
+        let id = agent as usize;
+        if id >= self.slot_of.len() {
+            self.slot_of.resize(id.saturating_add(1), usize::MAX);
+        }
+        let next = self.agents.len();
+        // Always `Some`: the table was just grown to hold `id`.
+        let Some(slot) = self.slot_of.get_mut(id) else {
+            return next;
+        };
+        if *slot == usize::MAX {
+            *slot = next;
+            self.agents.push(agent);
+        }
+        *slot
+    }
+
+    fn push(&mut self, run: &RunView<'_>) {
+        let agent = self.slot(run.agent);
+        push_usize(self.out, agent);
+        push_usize(self.out, run.seq_start);
         let mut flags = 0u8;
         if run.kind == ListOpKind::Del {
             flags |= 1;
@@ -80,23 +148,40 @@ pub fn encode_bundle(bundle: &EventBundle) -> Vec<u8> {
         if run.fwd {
             flags |= 2;
         }
-        out.push(flags);
-        push_usize(&mut out, run.loc.start);
-        push_usize(&mut out, run.loc.len());
-        push_usize(&mut out, parents_of_run[i].len());
-        for &(agent, seq) in &parents_of_run[i] {
-            push_usize(&mut out, agent);
-            push_usize(&mut out, seq);
+        self.out.push(flags);
+        push_usize(self.out, run.loc.start);
+        push_usize(self.out, run.loc.len());
+        push_usize(self.out, run.parents.len());
+        for &(agent, seq) in run.parents {
+            let agent = self.slot(agent);
+            push_usize(self.out, agent);
+            push_usize(self.out, seq);
         }
         if run.kind == ListOpKind::Ins {
-            let content = run.content.as_deref().unwrap_or("");
-            push_usize(&mut out, content.len());
-            out.extend_from_slice(content.as_bytes());
+            let content = run.content.unwrap_or("");
+            push_usize(self.out, content.len());
+            self.out.extend_from_slice(content.as_bytes());
         }
+        self.runs = self.runs.saturating_add(1);
+        self.events = self.events.saturating_add(run.loc.len());
     }
-    let crc = crc32(&out);
-    out.extend_from_slice(&crc.to_le_bytes());
-    out
+
+    /// Completes the bundle (names from `names`) and returns its event
+    /// count.
+    fn finish(self, names: &AgentAssignment) -> usize {
+        let mut head = Vec::new();
+        push_usize(&mut head, self.agents.len());
+        for &agent in &self.agents {
+            let name = names.agent_name(agent);
+            push_usize(&mut head, name.len());
+            head.extend_from_slice(name.as_bytes());
+        }
+        push_usize(&mut head, self.runs);
+        self.out.splice(self.runs_at..self.runs_at, head);
+        let crc = crc32(self.out.get(self.bundle_at..).unwrap_or(&[]));
+        self.out.extend_from_slice(&crc.to_le_bytes());
+        self.events
+    }
 }
 
 /// Deserialises an event bundle, validating framing and checksum.

@@ -31,7 +31,9 @@ pub mod lz4;
 mod oplog_image;
 pub mod varint;
 
-pub use bundle_wire::{apply_bundle_bytes, decode_bundle, encode_bundle, ApplyBundleError};
+pub use bundle_wire::{
+    apply_bundle_bytes, decode_bundle, encode_bundle, encode_runs, ApplyBundleError,
+};
 pub use comparisons::{encode_crdt_state, encode_verbose, verbose_event_count};
 pub use crc::crc32;
 pub use digest_wire::{

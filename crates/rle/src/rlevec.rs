@@ -168,6 +168,15 @@ impl<T: HasRleKey + HasLength> RleVec<T> {
         })
     }
 
+    /// The entries from the one containing `key` on — untrimmed, so the
+    /// first may start before `key` — or from the first one past `key` when
+    /// none contains it. One search positions a cursor over a run list
+    /// that a caller reading ascending keys then only advances.
+    pub fn entries_from(&self, key: usize) -> &[T] {
+        let idx = self.find_index(key).unwrap_or_else(|next| next);
+        &self.0[idx..]
+    }
+
     /// Returns `true` if `key` falls inside a stored span.
     pub fn contains_key(&self, key: usize) -> bool {
         self.find_index(key).is_ok()
@@ -309,6 +318,11 @@ mod tests {
         assert_eq!(got, vec![DTRange::from(8..10)]);
         let got: Vec<DTRange> = v.iter_range((25..30).into()).collect();
         assert_eq!(got, vec![DTRange::from(25..30)]);
+        // A cursor: untrimmed from the entry holding the key, the next one
+        // from a gap, nothing past the end.
+        assert_eq!(v.entries_from(3), v.0);
+        assert_eq!(v.entries_from(12), [DTRange::from(20..30)]);
+        assert!(v.entries_from(30).is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!
 //! Frame kinds:
 //!
-//! * [`RECORD_EVENTS`] — an EGWB event bundle ([`eg_encoding::encode_bundle`]),
+//! * [`RECORD_EVENTS`] — an EGWB event bundle ([`eg_encoding::encode_runs`]),
 //!   the same codec used on the wire.
 //! * [`RECORD_CHECKPOINT`] — a materialised document at a version: the
 //!   remote-ID frontier, the full text, and two optional
@@ -46,7 +46,7 @@ use eg_encoding::crc32;
 use eg_encoding::varint::{self, DecodeError};
 use eg_rle::{DTRange, HasLength};
 use egwalker::tracker::{CrdtSpan, SpState};
-use egwalker::TrackerSnapshot;
+use egwalker::{OpLog, TrackerSnapshot};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 6] = b"EGSEG1";
@@ -71,7 +71,10 @@ pub fn file_header() -> [u8; HEADER_LEN] {
     h
 }
 
-/// Appends one framed record to `out`.
+/// Appends one framed record to `out`. The reference the suites frame
+/// with: the store builds its frames around the payload in place
+/// ([`checkpoint_file`], `events_frame`) and checks the length, which this
+/// casts.
 pub fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     let start = out.len();
     out.push(kind);
@@ -79,6 +82,43 @@ pub fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     out.extend_from_slice(payload);
     let crc = crc32(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Opens a frame of `kind` at the end of `out` and returns where it
+/// starts; the payload is written behind it and [`end_frame`] closes it.
+fn begin_frame(out: &mut Vec<u8>, kind: u8) -> usize {
+    let frame_at = out.len();
+    out.push(kind);
+    out.extend_from_slice(&[0; 4]);
+    frame_at
+}
+
+/// Closes the frame opened at `frame_at`: fills in the payload length and
+/// appends the CRC, leaving the bytes [`push_frame`] would have written.
+/// `None` if the payload outgrows the `u32` length field.
+fn end_frame(out: &mut Vec<u8>, frame_at: usize) -> Option<()> {
+    let len_at = frame_at.checked_add(1)?;
+    let payload_at = len_at.checked_add(4)?;
+    let payload_len = u32::try_from(out.len().checked_sub(payload_at)?).ok()?;
+    out.get_mut(len_at..payload_at)?
+        .copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32(out.get(frame_at..)?);
+    out.extend_from_slice(&crc.to_le_bytes());
+    Some(())
+}
+
+/// One [`RECORD_EVENTS`] frame holding the events of `oplog` in `spans`
+/// (ascending LV ranges), built in a single buffer straight from the
+/// oplog's runs, and how many events that is. Byte-identical to
+/// [`push_frame`] of `encode_bundle(&oplog.bundle_since_local(have))` for
+/// the `have` that leaves `spans` new. `None` if the payload outgrows the
+/// frame's `u32` length field.
+pub(crate) fn events_frame(oplog: &OpLog, spans: &[DTRange]) -> Option<(Vec<u8>, usize)> {
+    let mut out = Vec::new();
+    let frame_at = begin_frame(&mut out, RECORD_EVENTS);
+    let events = eg_encoding::encode_runs(oplog, spans, &mut out);
+    end_frame(&mut out, frame_at)?;
+    Some((out, events))
 }
 
 /// One frame as scanned from a segment file.
@@ -269,10 +309,7 @@ pub fn checkpoint_file<'a>(
             .saturating_add(HEADER_LEN + FRAME_OVERHEAD + 64),
     );
     out.extend_from_slice(&file_header());
-    out.push(RECORD_CHECKPOINT);
-    let len_at = out.len();
-    out.extend_from_slice(&[0; 4]);
-    let payload_at = out.len();
+    let frame_at = begin_frame(&mut out, RECORD_CHECKPOINT);
     push_checkpoint(
         &mut out,
         version,
@@ -281,11 +318,7 @@ pub fn checkpoint_file<'a>(
         Some(&snapshot),
         Some(oplog_image),
     );
-    let payload_len = u32::try_from(out.len().checked_sub(payload_at)?).ok()?;
-    out.get_mut(len_at..payload_at)?
-        .copy_from_slice(&payload_len.to_le_bytes());
-    let crc = crc32(out.get(HEADER_LEN..)?);
-    out.extend_from_slice(&crc.to_le_bytes());
+    end_frame(&mut out, frame_at)?;
     Some(out)
 }
 
@@ -552,6 +585,28 @@ mod tests {
             ck.oplog_image.as_deref().expect("sample has an image"),
         );
         assert_eq!(built, Some(expect));
+    }
+
+    #[test]
+    fn events_frame_is_one_pushed_frame_of_the_owned_bundle() {
+        let mut oplog = OpLog::new();
+        let alice = oplog.get_or_create_agent("alice");
+        let bob = oplog.get_or_create_agent("bob");
+        oplog.add_insert(alice, 0, "base text");
+        let held = oplog.version().clone();
+        oplog.add_insert_at(bob, &held, 9, "!!");
+        oplog.add_backspace_at(alice, &held, 8, 4);
+        for (have, new) in [(&[][..], 0..15), (held.as_slice(), 9..15)] {
+            let bundle = oplog.bundle_since_local(have);
+            let mut expect = Vec::new();
+            push_frame(
+                &mut expect,
+                RECORD_EVENTS,
+                &eg_encoding::encode_bundle(&bundle),
+            );
+            let events = new.len();
+            assert_eq!(events_frame(&oplog, &[new.into()]), Some((expect, events)));
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! the event records appended since.
 //!
 //! The store owns a handle positioned at the end of the file and
-//! remembers which oplog version is already on disk, so persisting after
-//! an edit round is "encode the bundle since the persisted frontier,
-//! append one frame". A checkpoint holds every event, so writing one
+//! remembers how much of the oplog is already on disk — always a whole
+//! log, so an LV prefix — so persisting after an edit round is "write the
+//! runs past that prefix as one frame, built in one buffer, and append
+//! it". A checkpoint holds every event, so writing one
 //! *replaces* the file (temp file + rename) instead of growing it: the
 //! file is never longer than one checkpoint plus the tail behind it.
 //! Opening scans the file, truncates any torn tail
@@ -16,15 +17,14 @@ use std::fs::{File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use eg_dag::RemoteId;
+use eg_dag::{DiffResult, RemoteId};
 use eg_encoding::varint::DecodeError;
-use eg_encoding::{apply_bundle_bytes, encode_bundle, ApplyBundleError};
+use eg_encoding::{apply_bundle_bytes, ApplyBundleError};
+use eg_rle::{DTRange, HasLength};
 use egwalker::walker::{self, WalkerOpts};
 use egwalker::{Branch, BundleError, Frontier, OpLog};
 
-use crate::format::{
-    self, push_frame, scan_frames, FRAME_OVERHEAD, HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS,
-};
+use crate::format::{self, scan_frames, HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS};
 
 /// The shortest tail that earns a checkpoint, however small the one under
 /// it: below this a document is as cheap to replay as to image.
@@ -102,8 +102,11 @@ pub struct DocStore {
     path: PathBuf,
     /// Positioned at the end of the file at `path`.
     file: File,
-    /// The oplog version already committed to disk.
+    /// The oplog version already committed to disk, and that oplog's
+    /// length: every version recorded here is a whole log's, so the
+    /// events it covers are exactly the LVs below `persisted_len`.
     persisted: Frontier,
+    persisted_len: usize,
     /// Events held by the newest checkpoint's image (0 without one).
     checkpoint_events: usize,
     /// Events in the records after it: what a reopen replays.
@@ -118,6 +121,15 @@ pub struct DocStore {
     /// The directory entry at `path` was created or renamed over since
     /// the parent directory was last fsynced.
     dir_dirty: bool,
+}
+
+/// A payload outgrew the `u32` length field of its frame.
+fn frame_too_long(what: &str) -> StorageError {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        format!("{what} exceeds the frame length field"),
+    )
+    .into()
 }
 
 /// Where [`DocStore::write_checkpoint`] builds the replacement file.
@@ -289,6 +301,7 @@ impl DocStore {
             path: path.to_path_buf(),
             file,
             persisted: oplog.version().clone(),
+            persisted_len: oplog.len(),
             checkpoint_events,
             tail_events: oplog.len().saturating_sub(checkpoint_events),
             file_bytes: file_len as u64,
@@ -345,20 +358,31 @@ impl DocStore {
         self.tail_events >= self.checkpoint_events.max(MIN_CHECKPOINT_TAIL)
     }
 
-    /// Appends one event record covering everything in `oplog` past the
-    /// persisted frontier. Returns the number of events committed (0 when
+    /// Appends one event record covering everything in `oplog` past what
+    /// is persisted. Returns the number of events committed (0 when
     /// already up to date — nothing is written).
+    ///
+    /// `oplog` must be the log this store last opened, appended or
+    /// checkpointed, grown since: what is new is then its LV suffix from
+    /// the persisted length on, and no graph diff is taken to find it.
     pub fn append_new(&mut self, oplog: &OpLog) -> Result<usize, StorageError> {
-        let bundle = oplog.bundle_since_local(self.persisted.as_slice());
-        if bundle.runs.is_empty() {
+        let new: DTRange = (self.persisted_len.min(oplog.len())..oplog.len()).into();
+        debug_assert_eq!(
+            oplog.graph.diff(self.persisted.as_slice(), oplog.version()),
+            DiffResult {
+                only_a: Vec::new(),
+                only_b: (!new.is_empty()).then_some(new).into_iter().collect(),
+            },
+            "not the oplog this store last recorded"
+        );
+        if new.is_empty() {
             return Ok(0);
         }
-        let events: usize = bundle.runs.iter().map(|r| r.len()).sum();
-        let payload = encode_bundle(&bundle);
-        let mut frame = Vec::with_capacity(payload.len().saturating_add(FRAME_OVERHEAD));
-        push_frame(&mut frame, RECORD_EVENTS, &payload);
+        let (frame, events) =
+            format::events_frame(oplog, &[new]).ok_or_else(|| frame_too_long("event record"))?;
         self.file.write_all(&frame)?;
         self.persisted = oplog.version().clone();
+        self.persisted_len = oplog.len();
         self.tail_events = self.tail_events.saturating_add(events);
         self.file_bytes = self.file_bytes.saturating_add(frame.len() as u64);
         self.bytes_written = self.bytes_written.saturating_add(frame.len() as u64);
@@ -389,12 +413,7 @@ impl DocStore {
             &snapshot,
             &eg_encoding::encode_oplog_image(oplog),
         )
-        .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "checkpoint exceeds the frame length field",
-            )
-        })?;
+        .ok_or_else(|| frame_too_long("checkpoint"))?;
 
         let tmp = tmp_path(&self.path);
         let mut file = File::create(&tmp)?;
@@ -409,6 +428,7 @@ impl DocStore {
         self.file = file;
         self.dir_dirty = true;
         self.persisted = oplog.version().clone();
+        self.persisted_len = oplog.len();
         self.checkpoint_events = oplog.len();
         self.tail_events = 0;
         self.file_bytes = replacement.len() as u64;

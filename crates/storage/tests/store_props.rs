@@ -327,7 +327,18 @@ fn file_is_one_checkpoint_plus_its_tail_after_any_sequence() {
                     let grown = random_oplog(seed, steps, 3, 0.25);
                     assert!(grown.len() >= oplog.len());
                     oplog = grown;
+                    // The record is the one the owned path frames: the
+                    // bundle since the persisted version, encoded, pushed.
+                    let mut expect = Vec::new();
+                    let owned = oplog.bundle_since_local(store.persisted_version());
+                    if !owned.is_empty() {
+                        let payload = eg_encoding::encode_bundle(&owned);
+                        push_frame(&mut expect, RECORD_EVENTS, &payload);
+                    }
+                    let before = store.file_bytes() as usize;
                     store.append_new(&oplog).expect("append");
+                    let bytes = std::fs::read(&path).expect("read segment");
+                    assert_eq!(bytes[before..], expect, "seed {seed} step {step}");
                 }
                 2 => {
                     // Sometimes at an older version, sometimes with
