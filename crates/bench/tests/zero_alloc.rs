@@ -219,6 +219,52 @@ fn reused_tracker_merges_stay_below_fixed_alloc_bound() {
     );
 }
 
+/// A keystroke costs the keystroke: in a two-writer document with no
+/// critical version, a one-character remote insert resumes the tracker the
+/// previous merge left live and walks that one event. Its allocator calls
+/// are the merge's fixed overhead — the version union, two diffs, the
+/// ancestry checks of the resume conditions — and nothing that grows with
+/// the 20 k-event conflict window a replay would walk.
+#[test]
+fn resumed_keystroke_merge_is_bounded() {
+    let mut oplog = OpLog::new();
+    let agents: Vec<u32> = (0..2)
+        .map(|i| oplog.get_or_create_agent(&format!("writer{i}")))
+        .collect();
+    let mut rng = SmallRng::new(0x6e75);
+    let events = append_concurrent(&mut oplog, &agents, &mut rng, 10_000);
+    assert!(events >= 20_000);
+    assert!(oplog.graph.criticals_runs().is_empty());
+
+    let mut branch = Branch::new();
+    let mut tracker: Tracker = Tracker::new();
+    branch.merge_reusing(&oplog, &mut tracker);
+    // One writer keeps typing on its own line; each character is merged as
+    // it arrives. The first few warm the plan and frontier buffers.
+    let mut tip = oplog.version().as_slice()[1];
+    let writer = oplog.agents.lv_to_agent_span(tip).agent;
+    let mut keystroke = |oplog: &mut OpLog, branch: &mut Branch, tracker: &mut Tracker| {
+        tip = oplog.add_insert_at(writer, &[tip], 0, "k").last();
+        let before = alloc_calls();
+        let resumed = branch.merge_reusing(oplog, tracker);
+        (resumed, alloc_calls() - before)
+    };
+    for _ in 0..4 {
+        assert!(keystroke(&mut oplog, &mut branch, &mut tracker).0);
+    }
+
+    // Twice what it makes today (8).
+    const BOUND: usize = 16;
+    let (resumed, allocs) = keystroke(&mut oplog, &mut branch, &mut tracker);
+    eprintln!("resumed keystroke merge: {allocs} allocs");
+    assert!(resumed, "the keystroke merge replayed the conflict window");
+    assert!(
+        allocs < BOUND,
+        "a resumed one-character merge allocated {allocs} times (bound {BOUND})"
+    );
+    assert_eq!(branch, oplog.checkout_tip());
+}
+
 #[test]
 fn transform_and_apply_allocates_sublinearly() {
     let mut oplog = OpLog::new();

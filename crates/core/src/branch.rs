@@ -34,12 +34,16 @@ impl Branch {
         self.merge_reusing(oplog, &mut Tracker::new());
     }
 
-    /// [`Branch::merge`] driving a caller-owned [`Tracker`]: the tracker is
-    /// reset but its slabs, ID index, and scratch buffers keep their
-    /// capacity, so a replica merging repeatedly (a sync daemon, a session
-    /// loop) pays the tracker's allocation cost once instead of per merge.
-    pub fn merge_reusing(&mut self, oplog: &OpLog, tracker: &mut Tracker) {
-        self.merge_to(oplog, oplog.version(), WalkerOpts::default(), tracker);
+    /// [`Branch::merge`] driving a caller-owned [`Tracker`], which stays
+    /// live between merges: the next merge through it walks only the new
+    /// events on the state this one left, when it can (see
+    /// [`Branch::merge_to`]), and otherwise resets it with its slabs, ID
+    /// index and scratch buffers keeping their capacity. A replica merging
+    /// repeatedly (a sync daemon, a session loop) so pays for its new
+    /// events, not for its conflict window, and for the tracker's
+    /// allocations once. Returns `true` if the merge resumed the tracker.
+    pub fn merge_reusing(&mut self, oplog: &OpLog, tracker: &mut Tracker) -> bool {
+        self.merge_to(oplog, oplog.version(), WalkerOpts::default(), tracker)
     }
 
     /// Merges the events of `Events(to)` into this branch — the general
@@ -48,51 +52,46 @@ impl Branch {
     /// The branch ends up at version `self.version ∪ to`; events the branch
     /// already reflects are not re-applied. `opts` sets the walk's switches
     /// (the benchmarks toggle the §3.5 optimisations with it) and `tracker`
-    /// is the walk's reusable context (see [`walker::walk_reusing`]).
+    /// is the walk's reusable context.
+    ///
+    /// The merge leaves `tracker` live at `self.version ∪ to`. A later
+    /// merge through it — from this branch or from another branch of the
+    /// same oplog (never of another, or of a clone) — resumes it when the
+    /// branch holds that version and
+    /// everything new is causally after the last critical version the
+    /// tracker crossed; otherwise it replays the conflict window on a reset
+    /// tracker. Returns `true` if this merge resumed (`false` if it reset
+    /// the tracker, or had nothing to merge).
     ///
     /// Transformed operations are applied to the rope as borrowed
     /// [`crate::TextOpRef`]s: insert content goes straight from the
     /// oplog's UTF-8 arena into the rope's chunks without materialising an
     /// intermediate `String` — the merge path performs no per-op heap
     /// allocation.
-    pub fn merge_to(&mut self, oplog: &OpLog, to: &[LV], opts: WalkerOpts, tracker: &mut Tracker) {
-        self.apply_merge(oplog, to, opts, tracker, false);
-    }
-
-    /// Merges the oplog tip into this branch by *resuming* a restored
-    /// tracker instead of rebuilding one (the cached-load fast path):
-    /// `tracker` was restored from a [`TrackerSnapshot`] taken at exactly
-    /// `self.version`. Returns `true` if the resumed path was taken, `false`
-    /// if tail events concurrent with the checkpoint forced the
-    /// conflict-window merge (see [`walker::merge_walk`]).
-    fn merge_resuming(&mut self, oplog: &OpLog, tracker: &mut Tracker) -> bool {
-        self.apply_merge(oplog, oplog.version(), WalkerOpts::default(), tracker, true)
-    }
-
-    /// Applies [`walker::merge_walk`]'s output to the rope and moves the
-    /// branch to the merged version. Returns whether the walk resumed.
-    fn apply_merge(
+    pub fn merge_to(
         &mut self,
         oplog: &OpLog,
         to: &[LV],
         opts: WalkerOpts,
         tracker: &mut Tracker,
-        resume: bool,
     ) -> bool {
         let content = &mut self.content;
-        let (target, resumed) = walker::merge_walk(
-            oplog,
-            &self.version,
-            to,
-            opts,
-            tracker,
-            resume,
-            &mut |_, op| {
+        let (target, resumed) =
+            walker::merge_walk(oplog, &self.version, to, opts, tracker, &mut |_, op| {
                 op.apply_to(content);
-            },
-        );
+            });
         self.version = target;
         resumed
+    }
+
+    /// Merges the oplog tip into this branch through `tracker`, restored
+    /// from a [`TrackerSnapshot`] taken at exactly `self.version`: that
+    /// version becomes the tracker's live version and its floor, so the
+    /// merge resumes it over a tail causally after the checkpoint and
+    /// replays the conflict window otherwise. Returns whether it resumed.
+    fn merge_resuming(&mut self, oplog: &OpLog, tracker: &mut Tracker) -> bool {
+        tracker.live.install(oplog, &self.version);
+        self.merge_reusing(oplog, tracker)
     }
 
     /// Rehydrates a branch from persisted parts: the materialised text and

@@ -5,6 +5,7 @@ use crate::content::ContentArena;
 use crate::op::{ListOpKind, OpRun};
 use eg_dag::{AgentAssignment, AgentId, Frontier, Graph, RemoteId, LV};
 use eg_rle::{DTRange, HasLength, KVPair, RleVec, SplitableSpan};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The append-only log of editing events: who did what, where, and after
 /// which version.
@@ -41,6 +42,30 @@ pub struct OpLog {
     /// ([`crate::bundle::RunView`] application runs once per run of a
     /// segment-store open and must not allocate).
     pub(crate) parents_scratch: Vec<LV>,
+    /// Which oplog this is, for state derived from it.
+    pub(crate) id: LogId,
+}
+
+/// Tells oplogs apart, so that a tracker left live by a merge on one log
+/// is never resumed on another, whose LVs name other events. Every new
+/// oplog draws a fresh value, and so does every clone: a clone may diverge
+/// from its original.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct LogId(pub(crate) u64);
+
+impl Default for LogId {
+    fn default() -> Self {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        // Relaxed: the value publishes no other data, and no two
+        // `fetch_add`s return the same one whatever the ordering.
+        LogId(NEXT.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+impl Clone for LogId {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl OpLog {
@@ -208,6 +233,7 @@ impl OpLog {
             ops: RleVec(runs),
             ins_content,
             parents_scratch: Vec::new(),
+            id: LogId::default(),
         }
     }
 

@@ -13,12 +13,16 @@
 //! with `(prepare, effect)` width aggregates (§3.4); two index maps (the
 //! paper's "second B-tree") map insert-event IDs to tree leaves and delete
 //! events to their target characters.
+//!
+//! Between merges a tracker stays *live*: it remembers the version its
+//! records describe (`Live`), and the next merge through it walks only
+//! what is new rather than the whole conflict window again.
 
 use crate::op::{ListOpKind, OpRun, TextOpRef};
 use crate::walker::WalkScratch;
 use crate::OpLog;
 use eg_content_tree::{ContentTree, Cursor, LeafIdx, RunStep, TreeEntry};
-use eg_dag::LV;
+use eg_dag::{Frontier, LV};
 use eg_rle::{DTRange, HasLength, IntervalMap, MergableSpan, SplitableSpan};
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -317,6 +321,16 @@ impl<T: Copy + PartialEq> LvIndex<T> {
         &mut self.dense[start..end]
     }
 
+    /// The lowest LV the index can record: its base once it holds
+    /// entries (it cannot re-base downward), any LV while it is empty.
+    fn lowest_recordable(&self) -> LV {
+        if self.dense.is_empty() {
+            0
+        } else {
+            self.base
+        }
+    }
+
     /// What was recorded for `lv` (`vacant` if nothing).
     fn get(&self, lv: LV) -> T {
         lv.checked_sub(self.base)
@@ -432,6 +446,55 @@ impl IdIndex {
     }
 }
 
+/// What the last merge left in a tracker, so that the next merge can
+/// resume from it instead of replaying its conflict window
+/// (`walker::merge_walk`, paper §3.5–§3.6).
+///
+/// The frontiers are overwritten in place from merge to merge, keeping
+/// their allocations; `valid` says whether they describe the tracker.
+#[derive(Debug, Default)]
+pub(crate) struct Live {
+    /// Whether the fields below describe the tracker. Dropped by a reset,
+    /// a clear, and by driving the tracker by hand.
+    pub(crate) valid: bool,
+    /// The oplog whose LVs the frontiers are in (its `LogId`).
+    pub(crate) log: u64,
+    /// The version the records describe (the effect dimension).
+    pub(crate) version: Frontier,
+    /// Where the prepare dimension stands; it may lag `version`.
+    pub(crate) prepare: Frontier,
+    /// The version the placeholder stands for: the base of the walk that
+    /// reset the tracker, or the last critical version it crossed.
+    pub(crate) floor: Frontier,
+}
+
+impl Live {
+    /// Records that a merge on `oplog` left the records at `version` and
+    /// the prepare dimension at event `prepare`.
+    pub(crate) fn settle(&mut self, oplog: &OpLog, version: &[LV], prepare: LV) {
+        self.log = oplog.id.0;
+        self.version.0.clear();
+        // ALLOC: retained frontier buffer, grows only past its widest version
+        self.version.0.extend_from_slice(version);
+        self.prepare.replace_with_1(prepare);
+        self.valid = true;
+    }
+
+    /// Declares a tracker restored from a snapshot of `oplog` at `version`
+    /// (prepare == effect == `version`) live there. Its placeholder may
+    /// stand for an older version, but only a tail causally after the
+    /// snapshot is let through, as if it did stand for `version`.
+    pub(crate) fn install(&mut self, oplog: &OpLog, version: &[LV]) {
+        self.log = oplog.id.0;
+        self.floor.0.clear();
+        // ALLOC: retained frontier buffer, grows only past its widest version
+        self.floor.0.extend_from_slice(version);
+        self.prepare.0.clone_from(&self.floor.0);
+        self.version.0.clone_from(&self.floor.0);
+        self.valid = true;
+    }
+}
+
 /// The transient internal state of the Eg-walker algorithm.
 ///
 /// A tracker is `Send` — the multi-core server host moves one onto each
@@ -497,6 +560,8 @@ pub struct Tracker {
     /// edges, diff scratch and range pool; the segment span list), kept
     /// here so they survive across walk windows.
     pub(crate) walk: WalkScratch,
+    /// What the last merge left, for the next merge to resume.
+    pub(crate) live: Live,
 }
 
 /// One entry-bounded chunk of a forward delete, recorded by the batch
@@ -560,6 +625,7 @@ impl Tracker {
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),
             walk: WalkScratch::default(),
+            live: Live::default(),
         };
         t.install_placeholder();
         t
@@ -571,8 +637,9 @@ impl Tracker {
     /// Every allocation is retained: the record tree's slabs truncate in
     /// place, the dense indexes keep their vectors, and the scratch buffers
     /// keep their capacity — so the rebuild after a critical-version clear
-    /// (or the next merge on a reused tracker) costs zero allocator calls
-    /// until the state outgrows its previous high-water mark.
+    /// (or a merge that cannot resume a reused tracker) costs zero
+    /// allocator calls until the state outgrows its previous high-water
+    /// mark. The live version of the last merge is dropped.
     pub fn clear(&mut self) {
         self.tree.clear();
         self.ins_loc.clear();
@@ -580,6 +647,7 @@ impl Tracker {
         // The arena was reset: cached node indexes are meaningless.
         self.cache.set(None);
         self.emit_cache.set(None);
+        self.live.valid = false;
         self.install_placeholder();
     }
 
@@ -587,9 +655,30 @@ impl Tracker {
     /// tracker for a fresh walk while retaining every allocation. This is
     /// how `walker::walk_reusing` recycles one tracker across merge windows.
     pub(crate) fn reset_with_caches(&mut self, cache_enabled: bool, emit_cache_enabled: bool) {
-        self.cache_enabled = cache_enabled;
-        self.emit_cache_enabled = emit_cache_enabled;
+        self.set_caches(cache_enabled, emit_cache_enabled);
         self.clear();
+    }
+
+    /// Switches the cursor and emit-position caches on or off without
+    /// touching the records. A switch that changes forgets what the caches
+    /// held: a cache left alone while off may have gone stale.
+    pub(crate) fn set_caches(&mut self, cache_enabled: bool, emit_cache_enabled: bool) {
+        if (self.cache_enabled, self.emit_cache_enabled) != (cache_enabled, emit_cache_enabled) {
+            self.cache_enabled = cache_enabled;
+            self.emit_cache_enabled = emit_cache_enabled;
+            self.cache.set(None);
+            self.emit_cache.set(None);
+        }
+    }
+
+    /// The lowest LV a walk resumed on this tracker may record: its
+    /// LV-keyed indexes cannot count from below an LV they already hold
+    /// entries above (see [`Tracker::begin_segment`]).
+    pub(crate) fn lowest_recordable(&self) -> LV {
+        self.ins_loc
+            .real
+            .lowest_recordable()
+            .max(self.del_targets.lowest_recordable())
     }
 
     /// Tells the tracker that every event it is about to apply, retreat or
@@ -597,8 +686,8 @@ impl Tracker {
     /// LV of each segment it replays. A cleared tracker's LV-keyed indexes
     /// then count from `first` (and assert it) rather than from LV 0; a
     /// resumed tracker's keep counting from the lowest LV they hold, which
-    /// is lower still (everything walked is causally after, hence above,
-    /// what a snapshot holds).
+    /// a merge only resumes when it is not above `first`
+    /// (`Tracker::lowest_recordable`).
     ///
     /// Skipping the call is safe — the indexes then count from wherever
     /// they last did, at the cost of a vector spanning the gap.
@@ -638,10 +727,13 @@ impl Tracker {
 
     /// Captures the tracker's replay state as a [`TrackerSnapshot`].
     ///
-    /// The snapshot pairs with the version the tracker currently
-    /// represents (prepare == effect == the last walked frontier); the
-    /// caller records that version alongside (the storage layer's
-    /// checkpoint record does).
+    /// The snapshot pairs with the version the tracker represents, and only
+    /// when its prepare and effect dimensions both stand there — what
+    /// [`crate::walker::tracker_at`] builds. The caller records that
+    /// version alongside (the storage layer's checkpoint record does). A
+    /// tracker a merge left live does not qualify in general: its prepare
+    /// dimension stands at the last event the merge applied, which may lag
+    /// the merged version.
     pub fn to_snapshot(&self) -> TrackerSnapshot {
         let records = self.records();
         let mut del_runs = Vec::new();
@@ -666,10 +758,12 @@ impl Tracker {
     /// ID → leaf index from the entry stream) and the delete runs are
     /// re-recorded; caches, scratch buffers, and the walk plan start
     /// empty. The restored tracker is behaviourally identical to the one
-    /// that produced the snapshot. The snapshot does not name the LV its
+    /// that produced the snapshot, except that it is not live: a merge
+    /// resumes it only once told the snapshot's version
+    /// ([`OpLog::open_cached`] does). The snapshot does not name the LV its
     /// indexes counted from; each restored index counts from the smallest
-    /// LV the snapshot holds for it, which a resumed walk never goes below
-    /// (see [`Tracker::begin_segment`]).
+    /// LV the snapshot holds for it, which a tail causally after the
+    /// snapshot never goes below (see [`Tracker::begin_segment`]).
     ///
     /// For untrusted input, call [`TrackerSnapshot::validate`] first —
     /// this constructor trusts the snapshot's structural invariants.
@@ -705,6 +799,7 @@ impl Tracker {
             prepare_scratch: Vec::new(),
             delete_scratch: Vec::new(),
             walk: WalkScratch::default(),
+            live: Live::default(),
         }
     }
 
@@ -823,6 +918,9 @@ impl Tracker {
 
     /// Retreats every event of `range` (paper §3.2): updates the prepare
     /// version to exclude them. Events must currently be included.
+    ///
+    /// Like every state change outside a merge, this drops the live version
+    /// the last merge left, so the next merge replays its window.
     pub fn retreat(&mut self, oplog: &OpLog, range: DTRange) {
         self.move_prepare(oplog, range, Dir::Retreat);
     }
@@ -834,6 +932,7 @@ impl Tracker {
     }
 
     fn move_prepare(&mut self, oplog: &OpLog, range: DTRange, dir: Dir) {
+        self.live.valid = false;
         // Retreats must process causally-later events first (a delete of a
         // character must be retreated before the insert that created it);
         // advances the other way around. LV order respects causality.
@@ -903,7 +1002,8 @@ impl Tracker {
     /// heap-allocates per operation.
     ///
     /// The prepare version must already equal the run's parent version
-    /// (the walker guarantees this via retreat/advance).
+    /// (the walker guarantees this via retreat/advance). Called by hand, it
+    /// drops the live version as [`Tracker::retreat`] does.
     pub fn apply_range<F>(&mut self, oplog: &OpLog, range: DTRange, emit: bool, out: &mut F)
     where
         F: FnMut(DTRange, TextOpRef<'_>),
@@ -924,6 +1024,7 @@ impl Tracker {
     ) where
         F: FnMut(DTRange, TextOpRef<'_>),
     {
+        self.live.valid = false;
         for (lvs, run) in oplog.ops_in(range) {
             match run.kind {
                 ListOpKind::Ins => self.apply_insert(oplog, lvs, &run, emit, out, observe),

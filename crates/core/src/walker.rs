@@ -1,8 +1,10 @@
 //! The walk driver: replays a window of the event graph through the
 //! [`Tracker`](crate::tracker::Tracker), emitting transformed operations
 //! (paper §3.2), clearing internal state at critical versions and
-//! fast-forwarding untransformed runs (§3.5), and replaying only conflict
-//! windows on merge (§3.6).
+//! fast-forwarding untransformed runs (§3.5), and on merge walking only
+//! what is new (§3.6): the new events on the state the tracker's last merge
+//! left, or — when that state cannot be resumed — the conflict window back
+//! to the latest critical version.
 
 use crate::op::{ListOpKind, TextOpRef, TextOperation};
 use crate::tracker::Tracker;
@@ -10,6 +12,7 @@ use crate::OpLog;
 use eg_dag::walk::{PlanOrder, WalkPlan};
 use eg_dag::{Frontier, Graph, LV};
 use eg_rle::{DTRange, HasLength};
+use std::borrow::Cow;
 
 /// Tuning knobs for the walker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +68,8 @@ impl Default for WalkerOpts {
 /// entry (retaining its slab, index, and scratch capacity) and left
 /// populated on return, so a long-lived replica can replay thousands of
 /// windows with near-zero allocator traffic. A one-off walk passes
-/// `&mut Tracker::new()`.
+/// `&mut Tracker::new()`. Unlike a merge, a walk does not leave the
+/// tracker live: `spans` need not end at a version.
 pub fn walk_reusing<F>(
     oplog: &OpLog,
     base: &Frontier,
@@ -77,7 +81,7 @@ pub fn walk_reusing<F>(
 ) where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    walk_driver(oplog, base, spans, emit, opts, tracker, false, out);
+    walk_driver(oplog, Some(base), spans, emit, opts, tracker, out);
 }
 
 /// The one merge preamble (§3.6): replays what `Events(to)` adds to a
@@ -86,50 +90,95 @@ pub fn walk_reusing<F>(
 /// `from ∪ to`, and whether the walk resumed `tracker`.
 ///
 /// Events the document already reflects are not re-emitted; when nothing
-/// is new, nothing is walked. Otherwise the conflict window — back to the
-/// latest critical version below the new events — is replayed on a reset
-/// `tracker`.
+/// is new, nothing is walked and `tracker` is left as it was.
 ///
-/// With `resume`, `tracker` must represent the document at `from` (it was
-/// restored from a snapshot taken at exactly that version). When every
-/// new event is causally after `from` — the common append-only tail after
-/// a reopen — the walk extends the restored tracker over just the new
-/// events instead of rebuilding it (the cached-load fast path, §3.5).
-/// Otherwise — new events concurrent with `from` — resuming is unsound,
-/// and the reset-tracker conflict-window walk runs, which is always
-/// correct.
+/// Every merge leaves `tracker` live: it records the merged version its
+/// records now describe, where its prepare dimension stands, and the
+/// version its placeholder stands for (its *floor*). The next merge
+/// resumes that state when it can — see [`resume_spans`] for the three
+/// conditions — and then walks only `diff(live version, from ∪ to)`,
+/// planned from the live prepare version, emitting only
+/// `diff(from, from ∪ to)`. Otherwise it replays the conflict window,
+/// back to the latest critical version below the new events, on a reset
+/// tracker: always correct, and the only fallback.
 pub(crate) fn merge_walk<F>(
     oplog: &OpLog,
     from: &[LV],
     to: &[LV],
     opts: WalkerOpts,
     tracker: &mut Tracker,
-    resume: bool,
     out: &mut F,
 ) -> (Frontier, bool)
 where
     F: FnMut(DTRange, TextOpRef<'_>),
 {
-    let target = oplog.graph.version_union(from, to);
+    let graph = &oplog.graph;
+    let target = graph.version_union(from, to);
     if target.as_slice() == from {
-        return (target, resume);
+        return (target, false);
     }
-    let diff = oplog.graph.diff(from, &target);
+    let diff = graph.diff(from, &target);
     debug_assert!(diff.only_a.is_empty());
     let new = &diff.only_b;
-    let resumed = resume && spans_dominate(&oplog.graph, from, new);
-    if resumed {
-        walk_driver(oplog, from, new, new, opts, tracker, true, out);
-    } else {
-        let (base, spans) = oplog.graph.conflict_window(from, &target);
-        walk_driver(oplog, &base, &spans, new, opts, tracker, false, out);
+    let resume = resume_spans(oplog, tracker, from, &target, new);
+    let resumed = resume.is_some();
+    let last = match resume {
+        Some(spans) => walk_driver(oplog, None, &spans, new, opts, tracker, out),
+        None => {
+            let (base, spans) = graph.conflict_window(from, &target);
+            walk_driver(oplog, Some(&base), &spans, new, opts, tracker, out)
+        }
+    };
+    // Something new was walked, so something was consumed.
+    if let Some(prepare) = last {
+        tracker.live.settle(oplog, &target, prepare);
     }
     (target, resumed)
 }
 
+/// The events a merge from `from` to `target` walks on `tracker` as its
+/// last merge left it — `diff(live version, target)` — or `None` if that
+/// state cannot be resumed. `new` is `diff(from, target)`.
+///
+/// The state must come from a merge on this oplog (`LogId`), and then three
+/// conditions, each needed:
+/// * `from` contains the live version. The records must not describe an
+///   event the document lacks, or the effect positions emitted would
+///   count text that is not there.
+/// * Every walked event is causally after the floor. The tracker knows
+///   nothing below its floor but a placeholder, so no walked event's
+///   parents may lie below or beside it: the plan would retreat an event
+///   the tracker cleared at a critical version (a late event concurrent
+///   with that version makes it non-critical after the fact).
+/// * No walked LV is below the base of the tracker's LV-keyed indexes,
+///   which cannot re-base downward while they hold entries (merging an old,
+///   unmerged branch reaches below it).
+fn resume_spans<'a>(
+    oplog: &OpLog,
+    tracker: &Tracker,
+    from: &[LV],
+    target: &[LV],
+    new: &'a [DTRange],
+) -> Option<Cow<'a, [DTRange]>> {
+    let (graph, live) = (&oplog.graph, &tracker.live);
+    if !live.valid || live.log != oplog.id.0 {
+        return None;
+    }
+    let walked = if live.version.as_slice() == from {
+        Cow::Borrowed(new)
+    } else if graph.frontier_contains_frontier(from, &live.version) {
+        Cow::Owned(graph.diff(&live.version, target).only_b)
+    } else {
+        return None;
+    };
+    let first = walked.first()?.start;
+    (first >= tracker.lowest_recordable() && spans_dominate(graph, &live.floor, &walked))
+        .then_some(walked)
+}
+
 /// Returns `true` if every event in `spans` is causally after the whole of
-/// `base` — the precondition for walking `spans` on a tracker that already
-/// represents the document at `base`.
+/// `base` — the precondition for walking `spans` on a tracker whose
+/// placeholder stands for the document at `base`.
 ///
 /// Events are scanned in ascending LV order (a topological order), so an
 /// event whose parent lies inside `spans` inherits domination from that
@@ -187,16 +236,19 @@ pub(crate) struct WalkScratch {
 /// The walk loop. Returns the last event the walk consumed — the
 /// tracker's prepare version — or `None` for an empty window.
 ///
-/// Without `resume` the tracker is reset first. With it, the tracker
-/// already represents the document at `base` (a restored checkpoint
-/// snapshot) and the walk extends it over `spans`: `base` must be the
-/// tracker's current (prepare == effect) version, and — as with every
-/// walk — a version dominated by all events in `spans`. Every event walked
-/// is then a descendant of, and so has a higher LV than, everything the
-/// tracker holds ([`Tracker::begin_segment`] relies on it). A resumed walk
-/// starts with the tracker considered dirty, so the §3.5 fast-forward
-/// stays off until the first critical version is crossed and the state
-/// cleared; output is byte-identical to a reset walk either way.
+/// With `Some(base)` the tracker is reset first, its placeholder standing
+/// for the document at `base`, a version dominated by all events in
+/// `spans`. With `None` the walk resumes the tracker as its last merge
+/// left it ([`resume_spans`] has checked that it may): the first piece is
+/// planned from the live prepare version, and the plan's ordinary
+/// retreat/advance lists move it wherever each event needs it. A resumed
+/// tracker holding nothing but its placeholder starts clean, exactly like
+/// a reset one, so a critical version at the start of `spans` is still
+/// fast-forwarded (§3.5); one holding records starts dirty, and the
+/// fast-forward waits for the first critical version crossed.
+///
+/// Either way, the tracker's floor follows the placeholder: `base` on a
+/// reset, then the end of every critical run crossed.
 ///
 /// The window is cut after every maximal run of critical versions
 /// (§3.5). A critical version `c` splits the LV space exactly — every
@@ -208,15 +260,13 @@ pub(crate) struct WalkScratch {
 /// and the rest of the run (version and parent version both critical) is
 /// emitted untransformed. With `enable_clearing` off the whole window is
 /// one piece.
-#[allow(clippy::too_many_arguments)]
 fn walk_driver<F>(
     oplog: &OpLog,
-    base: &[LV],
+    base: Option<&[LV]>,
     spans: &[DTRange],
     emit: &[DTRange],
     opts: WalkerOpts,
     tracker: &mut Tracker,
-    resume: bool,
     out: &mut F,
 ) -> Option<LV>
 where
@@ -224,22 +274,29 @@ where
 {
     let lo = spans.first().map_or(0, |s| s.start);
     let hi = spans.last().map_or(0, |s| s.end);
-    // `clean` means: the tracker holds nothing but a placeholder, standing
-    // for the document at the current (prepare == effect) version. A
-    // resumed tracker carries real records for the pre-`base` window, so
-    // it starts dirty.
-    let mut clean = if resume {
-        false
-    } else {
-        tracker.reset_with_caches(opts.cursor_cache, opts.emit_cache);
-        true
-    };
     // Taken out for the duration of the walk: the plan's steps borrow from
     // its range pool while the tracker is mutated.
     let mut scratch = std::mem::take(&mut tracker.walk);
     scratch.base.0.clear();
-    // ALLOC: pooled segment base, capacity retained across walks
-    scratch.base.0.extend_from_slice(base);
+    // `clean` means: the tracker holds nothing but a placeholder, standing
+    // for the document at the current (prepare == effect) version.
+    let mut clean = match base {
+        Some(base) => {
+            tracker.reset_with_caches(opts.cursor_cache, opts.emit_cache);
+            tracker.live.floor.0.clear();
+            // ALLOC: retained frontier buffer, grows only past its widest version
+            tracker.live.floor.0.extend_from_slice(base);
+            // ALLOC: pooled segment base, capacity retained across walks
+            scratch.base.0.extend_from_slice(base);
+            true
+        }
+        None => {
+            tracker.set_caches(opts.cursor_cache, opts.emit_cache);
+            // ALLOC: pooled segment base, capacity retained across walks
+            scratch.base.0.extend_from_slice(&tracker.live.prepare);
+            tracker.num_records() == 1
+        }
+    };
 
     let criticals = oplog.graph.criticals_runs();
     let mut next_run = if opts.enable_clearing {
@@ -291,6 +348,7 @@ where
         emit_as_is(oplog, (tracked_end..run.end).into(), emit, out);
         last_consumed = Some(run.end - 1);
         scratch.base.replace_with_1(run.end - 1);
+        tracker.live.floor.replace_with_1(run.end - 1);
         at = run.end;
     }
     tracker.walk = scratch;
@@ -410,12 +468,11 @@ pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker {
     }
     let last_consumed = walk_driver(
         oplog,
-        &base,
+        Some(&base),
         &spans,
         &[],
         opts,
         &mut tracker,
-        false,
         &mut |_, _| {},
     );
     // The walk leaves the prepare dimension at the tip of the last run it
@@ -496,7 +553,6 @@ pub fn transformed_ops(
         merge_frontier,
         opts,
         &mut Tracker::new(),
-        false,
         &mut |lvs, op| out.push((lvs, op.to_owned())),
     );
     (target, out)

@@ -72,7 +72,10 @@ proptest! {
     /// Incremental merges through one long-lived tracker produce the same
     /// document as batch checkouts with per-merge trackers, at every
     /// intermediate version — with the default switches and, on the same
-    /// tracker, with clearing off and a non-default plan order.
+    /// tracker, with clearing off and a non-default plan order. The two
+    /// branches take turns with the tracker, so each merge either resumes
+    /// the state the other's merge left (when it holds that version) or
+    /// replays: resumed == fresh at every step, either way.
     #[test]
     fn incremental_reused_merges_match_batch_checkout(
         seed in 0u64..1_000_000,
@@ -100,7 +103,9 @@ proptest! {
             let all: Vec<usize> = (0..upto).collect();
             let frontier = oplog.graph.find_dominators(&all);
             live.merge_to(&oplog, &frontier, WalkerOpts::default(), &mut tracker);
+            tracker.check();
             live_ablated.merge_to(&oplog, &frontier, ablated, &mut tracker);
+            tracker.check();
             let batch = oplog.checkout(&frontier);
             prop_assert_eq!(&live, &batch, "documents diverged at {}/{} events", upto, n);
             prop_assert_eq!(
@@ -148,6 +153,10 @@ proptest! {
     /// (re-basing its LV-keyed indexes), starts where the last one stopped
     /// — inside a critical run, inside a concurrent window — and must emit
     /// exactly what a fresh tracker emits.
+    ///
+    /// The same steps merged into a branch through a tracker each merge
+    /// leaves live: the resumed merges walk only the stride's events, and
+    /// still reach the document the fresh walks do.
     #[test]
     fn reused_tracker_matches_fresh_across_planted_windows(
         seed in 0u64..1_000_000,
@@ -156,8 +165,10 @@ proptest! {
     ) {
         let (oplog, _) = mid_run_criticals_oplog(seed, windows);
         let mut reused: Tracker = Tracker::new();
+        let mut live_tracker: Tracker = Tracker::new();
+        let mut live = Branch::new();
         let mut from = Frontier::root();
-        let mut upto = 0;
+        let (mut upto, mut steps, mut resumed) = (0, 0, 0);
         while upto < oplog.len() {
             upto = (upto + stride).min(oplog.len());
             let all: Vec<usize> = (0..upto).collect();
@@ -168,9 +179,16 @@ proptest! {
             reused.check();
             prop_assert_eq!(&fresh.0, &recycled.0, "versions diverged at {}", upto);
             prop_assert_eq!(&fresh.1, &recycled.1, "op streams diverged at {}", upto);
+            resumed += usize::from(live.merge_to(&oplog, &to, WalkerOpts::default(), &mut live_tracker));
+            live_tracker.check();
+            prop_assert_eq!(&live.version, &fresh.0);
+            prop_assert_eq!(&live, &oplog.checkout(&to), "live tracker diverged at {}", upto);
             from = fresh.0;
+            steps += 1;
         }
         prop_assert_eq!(&from, oplog.version());
+        // Only the first merge is bound to replay.
+        prop_assert!(steps < 3 || resumed > 0, "none of {} merges resumed", steps);
     }
 
     /// A tracker snapshot taken in the middle of a segment — at the end of

@@ -99,6 +99,7 @@ fn windows_that_start_and_end_anywhere() {
     let (oplog, _) = mid_run_criticals_oplog(11, 12);
     let mut live = egwalker::Branch::new();
     let mut tracker = Tracker::new();
+    let mut resumed = 0;
     for lv in 0..oplog.len() {
         let expect = egwalker::reference::replay_reference_version(&oplog, &[lv]);
         assert_eq!(
@@ -107,9 +108,17 @@ fn windows_that_start_and_end_anywhere() {
             "checkout at {lv}"
         );
         // And incrementally, one event at a time, through the same branch
-        // and tracker.
-        live.merge_to(&oplog, &[lv], WalkerOpts::default(), &mut tracker);
+        // and tracker — which the previous merge left live, so most merges
+        // walk just the one event: resumed == fresh at every step.
+        resumed += usize::from(live.merge_to(&oplog, &[lv], WalkerOpts::default(), &mut tracker));
+        tracker.check();
+        assert_eq!(live, oplog.checkout(&live.version), "incremental at {lv}");
     }
     live.merge(&oplog);
     assert_eq!(live.content.to_string(), replay_reference(&oplog));
+    assert!(
+        resumed * 2 > oplog.len(),
+        "only {resumed} of {} one-event merges resumed the tracker",
+        oplog.len()
+    );
 }

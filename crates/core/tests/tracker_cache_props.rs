@@ -11,7 +11,7 @@ use egwalker::reference::replay_reference;
 use egwalker::testgen::{coalesce_ops, mid_run_criticals_oplog, random_oplog};
 use egwalker::tracker::Tracker;
 use egwalker::walker::transformed_ops;
-use egwalker::{OpLog, TextOperation, WalkerOpts};
+use egwalker::{Branch, OpLog, TextOperation, WalkerOpts};
 use proptest::prelude::*;
 
 /// Replays the full event graph through two trackers in lockstep — cursor
@@ -103,6 +103,39 @@ proptest! {
         );
         prop_assert_eq!(on.0, off.0, "final versions diverged");
         prop_assert_eq!(on.1, off.1, "op streams diverged");
+    }
+
+    /// Incremental merges through one live tracker, switching the caches
+    /// at every step: a resumed merge keeps the records and must forget
+    /// only what a cache switched off may have let go stale. Resumed ==
+    /// fresh at every step, whatever the switches.
+    #[test]
+    fn live_tracker_matches_fresh_across_cache_switches(
+        seed in 0u64..1_000_000,
+        steps in 4usize..80,
+        replicas in 1usize..5,
+        merge_prob in 0.0f64..0.6,
+        stride in 1usize..16,
+    ) {
+        let oplog = random_oplog(seed, steps, replicas, merge_prob);
+        let mut live = Branch::new();
+        let mut tracker: Tracker = Tracker::new();
+        let mut upto = 0;
+        for (cursor_cache, emit_cache) in
+            [(true, true), (false, true), (true, false), (false, false)].into_iter().cycle()
+        {
+            if upto == oplog.len() {
+                break;
+            }
+            upto = (upto + stride).min(oplog.len());
+            let all: Vec<usize> = (0..upto).collect();
+            let to = oplog.graph.find_dominators(&all);
+            let opts = WalkerOpts { cursor_cache, emit_cache, ..Default::default() };
+            live.merge_to(&oplog, &to, opts, &mut tracker);
+            tracker.check();
+            prop_assert_eq!(&live, &oplog.checkout(&to),
+                "diverged at {} with caches ({}, {})", upto, cursor_cache, emit_cache);
+        }
     }
 
     /// Critical versions planted in the middle of graph runs: the walker
