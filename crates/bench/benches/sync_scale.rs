@@ -1,6 +1,6 @@
 //! Criterion bench for the sync engine at scale: the same multi-document
-//! workload driven through full-mesh eager broadcast, full-mesh batched
-//! outboxes, and star-relay batched outboxes.
+//! workload driven through a full mesh and a star relay, at two mark
+//! cadences each.
 //!
 //! The interesting outputs are wall-clock (engine overhead per topology)
 //! and, printed once per configuration, the bytes-on-wire split — the
@@ -17,12 +17,12 @@ fn scale() -> f64 {
         .unwrap_or(0.02)
 }
 
-fn run(nodes: usize, star: bool, flush_every: u64, ops: &[eg_trace::SyncOp]) -> NetworkSim {
+fn run(nodes: usize, star: bool, mark_every: u64, ops: &[eg_trace::SyncOp]) -> NetworkSim {
     let names: Vec<String> = (0..nodes).map(|i| format!("n{i:03}")).collect();
     let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
     let b = NetworkSim::builder(&refs, 0xBE7C);
     let b = if star { b.star() } else { b.mesh() };
-    let mut net = b.flush_every(flush_every).build();
+    let mut net = b.mark_every(mark_every).build();
     apply_sync_workload(&mut net, ops);
     assert!(net.run_until_quiescent(1_000_000));
     net
@@ -43,20 +43,21 @@ fn sync_benches(c: &mut Criterion) {
     });
 
     let mut group = c.benchmark_group("sync_scale");
-    for (name, star, flush) in [
-        ("mesh_eager", false, 0u64),
-        ("mesh_batched", false, 4),
-        ("star_batched", true, 4),
+    for (name, star, marks) in [
+        ("mesh_mark2", false, 2u64),
+        ("mesh_mark8", false, 8),
+        ("star_mark2", true, 2),
+        ("star_mark8", true, 8),
     ] {
-        let net = run(nodes, star, flush, &ops);
+        let net = run(nodes, star, marks, &ops);
         let s = net.stats();
         eprintln!(
-            "  {name}: {} msgs, {} bytes on wire ({} digest + {} bundle), {} syncs",
-            s.sent, s.bytes, s.digest_bytes, s.bundle_bytes, s.syncs
+            "  {name}: {} frames, {} bytes on wire ({} digest + {} bundle), {} resets",
+            s.sent, s.bytes, s.digest_bytes, s.bundle_bytes, s.resets
         );
         group.bench_function(name, |b| {
             b.iter(|| {
-                let net = run(nodes, star, flush, &ops);
+                let net = run(nodes, star, marks, &ops);
                 std::hint::black_box(net.stats().bytes)
             })
         });

@@ -337,7 +337,7 @@ impl Daemon {
                 match conn.decoder.next_frame() {
                     Ok(Some(body)) => {
                         let was_established = conn.session.state() == SessionState::Established;
-                        match conn.session.on_frame(now, &body, &self.host) {
+                        match conn.session.on_frame(now, &body, &mut self.host) {
                             Ok(docs) => {
                                 if !docs.is_empty() {
                                     gained.push((idx, docs));
@@ -427,30 +427,25 @@ impl Daemon {
         // What one peer brought is a local change to every other link:
         // say so there, or those views would never learn of it.
         for (from, docs) in gained {
-            for (idx, conn) in self.conns.iter_mut().enumerate() {
-                if idx == from {
-                    continue;
-                }
-                if let Some(conn) = conn {
-                    conn.session.queue_digest(now, &self.host, Some(&docs));
-                }
-            }
+            self.tell_peers(now, Some(&docs), Some(from));
         }
         progress
     }
 
-    /// Tells every established peer what changed in `docs` (`None`: look
-    /// at every document).
-    fn tell_peers(&mut self, now: Instant, docs: Option<&[DocId]>) {
-        for conn in self.conns.iter_mut().flatten() {
-            conn.session.queue_digest(now, &self.host, docs);
+    /// Tells every established peer but `except` what changed in `docs`
+    /// (`None`: look at every document).
+    fn tell_peers(&mut self, now: Instant, docs: Option<&[DocId]>, except: Option<usize>) {
+        for (idx, conn) in self.conns.iter_mut().enumerate() {
+            if let Some(conn) = conn.as_mut().filter(|_| Some(idx) != except) {
+                conn.session.local_change(now, &self.host, docs);
+            }
         }
     }
 
     /// Sends every established peer its periodic mark.
     fn mark_peers(&mut self, now: Instant) {
         for conn in self.conns.iter_mut().flatten() {
-            conn.session.queue_mark(now);
+            conn.session.mark(now);
         }
     }
 
@@ -470,7 +465,7 @@ impl Daemon {
                 .into();
                 self.host.submit_script(&script);
                 self.host.flush();
-                self.tell_peers(Instant::now(), Some(&[DocId(doc)]));
+                self.tell_peers(Instant::now(), Some(&[DocId(doc)]), None);
                 (obj(vec![("ok", Value::Bool(true))]), false)
             }
             ControlCmd::Script {
@@ -489,7 +484,7 @@ impl Daemon {
                 let script: std::sync::Arc<[FleetOp]> = fleet_workload(&spec).into();
                 let submitted = self.host.submit_script(&script);
                 self.host.flush();
-                self.tell_peers(Instant::now(), None);
+                self.tell_peers(Instant::now(), None, None);
                 (
                     obj(vec![
                         ("ok", Value::Bool(true)),

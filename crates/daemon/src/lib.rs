@@ -8,12 +8,11 @@
 //! * [`Daemon`] — a hand-rolled non-blocking reactor (no crates.io)
 //!   hosting a [`eg_server::ServerHost`] behind a Unix-domain socket,
 //!   with actor-per-connection [`PeerSession`]s.
-//! * [`PeerSession`] — the per-link state machine: versioned handshake,
-//!   delta digests against what the link has already said and heard, a
-//!   periodic mark that audits the link's sync frames and resets both
-//!   ends when one went missing, idle heartbeats, and a bounded outbox
-//!   that sheds and resets instead of growing without bound behind a
-//!   slow peer.
+//! * [`PeerSession`] — the connection around an [`eg_sync::SyncLink`]:
+//!   versioned handshake, idle heartbeats, and a bounded outbox that
+//!   sheds and resets the link instead of growing without bound behind a
+//!   slow peer. What the link says, and how its mark audit finds a lost
+//!   frame, is the `SyncLink`'s business.
 //! * [`Backoff`] — capped exponential reconnect delays with
 //!   deterministic jitter, so reconnect storms spread out but replays
 //!   stay exact.
@@ -22,9 +21,10 @@
 //!   of the list: the tier-1 suite converges two OS processes through
 //!   every seeded fault schedule and across a SIGKILL restart.
 //!
-//! Wire format and in-process fault injection live in `eg-sync`
-//! ([`eg_sync::frame`], [`eg_sync::FaultyTransport`]); this crate owns
-//! the sockets, the event loop, and the retry policy.
+//! The protocol, the wire format and in-process fault injection live in
+//! `eg-sync` ([`eg_sync::SyncLink`], [`eg_sync::frame`],
+//! [`eg_sync::FaultyTransport`]); this crate owns the sockets, the event
+//! loop, and the retry policy.
 
 mod backoff;
 pub mod control;

@@ -16,15 +16,17 @@
 //! | truncate  | half a frame is written, then the link is cut        |
 //! | partition | both directions blackholed; new dials die instantly  |
 //!
-//! Only sync frames are fault targets. Hello/Ping/Pong pass untouched so
-//! the fault pressure lands on sync traffic rather than on the handshake
-//! — a schedule that only ever killed handshakes would test the backoff
-//! ladder and nothing else — and so do Mark/Reset: they are how the
-//! sessions notice that a sync frame was dropped or repeated, and a proxy
-//! that ate the audit as well would only be testing the heartbeat
-//! timeout. Truncation still severs the link mid-frame,
-//! which is exactly the half-open / torn-stream case the decoder and
-//! reconnect path must survive.
+//! Only sync frames are fault targets — the link contract
+//! `eg_sync::SyncLink` is written against, which `eg_sync::FaultyTransport`
+//! keeps in process too. Hello/Ping/Pong pass untouched so the fault
+//! pressure lands on sync traffic rather than on the handshake — a
+//! schedule that only ever killed handshakes would test the backoff
+//! ladder and nothing else — and so do Mark/Reset: they are how the link
+//! notices that a sync frame was dropped or repeated, and a proxy that
+//! ate the audit as well would only be testing the heartbeat timeout.
+//! Truncation still severs the link mid-frame, which is exactly the
+//! half-open / torn-stream case the decoder and reconnect path must
+//! survive.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};

@@ -76,7 +76,7 @@ pub fn apply_fleet_op(
             text,
         } => {
             let doc = DocId(*doc);
-            let len = replica.len_chars_doc(doc);
+            let len = replica.len_chars(doc);
             let pos = (*at % (len as u64 + 1)) as usize;
             replica.edit_insert_as(doc, names.get(*session), pos, text);
             FleetOutcome::Insert
@@ -88,7 +88,7 @@ pub fn apply_fleet_op(
             len,
         } => {
             let doc = DocId(*doc);
-            let doc_len = replica.len_chars_doc(doc);
+            let doc_len = replica.len_chars(doc);
             if doc_len == 0 {
                 return FleetOutcome::Skipped;
             }
@@ -147,7 +147,7 @@ mod tests {
             apply_fleet_op(&mut r, &mut names, &op),
             FleetOutcome::Insert
         );
-        assert_eq!(r.text_doc(DocId(1)), "ab");
+        assert_eq!(r.text(DocId(1)), "ab");
         // Same hint against a 2-char doc now lands at 1_000_003 % 3 == 1.
         let op = FleetOp::Insert {
             session: 0,
@@ -156,7 +156,7 @@ mod tests {
             text: "X".into(),
         };
         apply_fleet_op(&mut r, &mut names, &op);
-        assert_eq!(r.text_doc(DocId(1)), "aXb");
+        assert_eq!(r.text(DocId(1)), "aXb");
     }
 
     #[test]

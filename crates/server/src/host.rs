@@ -14,7 +14,7 @@ use std::thread::{self, JoinHandle};
 use std::time::Instant;
 
 use eg_dag::RemoteId;
-use eg_sync::{DocId, Message};
+use eg_sync::{DocId, SyncHost};
 use eg_trace::FleetOp;
 use egwalker::EventBundle;
 
@@ -361,35 +361,6 @@ impl ServerHost {
         }
     }
 
-    /// One full bidirectional anti-entropy round with `peer` over real
-    /// wire frames: digest fan-out, owner-affine extraction, one encoded
-    /// frame per document, `Message::decode` on the receiving side,
-    /// owner-routed integration, flush. Returns frames shipped (to_self,
-    /// to_peer).
-    pub fn sync_with(&self, peer: &ServerHost) -> (usize, usize) {
-        let to_peer = Self::pull(self, peer);
-        let to_self = Self::pull(peer, self);
-        (to_self, to_peer)
-    }
-
-    /// `dst` pulls what it lacks from `src`.
-    fn pull(src: &ServerHost, dst: &ServerHost) -> usize {
-        let digest = dst.digest_all();
-        let bundles = src.bundles_for(&digest);
-        let shipped = bundles.len();
-        let mut incoming = Vec::with_capacity(shipped);
-        for entry in &bundles {
-            let frame = Message::encode_bundles(std::slice::from_ref(entry));
-            match Message::decode(&frame).expect("self-encoded frame must decode") {
-                Message::Bundles(batch) => incoming.extend(batch),
-                Message::Digest(_) => unreachable!("encode_bundles emits a bundle frame"),
-            }
-        }
-        dst.receive_bundles(incoming);
-        dst.flush();
-        shipped
-    }
-
     /// Canonical snapshot of every non-empty document: `(doc, version,
     /// text)` sorted by document id. Byte-comparable against
     /// [`crate::replay_fleet_sequential`] and against other hosts.
@@ -428,6 +399,29 @@ impl ServerHost {
     }
 }
 
+/// What a `SyncLink` needs of a host: the fanned-out digests and
+/// extraction above, and integration that has finished when it returns.
+impl SyncHost for ServerHost {
+    fn digest_of(&self, docs: &[DocId]) -> Vec<(DocId, Vec<RemoteId>)> {
+        ServerHost::digest_of(self, docs)
+    }
+
+    fn digest_all(&self) -> Vec<(DocId, Vec<RemoteId>)> {
+        ServerHost::digest_all(self)
+    }
+
+    fn bundles_for_listed(&self, have: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, EventBundle)> {
+        ServerHost::bundles_for_listed(self, have)
+    }
+
+    fn receive(&mut self, batch: Vec<(DocId, EventBundle)>) -> Vec<DocId> {
+        let docs = batch.iter().map(|(doc, _)| *doc).collect();
+        self.receive_bundles(batch);
+        self.flush();
+        docs
+    }
+}
+
 impl Drop for ServerHost {
     fn drop(&mut self) {
         // Closing the job channels is the shutdown signal.
@@ -442,6 +436,7 @@ impl Drop for ServerHost {
 mod tests {
     use super::*;
     use crate::fleet::replay_fleet_sequential;
+    use eg_sync::{settle, Replica, SyncLink};
     use eg_trace::{fleet_workload, FleetSpec};
 
     fn small_script() -> Arc<[FleetOp]> {
@@ -484,12 +479,12 @@ mod tests {
     #[test]
     fn two_hosts_converge_via_wire_sync() {
         let script = small_script();
-        let a = ServerHost::with_config(ServerConfig {
+        let mut a = ServerHost::with_config(ServerConfig {
             name: "hostA".into(),
             workers: 2,
             ..ServerConfig::default()
         });
-        let b = ServerHost::with_config(ServerConfig {
+        let mut b = ServerHost::with_config(ServerConfig {
             name: "hostB".into(),
             workers: 3,
             ..ServerConfig::default()
@@ -499,12 +494,13 @@ mod tests {
         // An untouched host reports nothing.
         assert!(b.digest_all().is_empty());
         assert!(b.snapshot().is_empty());
-        let (to_a, to_b) = a.sync_with(&b);
-        assert_eq!(to_a, 0, "b had nothing a lacks");
-        assert!(to_b > 0);
+        let (mut la, mut lb) = (SyncLink::open(&a), SyncLink::open(&b));
+        assert!(settle(&mut la, &mut a, &mut lb, &mut b) > 0);
         assert!(a.converged_with(&b));
-        // A second round ships nothing.
-        assert_eq!(a.sync_with(&b), (0, 0));
+        // A further mark round queues no bundle frame.
+        la.mark();
+        lb.mark();
+        assert_eq!(settle(&mut la, &mut a, &mut lb, &mut b), 0);
     }
 
     #[test]
@@ -571,6 +567,39 @@ mod tests {
             .expect("scan persist dir")
             .map(|entry| entry.expect("dir entry").metadata().expect("stat").len())
             .sum()
+    }
+
+    /// A peer that names documents it cannot deliver leaves nothing
+    /// behind: a bundle waiting for its parents and a malformed one, each
+    /// for a document this host has never seen, create no segment file
+    /// and no resident document until something actually applies.
+    #[test]
+    fn bundles_that_apply_nothing_leave_no_document_and_no_file() {
+        let tmp = TempDir::new("stray");
+        let mut source = Replica::new("source");
+        let parent = source.insert(DocId(7), 0, "parent ");
+        let child = source.insert(DocId(7), 7, "child");
+        let mut malformed = source.insert(DocId(8), 0, "bad");
+        malformed.runs[0].content = None;
+        let host = ServerHost::with_config(ServerConfig {
+            workers: 2,
+            persist_dir: Some(tmp.0.clone()),
+            ..ServerConfig::default()
+        });
+        let files = || std::fs::read_dir(&tmp.0).expect("scan persist dir").count();
+
+        host.receive_bundles(vec![(DocId(7), child), (DocId(8), malformed)]);
+        host.flush();
+        assert_eq!(files(), 0);
+        assert_eq!(host.persist_stats().store_bytes, 0);
+        assert!(host.snapshot().is_empty());
+
+        // The missing parent applies both, and writes one store.
+        host.receive_bundles(vec![(DocId(7), parent)]);
+        host.flush();
+        assert_eq!(files(), 1);
+        assert_eq!(host.text(DocId(7)), "parent child");
+        assert_eq!(host.snapshot().len(), 1);
     }
 
     #[test]

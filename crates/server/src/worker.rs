@@ -17,7 +17,7 @@ use std::time::Instant;
 
 use eg_dag::RemoteId;
 use eg_storage::DocStore;
-use eg_sync::{DocId, Replica};
+use eg_sync::{DocId, ReceiveOutcome, Replica};
 use eg_trace::FleetOp;
 use egwalker::EventBundle;
 
@@ -316,7 +316,7 @@ pub(crate) fn worker_main(
                     None => replica.digest_all(),
                     Some(docs) => docs
                         .into_iter()
-                        .map(|doc| (doc, replica.digest_doc(doc)))
+                        .map(|doc| (doc, replica.digest(doc)))
                         .filter(|(_, vector)| !vector.is_empty())
                         .collect(),
                 });
@@ -340,7 +340,7 @@ pub(crate) fn worker_main(
                         Ok(i) => peer[i].1.as_slice(),
                         Err(_) => &[],
                     };
-                    let bundle = replica.bundle_since_doc(doc, have);
+                    let bundle = replica.bundle_since(doc, have);
                     if !bundle.is_empty() {
                         out.push((doc, bundle));
                     }
@@ -348,12 +348,17 @@ pub(crate) fn worker_main(
                 let _ = reply.send(out);
             }
             Job::Receive(bundles) => {
+                // Only what applied has anything to persist: a stashed or
+                // rejected bundle must not open a store for its document.
+                let mut applied = Vec::new();
                 for (doc, bundle) in &bundles {
-                    replica.receive_doc(*doc, bundle);
+                    if let ReceiveOutcome::Applied(_) = replica.receive(*doc, bundle) {
+                        applied.push(*doc);
+                    }
                 }
                 if let Some(p) = persist.as_mut() {
-                    for (doc, _) in &bundles {
-                        p.persist(&replica, *doc);
+                    for doc in applied {
+                        p.persist(&replica, doc);
                     }
                 }
             }

@@ -13,6 +13,7 @@
 //! cross-document coupling can sneak in.
 
 use eg_server::{replay_fleet_sequential, ServerConfig, ServerHost};
+use eg_sync::{settle, SyncLink};
 use eg_trace::{fleet_workload, FleetOp, FleetSpec};
 use std::sync::Arc;
 
@@ -33,6 +34,19 @@ fn host(name: &str, workers: usize) -> ServerHost {
         workers,
         ..ServerConfig::default()
     })
+}
+
+/// Connects two hosts as a daemon does — a link end on each side, each
+/// opening with a complete digest — and carries frames until the link is
+/// quiet. Returns the bundle frames that crossed; a further mark round
+/// on the settled link must queue none.
+fn sync(a: &mut ServerHost, b: &mut ServerHost) -> usize {
+    let (mut la, mut lb) = (SyncLink::open(&*a), SyncLink::open(&*b));
+    let shipped = settle(&mut la, a, &mut lb, b);
+    la.mark();
+    lb.mark();
+    assert_eq!(settle(&mut la, a, &mut lb, b), 0, "a settled link is quiet");
+    shipped
 }
 
 #[test]
@@ -64,34 +78,33 @@ fn runs_are_deterministic_against_each_other() {
 }
 
 /// Three hosts with different pool sizes and different local edit
-/// histories converge through batched anti-entropy over real wire frames
-/// within a bounded number of pairwise rounds — two full sweeps of the
-/// triangle, the same kind of bound `sync_scale` puts on the simulated
-/// mesh. Worker counts differ on purpose: the shard map is per-host, so
-/// bundles extracted under one sharding must integrate cleanly under
+/// histories converge through link sessions over real wire frames within
+/// a bounded number of pairwise connections — two full sweeps of the
+/// triangle. Worker counts differ on purpose: the shard map is per-host,
+/// so bundles extracted under one sharding must integrate cleanly under
 /// another.
 #[test]
 fn three_hosts_converge_in_two_pairwise_sweeps() {
-    let a = host("hostA", 1);
-    let b = host("hostB", 2);
-    let c = host("hostC", 4);
+    let mut a = host("hostA", 1);
+    let mut b = host("hostB", 2);
+    let mut c = host("hostC", 4);
     a.run_script(&script(0xA, 1200));
     b.run_script(&script(0xB, 1200));
     c.run_script(&script(0xC, 1200));
     assert!(!a.converged_with(&b) && !b.converged_with(&c));
 
     for _sweep in 0..2 {
-        a.sync_with(&b);
-        b.sync_with(&c);
-        a.sync_with(&c);
+        sync(&mut a, &mut b);
+        sync(&mut b, &mut c);
+        sync(&mut a, &mut c);
     }
     assert!(a.converged_with(&b), "A/B diverged after two sweeps");
     assert!(b.converged_with(&c), "B/C diverged after two sweeps");
 
-    // Convergence must be quiescent: one more round ships zero frames.
-    assert_eq!(a.sync_with(&b), (0, 0));
-    assert_eq!(b.sync_with(&c), (0, 0));
-    assert_eq!(a.sync_with(&c), (0, 0));
+    // Convergence must be quiescent: reconnecting ships no bundle frame.
+    assert_eq!(sync(&mut a, &mut b), 0);
+    assert_eq!(sync(&mut b, &mut c), 0);
+    assert_eq!(sync(&mut a, &mut c), 0);
 }
 
 /// Interleaving edit submission with anti-entropy must not break the
@@ -101,12 +114,12 @@ fn three_hosts_converge_in_two_pairwise_sweeps() {
 fn sync_interleaved_with_edits_still_converges() {
     let first = script(0x51, 1000);
     let second = script(0x52, 1000);
-    let a = host("hostA", 2);
-    let b = host("hostB", 3);
+    let mut a = host("hostA", 2);
+    let mut b = host("hostB", 3);
     a.run_script(&first);
-    a.sync_with(&b);
+    assert!(sync(&mut a, &mut b) > 0);
     b.run_script(&second);
-    a.sync_with(&b);
+    assert!(sync(&mut a, &mut b) > 0);
     assert!(a.converged_with(&b));
-    assert_eq!(a.sync_with(&b), (0, 0));
+    assert_eq!(sync(&mut a, &mut b), 0);
 }

@@ -3,19 +3,25 @@
 //!
 //! Wraps any inner transport and, on a deterministic schedule derived
 //! from the construction seed, drops, duplicates, corrupts (bit-flips
-//! or truncates mid-frame), and delays messages, and blocks traffic
+//! or truncates mid-frame) and delays sync frames, and blocks them
 //! across scheduled partition windows. Every replica-facing robustness
 //! claim — "convergence holds under every seeded fault schedule" — is
 //! a [`crate::NetworkSim`] run over this wrapper; the socket-level
 //! twin (the daemon's fault proxy) injects the same fault classes into
 //! real byte streams.
+//!
+//! Both keep the link contract [`crate::SyncLink`] relies on: only sync
+//! frames are fault targets, so a `Mark` or `Reset` always arrives, and
+//! a delayed frame holds back the frames behind it on its link rather
+//! than being overtaken by them (it is handed to the inner transport as
+//! if sent later).
 
-use crate::transport::{Delivery, NodeId, SendOutcome, Tick, Transport};
+use crate::transport::{is_sync_frame, Delivery, NodeId, SendOutcome, Tick, Transport};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One scheduled partition: messages crossing the `side_a` boundary are
-/// blocked while `from <= now < until`.
+/// One scheduled partition: sync frames crossing the `side_a` boundary
+/// are blocked while `from <= now < until`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartitionWindow {
     /// First tick of the window (inclusive).
@@ -27,7 +33,7 @@ pub struct PartitionWindow {
 }
 
 impl PartitionWindow {
-    /// Returns `true` if a `src → dst` message at `now` is severed.
+    /// Returns `true` if a `src → dst` frame at `now` is severed.
     pub fn blocks(&self, now: Tick, src: NodeId, dst: NodeId) -> bool {
         if now < self.from || now >= self.until {
             return false;
@@ -36,19 +42,20 @@ impl PartitionWindow {
     }
 }
 
-/// Per-message fault probabilities (parts per thousand) plus the
+/// Per-sync-frame fault probabilities (parts per thousand) plus the
 /// partition schedule.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultSpec {
-    /// Probability of silently dropping a message.
+    /// Probability of silently dropping a frame.
     pub drop_per_mille: u16,
-    /// Probability of delivering a message twice.
+    /// Probability of delivering a frame twice.
     pub duplicate_per_mille: u16,
     /// Probability of corrupting the payload (a bit flip or a mid-frame
     /// truncation, chosen pseudo-randomly); receivers must reject the
-    /// mangled frame and repair via anti-entropy.
+    /// mangled frame, and the next mark resets the link.
     pub corrupt_per_mille: u16,
-    /// Probability of holding a message back for extra ticks.
+    /// Probability of holding a frame (and those behind it) back for
+    /// extra ticks.
     pub delay_per_mille: u16,
     /// Maximum extra delay, in ticks (inclusive; minimum is 1).
     pub max_extra_delay: u64,
@@ -98,24 +105,16 @@ impl FaultSpec {
 /// exercised its fault classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Messages silently dropped.
+    /// Frames silently dropped.
     pub dropped: usize,
-    /// Messages delivered twice.
+    /// Frames delivered twice.
     pub duplicated: usize,
-    /// Messages with a corrupted payload let through.
+    /// Frames with a corrupted payload let through.
     pub corrupted: usize,
-    /// Messages held back for extra ticks.
+    /// Frames held back for extra ticks.
     pub delayed: usize,
-    /// Messages blocked by a partition window.
+    /// Frames blocked by a partition window.
     pub blocked: usize,
-}
-
-#[derive(Debug)]
-struct Held {
-    release_at: Tick,
-    src: NodeId,
-    dst: NodeId,
-    payload: Vec<u8>,
 }
 
 /// A [`Transport`] decorator injecting seeded faults; see the module
@@ -126,7 +125,6 @@ pub struct FaultyTransport<T: Transport> {
     inner: T,
     spec: FaultSpec,
     rng: StdRng,
-    held: Vec<Held>,
     stats: FaultStats,
 }
 
@@ -137,7 +135,6 @@ impl<T: Transport> FaultyTransport<T> {
             inner,
             spec,
             rng: StdRng::seed_from_u64(seed ^ 0xBAD_F00D),
-            held: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -168,6 +165,9 @@ impl<T: Transport> FaultyTransport<T> {
 
 impl<T: Transport> Transport for FaultyTransport<T> {
     fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, mut payload: Vec<u8>) -> SendOutcome {
+        if !is_sync_frame(&payload) {
+            return self.inner.send(now, src, dst, payload);
+        }
         if self.spec.partitions.iter().any(|w| w.blocks(now, src, dst)) {
             self.stats.blocked += 1;
             return SendOutcome::Dropped;
@@ -180,51 +180,24 @@ impl<T: Transport> Transport for FaultyTransport<T> {
             self.stats.corrupted += 1;
             self.corrupt(&mut payload);
         }
-        if self.roll(self.spec.duplicate_per_mille) {
-            self.stats.duplicated += 1;
-            let _ = self.inner.send(now, src, dst, payload.clone());
-        }
+        let mut at = now;
         if self.roll(self.spec.delay_per_mille) {
             self.stats.delayed += 1;
-            let extra = 1 + self.rng.gen_range(0..self.spec.max_extra_delay.max(1));
-            self.held.push(Held {
-                release_at: now + extra,
-                src,
-                dst,
-                payload,
-            });
-            return SendOutcome::Queued;
+            at += 1 + self.rng.gen_range(0..self.spec.max_extra_delay.max(1));
         }
-        self.inner.send(now, src, dst, payload)
+        if self.roll(self.spec.duplicate_per_mille) {
+            self.stats.duplicated += 1;
+            let _ = self.inner.send(at, src, dst, payload.clone());
+        }
+        self.inner.send(at, src, dst, payload)
     }
 
     fn poll(&mut self, now: Tick) -> Vec<Delivery> {
-        // Release due held messages into the inner transport first so it
-        // applies its normal delay model from here on.
-        let mut due = Vec::new();
-        self.held.retain_mut(|h| {
-            if h.release_at <= now {
-                due.push((h.src, h.dst, std::mem::take(&mut h.payload)));
-                false
-            } else {
-                true
-            }
-        });
-        for (src, dst, payload) in due {
-            let _ = self.inner.send(now, src, dst, payload);
-        }
         self.inner.poll(now)
     }
 
-    fn in_flight(&self) -> usize {
-        self.inner.in_flight() + self.held.len()
-    }
-
     fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize {
-        let before = self.held.len();
-        self.held.retain(|h| !sever(h.src, h.dst));
-        let held_cut = before - self.held.len();
-        held_cut + self.inner.cut(sever)
+        self.inner.cut(sever)
     }
 }
 
@@ -232,6 +205,11 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 mod tests {
     use super::*;
     use crate::transport::{InMemoryTransport, LinkConfig};
+
+    /// An encoded sync frame carrying `n`.
+    fn sync(n: u8) -> Vec<u8> {
+        crate::frame::frame_sync(&[n, 1, 2, 3, 4, 5, 6, 7])
+    }
 
     fn inner() -> InMemoryTransport {
         InMemoryTransport::new(
@@ -255,10 +233,13 @@ mod tests {
             ..FaultSpec::default()
         };
         let mut t = FaultyTransport::new(inner(), spec, 1);
-        assert_eq!(t.send(6, 0, 1, vec![1]), SendOutcome::Dropped);
-        assert_eq!(t.send(6, 1, 2, vec![2]), SendOutcome::Queued);
-        assert_eq!(t.send(12, 0, 1, vec![3]), SendOutcome::Queued);
+        assert_eq!(t.send(6, 0, 1, sync(1)), SendOutcome::Dropped);
+        assert_eq!(t.send(6, 1, 2, sync(2)), SendOutcome::Queued);
+        assert_eq!(t.send(12, 0, 1, sync(3)), SendOutcome::Queued);
         assert_eq!(t.stats().blocked, 1);
+        // The audit frames cross the window untouched.
+        let mark = crate::frame::WireFrame::Reset { echo: false }.encode();
+        assert_eq!(t.send(6, 0, 1, mark), SendOutcome::Queued);
     }
 
     #[test]
@@ -268,7 +249,7 @@ mod tests {
             ..FaultSpec::default()
         };
         let mut t = FaultyTransport::new(inner(), spec, 2);
-        t.send(0, 0, 1, vec![9]);
+        t.send(0, 0, 1, sync(9));
         let got = t.poll(1);
         assert_eq!(got.len(), 2);
         assert_eq!(t.stats().duplicated, 1);
@@ -282,8 +263,8 @@ mod tests {
             ..FaultSpec::default()
         };
         let mut t = FaultyTransport::new(inner(), spec, 7);
-        t.send(0, 0, 1, vec![5]);
-        assert_eq!(t.in_flight(), 1);
+        t.send(0, 0, 1, sync(5));
+        assert!(t.poll(1).is_empty(), "held back");
         let mut delivered = 0;
         for now in 1..10 {
             delivered += t.poll(now).len();
@@ -299,7 +280,7 @@ mod tests {
             ..FaultSpec::default()
         };
         let mut t = FaultyTransport::new(inner(), spec, 11);
-        let original = vec![1, 2, 3, 4, 5, 6, 7, 8];
+        let original = sync(1);
         t.send(0, 0, 1, original.clone());
         let got = t.poll(1);
         assert_eq!(got.len(), 1);
@@ -318,7 +299,7 @@ mod tests {
                     i / 4,
                     (i % 4) as usize,
                     ((i + 1) % 4) as usize,
-                    vec![i as u8],
+                    sync(i as u8),
                 );
                 log.push(out == SendOutcome::Dropped);
             }

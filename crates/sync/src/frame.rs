@@ -425,7 +425,7 @@ mod tests {
 
     fn sample_frames() -> Vec<WireFrame> {
         let mut r = Replica::new("alice");
-        let b = r.insert_doc(DocId(3), 0, "hello");
+        let b = r.insert(DocId(3), 0, "hello");
         vec![
             WireFrame::Hello {
                 proto: PROTOCOL_VERSION,
@@ -542,7 +542,7 @@ mod tests {
     #[test]
     fn frame_sync_matches_the_owned_encoding() {
         let mut r = Replica::new("alice");
-        let batch = vec![(DocId(3), r.insert_doc(DocId(3), 0, "hello"))];
+        let batch = vec![(DocId(3), r.insert(DocId(3), 0, "hello"))];
         assert_eq!(
             frame_sync(&Message::encode_bundles(&batch)),
             WireFrame::Sync(Message::Bundles(batch)).encode()

@@ -17,8 +17,9 @@
 //! keeps a batch still in flight from being extracted a second time.
 //! That assumption, and the deltas built on `told`, are only as good as
 //! the link: the owner must [`LinkView::clear`] the view whenever frames
-//! may have been lost (the daemon's `Mark` / `Reset` audit), after which
-//! the next digest is the delta against nothing, i.e. complete.
+//! may have been lost (the [`crate::SyncLink`] `Mark` / `Reset` audit),
+//! after which the next digest is the delta against nothing, i.e.
+//! complete.
 //!
 //! Merging by maximum is sound because an agent's events form a causal
 //! chain: holding `(agent, n)` implies holding every `(agent, m ≤ n)`.
@@ -27,7 +28,7 @@ use crate::replica::DocId;
 use eg_dag::RemoteId;
 use eg_rle::HasLength;
 use egwalker::EventBundle;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Per document, per agent: the last sequence number held.
 type Vectors = BTreeMap<DocId, BTreeMap<String, usize>>;
@@ -47,23 +48,22 @@ fn raise(vector: &mut BTreeMap<String, usize>, agent: &str, seq: usize) -> bool 
     }
 }
 
-/// The two monotone views of one link; see the module docs.
+/// The two monotone views of one link; see the module docs. The default
+/// view has said and heard nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LinkView {
     told: Vectors,
     heard: Vectors,
+    /// The documents in which `told` may exceed `heard`. Only
+    /// [`LinkView::tell`] can make that so, so [`LinkView::behind`] looks
+    /// at these alone.
+    owed: BTreeSet<DocId>,
 }
 
 impl LinkView {
-    /// A view that has said and heard nothing.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Forgets everything: the next [`LinkView::tell`] reports in full.
     pub fn clear(&mut self) {
-        self.told.clear();
-        self.heard.clear();
+        *self = Self::default();
     }
 
     /// The digest to send for `ours` (current version vectors of some
@@ -79,6 +79,7 @@ impl LinkView {
                 .cloned()
                 .collect();
             if !news.is_empty() {
+                self.owed.insert(*doc);
                 delta.push((*doc, news));
             }
         }
@@ -114,27 +115,28 @@ impl LinkView {
     /// not hold, each with the version vector the peer is known to have —
     /// the `have` side of a bundle extraction. Empty when the peer lacks
     /// nothing it knows of.
-    pub fn behind(&self) -> Vec<(DocId, Vec<RemoteId>)> {
+    pub fn behind(&mut self) -> Vec<(DocId, Vec<RemoteId>)> {
         let nothing = BTreeMap::new();
-        self.told
-            .iter()
-            .filter_map(|(doc, told)| {
-                let heard = self.heard.get(doc).unwrap_or(&nothing);
-                let lacks = told
+        let mut lacking = Vec::new();
+        self.owed.retain(|doc| {
+            let told = self.told.get(doc).unwrap_or(&nothing);
+            let heard = self.heard.get(doc).unwrap_or(&nothing);
+            let lacks = told
+                .iter()
+                .any(|(agent, seq)| heard.get(agent).map_or(true, |has| has < seq));
+            if lacks {
+                let have = heard
                     .iter()
-                    .any(|(agent, seq)| heard.get(agent).map_or(true, |has| has < seq));
-                lacks.then(|| {
-                    let have = heard
-                        .iter()
-                        .map(|(agent, &seq)| RemoteId {
-                            agent: agent.clone(),
-                            seq,
-                        })
-                        .collect();
-                    (*doc, have)
-                })
-            })
-            .collect()
+                    .map(|(agent, &seq)| RemoteId {
+                        agent: agent.clone(),
+                        seq,
+                    })
+                    .collect();
+                lacking.push((*doc, have));
+            }
+            lacks
+        });
+        lacking
     }
 }
 
@@ -152,7 +154,7 @@ mod tests {
 
     #[test]
     fn first_tell_is_complete_and_later_ones_are_deltas() {
-        let mut view = LinkView::new();
+        let mut view = LinkView::default();
         let ours = vec![
             (DocId(1), vec![id("a", 4), id("b", 0)]),
             (DocId(2), vec![id("a", 9)]),
@@ -179,7 +181,7 @@ mod tests {
 
     #[test]
     fn both_views_only_grow() {
-        let mut view = LinkView::new();
+        let mut view = LinkView::default();
         view.tell(&[(DocId(1), vec![id("a", 8)])]);
         view.hear(&[(DocId(1), vec![id("a", 8)])]);
         let settled = view.clone();
@@ -192,7 +194,7 @@ mod tests {
 
     #[test]
     fn behind_lists_what_the_peer_was_told_of_but_lacks() {
-        let mut view = LinkView::new();
+        let mut view = LinkView::default();
         assert!(view.behind().is_empty());
         view.tell(&[
             (DocId(1), vec![id("a", 4)]),
@@ -222,28 +224,28 @@ mod tests {
     #[test]
     fn crossed_runs_are_held_by_both_ends() {
         let mut alice = Replica::new("alice");
-        alice.insert_doc(DocId(5), 0, "hello");
-        let later = alice.insert_doc(DocId(5), 5, " world");
+        alice.insert(DocId(5), 0, "hello");
+        let later = alice.insert(DocId(5), 5, " world");
         assert_eq!(later.runs[0].seq_start, 5);
 
         // Sent: the peer is assumed to hold the runs, so the same events
         // are not extracted again while the batch is still in flight.
-        let mut sender = LinkView::new();
+        let mut sender = LinkView::default();
         sender.tell(&alice.digest_all());
         assert_eq!(sender.behind().len(), 1);
-        let batch = vec![(DocId(5), alice.bundle_since_doc(DocId(5), &[]))];
+        let batch = vec![(DocId(5), alice.bundle_since(DocId(5), &[]))];
         sender.crossed(&batch);
         assert!(sender.behind().is_empty(), "in flight counts as held");
 
         // Received: the sender holds what it sent, and knows we do, so
         // neither a digest nor a bundle goes back for it.
-        let mut receiver = LinkView::new();
+        let mut receiver = LinkView::default();
         receiver.crossed(&batch);
         assert!(receiver.tell(&alice.digest_all()).is_empty());
         assert!(receiver.behind().is_empty());
 
         // A run in the middle of an agent's history stands for all of it.
-        let mut partial = LinkView::new();
+        let mut partial = LinkView::default();
         partial.crossed(&[(DocId(5), later)]);
         assert!(partial
             .tell(&[(DocId(5), vec![id("alice", 10)])])
@@ -256,12 +258,12 @@ mod tests {
 
     #[test]
     fn clear_makes_the_next_tell_complete_again() {
-        let mut view = LinkView::new();
+        let mut view = LinkView::default();
         let ours = vec![(DocId(1), vec![id("a", 4)])];
         view.tell(&ours);
         view.hear(&ours);
         view.clear();
-        assert_eq!(view, LinkView::new());
+        assert_eq!(view, LinkView::default());
         assert_eq!(view.tell(&ours), ours);
         assert_eq!(view.behind(), vec![(DocId(1), Vec::new())]);
     }

@@ -5,8 +5,8 @@
 //!
 //! * [`Message::Digest`] — per-document version-vector entries, the
 //!   "what I hold" half of anti-entropy;
-//! * [`Message::Bundles`] — per-document event bundles, the coalesced
-//!   payload of an outbox flush or a digest repair.
+//! * [`Message::Bundles`] — per-document event bundles, what a link sends
+//!   when the peer's digest or mark shows it lacking them.
 
 use crate::replica::DocId;
 use eg_dag::RemoteId;
@@ -17,18 +17,18 @@ use eg_encoding::{
 };
 use egwalker::EventBundle;
 
-/// One sync-engine message, as carried (encoded) by a
-/// [`crate::Transport`].
+/// One sync message, as carried (encoded) in a [`WireFrame::Sync`].
+///
+/// [`WireFrame::Sync`]: crate::WireFrame::Sync
 #[derive(Debug, Clone, PartialEq)]
 pub enum Message {
     /// Per-document `(agent, last sequence number held)` entries. What
-    /// the entries cover is the sender's choice, not the codec's: the
-    /// simulator and [`crate::Replica::digest_all`] report every
-    /// document's whole version vector, while a daemon link sends that
-    /// once per session and afterwards only the entries that changed
-    /// since its last digest on that link ([`crate::LinkView::tell`]).
-    /// A receiver merges entries per agent by maximum, so both read the
-    /// same way; a document may be listed with no entries.
+    /// the entries cover is the sender's choice, not the codec's: a
+    /// [`crate::SyncLink`] sends every document's whole version vector
+    /// when it opens and afterwards only the entries that changed since
+    /// its last digest. A receiver merges entries per agent by maximum,
+    /// so both read the same way; a document may be listed with no
+    /// entries.
     Digest(Vec<(DocId, Vec<RemoteId>)>),
     /// Batched per-document event bundles.
     Bundles(Vec<(DocId, EventBundle)>),
@@ -72,11 +72,6 @@ impl Message {
             _ => Err(DecodeError::BadMagic),
         }
     }
-
-    /// Returns `true` for [`Message::Digest`].
-    pub fn is_digest(&self) -> bool {
-        matches!(self, Message::Digest(_))
-    }
 }
 
 #[cfg(test)]
@@ -87,23 +82,21 @@ mod tests {
     #[test]
     fn digest_message_roundtrips() {
         let mut r = Replica::new("alice");
-        r.insert_doc(DocId(1), 0, "a");
-        r.insert_doc(DocId(2), 0, "b");
+        r.insert(DocId(1), 0, "a");
+        r.insert(DocId(2), 0, "b");
         let msg = Message::Digest(r.digest_all());
         let decoded = Message::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
-        assert!(decoded.is_digest());
     }
 
     #[test]
     fn bundles_message_roundtrips() {
         let mut r = Replica::new("alice");
-        let b1 = r.insert_doc(DocId(1), 0, "alpha");
-        let b2 = r.insert_doc(DocId(9), 0, "beta");
+        let b1 = r.insert(DocId(1), 0, "alpha");
+        let b2 = r.insert(DocId(9), 0, "beta");
         let msg = Message::Bundles(vec![(DocId(1), b1), (DocId(9), b2)]);
         let decoded = Message::decode(&msg.encode()).unwrap();
         assert_eq!(decoded, msg);
-        assert!(!decoded.is_digest());
         let Message::Bundles(docs) = &msg else {
             unreachable!()
         };

@@ -1,87 +1,98 @@
-//! [`NetworkSim`]: the deterministic sync engine driving replicas over a
-//! pluggable [`Transport`] and [`Topology`].
+//! [`NetworkSim`]: many replicas in one process, one [`SyncLink`] at
+//! each end of every topology link, frames over a simulated
+//! [`Transport`].
 //!
-//! The engine owns the *policy-free* mechanics: applying local edits,
-//! flushing per-link [`Outbox`]es on a cadence, decoding deliveries,
-//! causal ingestion, relay marking, digest-based repair, and convergence
-//! detection. Everything shape-specific (who links to whom, who relays,
-//! who probes whom) lives behind the [`Topology`] trait, and everything
-//! medium-specific (delay, loss, ordering) behind [`Transport`] — so the
-//! simulated network is one configuration of the engine rather than its
-//! architecture.
+//! The simulator is the second driver of the protocol the daemon speaks
+//! (the first is the daemon's `PeerSession`). It owns what a daemon's
+//! reactor owns, in simulated time: it opens the links, carries every
+//! frame a link queues to the transport and every delivery to the link
+//! at the other end, sends a mark on every link every
+//! [`SimConfig::mark_every`] ticks (the daemon's `sync_interval`), and
+//! lets the [`Topology`]'s relay rule decide which links hear about
+//! events a node gained. A partition is a disconnect: the severed links
+//! are dropped with the frames in flight on them, and healing opens new
+//! ones, each with a complete digest, as a daemon does after a redial.
 //!
 //! Determinism: every run is a pure function of the seed, the
 //! configuration and the edit script, which makes convergence failures
 //! replayable.
 
-use crate::message::Message;
-use crate::outbox::Outbox;
-use crate::replica::{DocId, ReceiveOutcome, Replica};
+use std::collections::BTreeMap;
+
+use crate::frame::{is_bundle_body, FRAME_HEADER_LEN, TAG_RESET};
+use crate::link::SyncLink;
+use crate::replica::{DocId, Replica};
 use crate::topology::{Mesh, Star, Topology};
-use crate::transport::{InMemoryTransport, LinkConfig, NodeId, SendOutcome, Tick, Transport};
-use std::collections::{BTreeSet, HashMap};
+use crate::transport::{
+    Delivery, InMemoryTransport, LinkConfig, NodeId, SendOutcome, Tick, Transport,
+};
 
 /// Engine configuration (everything except the topology and the seed).
-///
-/// The default is a full-mesh-style eager configuration: default link
-/// model, `flush_every = 0`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Link behaviour of the in-memory transport.
     pub link: LinkConfig,
-    /// Outbox flush cadence in ticks. `0` flushes immediately after every
-    /// local edit and delivery — per-edit eager broadcast, the
-    /// pre-refactor behaviour and the bandwidth baseline. Values > 0
-    /// batch: a link's pending runs coalesce until the next multiple of
-    /// `flush_every`.
-    pub flush_every: u64,
+    /// Ticks between mark rounds, at least 1: every `mark_every` ticks
+    /// each end of every link sends its mark, which is what carries a
+    /// lone edit and what finds a lost frame.
+    pub mark_every: u64,
+}
+
+impl Default for SimConfig {
+    fn default() -> Self {
+        SimConfig {
+            link: LinkConfig::default(),
+            mark_every: 4,
+        }
+    }
 }
 
 /// Counters for the whole simulation.
 ///
-/// Byte counters measure **encoded wire size** — the length of the framed
-/// payload handed to the transport (`eg-encoding`'s bundle-batch and
-/// digest codecs) — counted at send time whether or not the message is
-/// subsequently lost, so topology comparisons report honest bandwidth.
+/// Byte counters measure **wire size**: the length of every frame handed
+/// to the transport, counted at send time whether or not it is lost, so
+/// topology comparisons report honest bandwidth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NetStats {
-    /// Messages handed to the transport.
+    /// Frames handed to the transport.
     pub sent: usize,
-    /// Messages delivered to a replica.
+    /// Frames delivered to a link end.
     pub delivered: usize,
-    /// Messages lost (lossy link or partition cut).
+    /// Frames lost (lossy link, fault schedule or partition cut).
     pub dropped: usize,
-    /// Deliveries discarded because the payload failed to decode (a
-    /// fault-injecting transport corrupted it in flight). Anti-entropy
-    /// repairs the gap like any other loss.
+    /// Deliveries that failed to decode (a fault-injecting transport
+    /// corrupted them in flight): skipped, and the next mark resets the
+    /// link.
     pub corrupt_dropped: usize,
-    /// Anti-entropy digest probes received and answered.
-    pub syncs: usize,
-    /// Total bytes put on the wire (digests + bundles).
+    /// `Reset` frames sent: each is one end clearing its view and
+    /// reopening with a complete digest.
+    pub resets: usize,
+    /// Total bytes put on the wire.
     pub bytes: usize,
-    /// Bytes spent on digest probes.
+    /// Bytes of everything but bundles: digests, marks and resets.
     pub digest_bytes: usize,
-    /// Bytes spent on event-bundle payloads.
+    /// Bytes of event-bundle frames.
     pub bundle_bytes: usize,
 }
 
 /// A deterministic multi-document sync engine over simulated nodes.
 ///
-/// Time advances in integer ticks via [`NetworkSim::tick`]. Local edits
-/// mark per-link outboxes dirty; outboxes flush coalesced bundle batches
-/// on the configured cadence; [`NetworkSim::run_until_quiescent`] drains
-/// the network and runs digest rounds until every reachable component
-/// converges.
+/// Time advances in integer ticks via [`NetworkSim::tick`].
+/// [`NetworkSim::run_until_quiescent`] ticks until every reachable
+/// component converges.
 #[derive(Debug)]
 pub struct NetworkSim {
     replicas: Vec<Replica>,
     topology: Box<dyn Topology>,
     transport: Box<dyn Transport>,
-    /// Outboxes of each node, one per topology link.
-    outboxes: Vec<Vec<Outbox>>,
+    /// Per node, its end of every link that is up, by peer.
+    links: Vec<BTreeMap<NodeId, SyncLink>>,
     cfg: SimConfig,
     now: Tick,
     stats: NetStats,
+    /// A replica or the link graph changed since convergence was last
+    /// checked.
+    changed: bool,
 }
 
 /// Configures and builds a [`NetworkSim`]; see [`NetworkSim::builder`].
@@ -108,9 +119,9 @@ impl SimBuilder {
         self
     }
 
-    /// Sets the outbox flush cadence (see [`SimConfig::flush_every`]).
-    pub fn flush_every(mut self, ticks: u64) -> Self {
-        self.cfg.flush_every = ticks;
+    /// Sets the mark cadence (see [`SimConfig::mark_every`]).
+    pub fn mark_every(mut self, ticks: u64) -> Self {
+        self.cfg.mark_every = ticks;
         self
     }
 
@@ -121,13 +132,8 @@ impl SimBuilder {
     }
 
     /// Uses a star topology with node 0 as the hub.
-    pub fn star(self) -> Self {
-        self.star_hub(0)
-    }
-
-    /// Uses a star topology with an explicit hub.
-    pub fn star_hub(mut self, hub: NodeId) -> Self {
-        self.topology = Some(Box::new(Star::new(self.names.len(), hub)));
+    pub fn star(mut self) -> Self {
+        self.topology = Some(Box::new(Star::new(self.names.len(), 0)));
         self
     }
 
@@ -142,31 +148,31 @@ impl SimBuilder {
         self
     }
 
-    /// Builds the engine.
+    /// Builds the engine and opens every link.
     pub fn build(self) -> NetworkSim {
+        assert!(self.cfg.mark_every > 0, "mark_every must be at least 1");
         let n = self.names.len();
         let topology = self.topology.unwrap_or_else(|| Box::new(Mesh::new(n)));
-        let outboxes = (0..n)
-            .map(|i| topology.links(i).into_iter().map(Outbox::new).collect())
-            .collect();
         let transport = self
             .transport
             .unwrap_or_else(|| Box::new(InMemoryTransport::new(self.cfg.link, self.seed)));
-        NetworkSim {
+        let mut sim = NetworkSim {
             replicas: self.names.iter().map(|s| Replica::new(s)).collect(),
             topology,
             transport,
-            outboxes,
+            links: (0..n).map(|_| BTreeMap::new()).collect(),
             cfg: self.cfg,
             now: 0,
             stats: NetStats::default(),
-        }
+            changed: true,
+        };
+        sim.connect();
+        sim
     }
 }
 
 impl NetworkSim {
-    /// Creates a fully connected eager-broadcast network of empty
-    /// replicas (the classic configuration).
+    /// Creates a fully connected network of empty replicas.
     pub fn new(names: &[&str], seed: u64) -> Self {
         Self::builder(names, seed).build()
     }
@@ -176,7 +182,7 @@ impl NetworkSim {
         Self::builder(names, seed).link(link).build()
     }
 
-    /// Starts configuring an engine: topology, link model, flush cadence.
+    /// Starts configuring an engine: topology, link model, mark cadence.
     pub fn builder(names: &[&str], seed: u64) -> SimBuilder {
         SimBuilder {
             names: names.iter().map(|s| s.to_string()).collect(),
@@ -185,16 +191,6 @@ impl NetworkSim {
             topology: None,
             transport: None,
         }
-    }
-
-    /// The number of replicas.
-    pub fn len(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// Returns `true` if the network has no replicas.
-    pub fn is_empty(&self) -> bool {
-        self.replicas.is_empty()
     }
 
     /// Read access to a replica.
@@ -212,106 +208,77 @@ impl NetworkSim {
         self.stats
     }
 
-    /// Inserts text in the default document at replica `i`.
-    pub fn edit_insert(&mut self, i: NodeId, pos: usize, text: &str) {
-        self.edit_insert_doc(i, DocId::DEFAULT, pos, text);
+    /// Inserts text in document `doc` at replica `i` and announces it.
+    pub fn edit_insert(&mut self, i: NodeId, doc: DocId, pos: usize, text: &str) {
+        self.replicas[i].insert(doc, pos, text);
+        self.relay(i, &[doc], None);
     }
 
-    /// Deletes characters from the default document at replica `i`.
-    pub fn edit_delete(&mut self, i: NodeId, pos: usize, len: usize) {
-        self.edit_delete_doc(i, DocId::DEFAULT, pos, len);
-    }
-
-    /// Inserts text in document `doc` at replica `i`, queueing the new
-    /// events for replication.
-    pub fn edit_insert_doc(&mut self, i: NodeId, doc: DocId, pos: usize, text: &str) {
-        self.replicas[i].insert_doc(doc, pos, text);
-        self.mark_relays(i, doc, None);
-        if self.cfg.flush_every == 0 {
-            self.flush_node(i);
-        }
-    }
-
-    /// Deletes `len` characters from document `doc` at replica `i`,
-    /// queueing the new events for replication.
-    pub fn edit_delete_doc(&mut self, i: NodeId, doc: DocId, pos: usize, len: usize) {
-        self.replicas[i].delete_doc(doc, pos, len);
-        self.mark_relays(i, doc, None);
-        if self.cfg.flush_every == 0 {
-            self.flush_node(i);
-        }
+    /// Deletes `len` characters from document `doc` at replica `i` and
+    /// announces it.
+    pub fn edit_delete(&mut self, i: NodeId, doc: DocId, pos: usize, len: usize) {
+        self.replicas[i].delete(doc, pos, len);
+        self.relay(i, &[doc], None);
     }
 
     /// Splits the network into partition groups (see
-    /// [`Topology::set_partition`]); in-flight messages crossing a new
-    /// boundary are lost, as a partition severs links mid-delivery.
-    /// Anti-entropy repairs this after healing.
+    /// [`Topology::set_partition`]). Every link crossing a boundary is
+    /// disconnected: both ends are dropped, with the frames in flight on
+    /// it.
     pub fn partition(&mut self, groups: &[&[NodeId]]) {
         self.topology.set_partition(groups);
         let Self {
             topology,
             transport,
+            links,
             stats,
             ..
         } = self;
         stats.dropped += transport.cut(&mut |src, dst| !topology.linked(src, dst));
+        for (node, ends) in links.iter_mut().enumerate() {
+            ends.retain(|&peer, _| topology.linked(node, peer));
+        }
+        self.changed = true;
     }
 
-    /// Heals all partitions. Pending outboxes and anti-entropy (in
-    /// [`NetworkSim::run_until_quiescent`]) then reconcile the groups.
+    /// Heals all partitions: every severed link reconnects, and each end
+    /// opens with a complete digest.
     pub fn heal(&mut self) {
         self.topology.heal();
+        self.connect();
     }
 
-    /// Advances time by one tick: flushes outboxes that are due, then
-    /// delivers every message whose delay has elapsed.
+    /// Advances time by one tick: sends the mark round when one is due,
+    /// then delivers every frame whose delay has elapsed.
     pub fn tick(&mut self) {
         self.now += 1;
-        if self.cfg.flush_every > 0 && self.now % self.cfg.flush_every == 0 {
-            self.flush_all();
-        }
-        for d in self.transport.poll(self.now) {
-            // A fault-injecting transport may corrupt payloads in
-            // flight; a mangled frame is dropped (counted) and repaired
-            // by a later digest round, never a panic.
-            match Message::decode(&d.payload) {
-                Ok(msg) => {
-                    self.stats.delivered += 1;
-                    self.deliver(d.src, d.dst, msg);
+        if self.now % self.cfg.mark_every == 0 {
+            for src in 0..self.links.len() {
+                let peers: Vec<NodeId> = self.links[src].keys().copied().collect();
+                for dst in peers {
+                    if let Some(link) = self.links[src].get_mut(&dst) {
+                        link.mark();
+                    }
+                    self.send(src, dst);
                 }
-                Err(_) => self.stats.corrupt_dropped += 1,
             }
         }
-        if self.cfg.flush_every == 0 {
-            // Eager mode: relays (e.g. a star hub forwarding what it just
-            // received) go out on the same tick.
-            self.flush_all();
+        for delivery in self.transport.poll(self.now) {
+            self.deliver(delivery);
         }
     }
 
-    /// Drains the network: ticks until nothing is in flight and no outbox
-    /// is pending, then runs digest-exchange rounds until every reachable
-    /// component converges.
-    ///
-    /// Returns `true` on convergence, `false` if `max_ticks` elapsed
-    /// first (which indicates a bug — convergence is guaranteed once
-    /// delivery is repaired).
+    /// Ticks until every reachable component has converged, checking at
+    /// mark rounds after something changed. Returns `false` if
+    /// `max_ticks` elapsed first (which indicates a bug: the marks repair
+    /// every loss once the faults stop).
     pub fn run_until_quiescent(&mut self, max_ticks: u64) -> bool {
         let deadline = self.now + max_ticks;
-        let mut round = 0usize;
         loop {
-            if self.transport.in_flight() == 0 {
-                self.flush_all();
-                if self.transport.in_flight() == 0 {
-                    // Nothing left to say spontaneously: check, then probe.
-                    if self.all_converged() {
-                        return true;
-                    }
-                    if self.now >= deadline {
-                        return false;
-                    }
-                    self.digest_round(round);
-                    round += 1;
+            if self.changed && self.now % self.cfg.mark_every == 0 {
+                self.changed = false;
+                if self.all_converged() {
+                    return true;
                 }
             }
             if self.now >= deadline {
@@ -325,17 +292,12 @@ impl NetworkSim {
     /// each other (directly or through relays) has the same events and
     /// text in every document.
     pub fn all_converged(&self) -> bool {
-        let n = self.replicas.len();
         let comp = self.components();
-        let snaps: Vec<_> = self.replicas.iter().map(|r| r.snapshot()).collect();
-        for i in 0..n {
-            for j in (i + 1)..n {
-                if comp[i] == comp[j] && snaps[i] != snaps[j] {
-                    return false;
-                }
-            }
-        }
-        true
+        let snaps: Vec<_> = self.replicas.iter().map(Replica::snapshot).collect();
+        (0..snaps.len()).all(|i| {
+            let first = comp.iter().position(|&c| c == comp[i]).unwrap_or(i);
+            snaps[first] == snaps[i]
+        })
     }
 
     /// Connected components of the current link graph (partition- and
@@ -363,149 +325,72 @@ impl NetworkSim {
         comp
     }
 
-    /// Marks the outboxes `node` should propagate `doc` through, per the
-    /// topology's relay rule.
-    fn mark_relays(&mut self, node: NodeId, doc: DocId, from: Option<NodeId>) {
-        for peer in self.topology.relay_targets(node, from) {
-            if let Some(ob) = self.outboxes[node].iter_mut().find(|o| o.peer() == peer) {
-                ob.mark_dirty(doc);
-            }
-        }
-    }
-
-    /// Flushes every dirty outbox whose link is currently up.
-    fn flush_all(&mut self) {
+    /// Opens every topology link that is up and not yet open.
+    fn connect(&mut self) {
         for node in 0..self.replicas.len() {
-            self.flush_node(node);
-        }
-    }
-
-    /// Flushes `node`'s dirty outboxes (skipping severed links), sending
-    /// one coalesced bundle-batch message per link. Fan-out is cheap:
-    /// outboxes sharing a believed frontier share one graph walk (the
-    /// delta memo), and identical consecutive batches share one encode.
-    fn flush_node(&mut self, node: NodeId) {
-        let mut to_send: Vec<(NodeId, Message)> = Vec::new();
-        {
-            let Self {
-                replicas,
-                outboxes,
-                topology,
-                ..
-            } = self;
-            let replica = &replicas[node];
-            let mut deltas = HashMap::new();
-            for ob in outboxes[node].iter_mut() {
-                if ob.is_clean() || !topology.linked(node, ob.peer()) {
-                    continue;
-                }
-                if let Some(docs) = ob.flush_cached(replica, &mut deltas) {
-                    to_send.push((ob.peer(), Message::Bundles(docs)));
+            for peer in self.topology.links(node) {
+                if self.topology.linked(node, peer) && !self.links[node].contains_key(&peer) {
+                    self.links[node].insert(peer, SyncLink::open(&self.replicas[node]));
+                    self.send(node, peer);
                 }
             }
         }
-        let mut encoded: Option<(usize, Vec<u8>)> = None;
-        for i in 0..to_send.len() {
-            let (peer, msg) = &to_send[i];
-            let payload = match &encoded {
-                Some((j, bytes)) if to_send[*j].1 == *msg => bytes.clone(),
-                _ => {
-                    let bytes = msg.encode();
-                    encoded = Some((i, bytes.clone()));
-                    bytes
-                }
-            };
-            self.send_payload(node, *peer, payload, false);
-        }
+        self.changed = true;
     }
 
-    /// One anti-entropy round: the topology's scheduled digest probes.
-    fn digest_round(&mut self, round: usize) {
-        for (i, j) in self.topology.digest_pairs(round) {
-            if !self.topology.linked(i, j) {
-                continue;
+    /// Announces `docs`, which `node` just gained, on the links the
+    /// topology's relay rule picks: `from` is the peer they came from,
+    /// `None` for a local edit.
+    fn relay(&mut self, node: NodeId, docs: &[DocId], from: Option<NodeId>) {
+        for peer in self.topology.relay_targets(node, from) {
+            if let Some(link) = self.links[node].get_mut(&peer) {
+                link.local_change(&self.replicas[node], Some(docs));
+                self.send(node, peer);
             }
-            let digest = Message::Digest(self.replicas[i].digest_all());
-            self.send_message(i, j, &digest);
+        }
+        self.changed = true;
+    }
+
+    /// Hands the frames `src`'s link to `dst` has queued to the
+    /// transport, counting them.
+    fn send(&mut self, src: NodeId, dst: NodeId) {
+        let Some(link) = self.links[src].get_mut(&dst) else {
+            return;
+        };
+        while let Some(frame) = link.poll_outgoing() {
+            let body = frame.get(FRAME_HEADER_LEN..).unwrap_or_default();
+            let stats = &mut self.stats;
+            stats.sent += 1;
+            stats.bytes += frame.len();
+            if is_bundle_body(body) {
+                stats.bundle_bytes += frame.len();
+            } else {
+                stats.digest_bytes += frame.len();
+            }
+            if body.first() == Some(&TAG_RESET) {
+                stats.resets += 1;
+            }
+            if self.transport.send(self.now, src, dst, frame) == SendOutcome::Dropped {
+                stats.dropped += 1;
+            }
         }
     }
 
-    /// Encodes and submits one message, updating the wire-size counters.
-    fn send_message(&mut self, src: NodeId, dst: NodeId, msg: &Message) {
-        let payload = msg.encode();
-        self.send_payload(src, dst, payload, msg.is_digest());
-    }
-
-    /// Submits an already-encoded message, updating the wire-size
-    /// counters.
-    fn send_payload(&mut self, src: NodeId, dst: NodeId, payload: Vec<u8>, is_digest: bool) {
-        self.stats.sent += 1;
-        self.stats.bytes += payload.len();
-        if is_digest {
-            self.stats.digest_bytes += payload.len();
-        } else {
-            self.stats.bundle_bytes += payload.len();
-        }
-        if self.transport.send(self.now, src, dst, payload) == SendOutcome::Dropped {
-            self.stats.dropped += 1;
-        }
-    }
-
-    /// Processes one delivered message at `dst`.
-    fn deliver(&mut self, src: NodeId, dst: NodeId, msg: Message) {
-        match msg {
-            Message::Bundles(docs) => {
-                for (doc, bundle) in &docs {
-                    let outcome = self.replicas[dst].receive_doc(*doc, bundle);
-                    if matches!(outcome, ReceiveOutcome::Applied(_)) {
-                        self.mark_relays(dst, *doc, Some(src));
-                    }
+    /// Hands one delivered frame to the link end it was sent to.
+    fn deliver(&mut self, d: Delivery) {
+        let Some(link) = self.links[d.dst].get_mut(&d.src) else {
+            return;
+        };
+        let body = d.payload.get(FRAME_HEADER_LEN..).unwrap_or_default();
+        match link.on_frame(&mut self.replicas[d.dst], body) {
+            Ok(docs) => {
+                self.stats.delivered += 1;
+                self.send(d.dst, d.src);
+                if !docs.is_empty() {
+                    self.relay(d.dst, &docs, Some(d.src));
                 }
             }
-            Message::Digest(docs) => {
-                self.stats.syncs += 1;
-                // Does the probe mention events we have never seen? Then
-                // the sender is ahead of us too: answer with our own
-                // digest so it pushes the difference back.
-                let behind = {
-                    let replica = &self.replicas[dst];
-                    docs.iter()
-                        .any(|(doc, ver)| ver.iter().any(|id| !replica.knows_remote(*doc, id)))
-                };
-                // Reset the reverse outbox to the digest's ground truth and
-                // flush it immediately: the reply is exactly the peer's gap,
-                // including documents its digest does not mention at all.
-                let mentioned: BTreeSet<DocId> = docs.iter().map(|(d, _)| *d).collect();
-                let reply = {
-                    let Self {
-                        replicas, outboxes, ..
-                    } = self;
-                    let replica = &replicas[dst];
-                    outboxes[dst]
-                        .iter_mut()
-                        .find(|o| o.peer() == src)
-                        .and_then(|ob| {
-                            for (doc, ver) in &docs {
-                                ob.observe_digest(replica, *doc, ver);
-                                ob.mark_dirty(*doc);
-                            }
-                            for doc in replica.doc_ids() {
-                                if !mentioned.contains(&doc) {
-                                    ob.observe_digest(replica, doc, &[]);
-                                    ob.mark_dirty(doc);
-                                }
-                            }
-                            ob.flush(replica)
-                        })
-                };
-                if let Some(docs_out) = reply {
-                    self.send_message(dst, src, &Message::Bundles(docs_out));
-                }
-                if behind {
-                    let mine = Message::Digest(self.replicas[dst].digest_all());
-                    self.send_message(dst, src, &mine);
-                }
-            }
+            Err(_) => self.stats.corrupt_dropped += 1,
         }
     }
 }
@@ -517,14 +402,14 @@ mod tests {
     #[test]
     fn lossless_broadcast_converges() {
         let mut net = NetworkSim::new(&["a", "b", "c"], 7);
-        net.edit_insert(0, 0, "alpha ");
-        net.edit_insert(1, 0, "bravo ");
-        net.edit_insert(2, 0, "charlie ");
+        net.edit_insert(0, DocId::DEFAULT, 0, "alpha ");
+        net.edit_insert(1, DocId::DEFAULT, 0, "bravo ");
+        net.edit_insert(2, DocId::DEFAULT, 0, "charlie ");
         assert!(net.run_until_quiescent(1000));
-        let text = net.replica(0).text();
+        let text = net.replica(0).text(DocId::DEFAULT);
         assert_eq!(text.len(), "alpha bravo charlie ".len());
         for i in 1..3 {
-            assert_eq!(net.replica(i).text(), text);
+            assert_eq!(net.replica(i).text(DocId::DEFAULT), text);
         }
     }
 
@@ -538,8 +423,8 @@ mod tests {
         let mut net = NetworkSim::with_link(&["a", "b", "c", "d"], 99, link);
         for round in 0..20 {
             let who = round % 4;
-            let len = net.replica(who).len_chars();
-            net.edit_insert(who, len / 2, "xy");
+            let len = net.replica(who).len_chars(DocId::DEFAULT);
+            net.edit_insert(who, DocId::DEFAULT, len / 2, "xy");
         }
         assert!(net.run_until_quiescent(10_000));
         assert!(net.stats().dropped > 0, "seed should exercise loss");
@@ -549,24 +434,33 @@ mod tests {
     #[test]
     fn partition_then_heal() {
         let mut net = NetworkSim::new(&["a", "b", "c", "d"], 3);
-        net.edit_insert(0, 0, "base ");
+        net.edit_insert(0, DocId::DEFAULT, 0, "base ");
         assert!(net.run_until_quiescent(1000));
 
         net.partition(&[&[0, 1], &[2, 3]]);
-        net.edit_insert(0, 0, "left ");
-        net.edit_insert(2, 0, "right ");
+        net.edit_insert(0, DocId::DEFAULT, 0, "left ");
+        net.edit_insert(2, DocId::DEFAULT, 0, "right ");
         assert!(net.run_until_quiescent(1000));
         // Sides diverged.
-        assert_ne!(net.replica(0).text(), net.replica(2).text());
-        assert_eq!(net.replica(0).text(), net.replica(1).text());
-        assert_eq!(net.replica(2).text(), net.replica(3).text());
+        assert_ne!(
+            net.replica(0).text(DocId::DEFAULT),
+            net.replica(2).text(DocId::DEFAULT)
+        );
+        assert_eq!(
+            net.replica(0).text(DocId::DEFAULT),
+            net.replica(1).text(DocId::DEFAULT)
+        );
+        assert_eq!(
+            net.replica(2).text(DocId::DEFAULT),
+            net.replica(3).text(DocId::DEFAULT)
+        );
 
         net.heal();
         assert!(net.run_until_quiescent(1000));
-        let text = net.replica(0).text();
+        let text = net.replica(0).text(DocId::DEFAULT);
         assert!(text.contains("left ") && text.contains("right "));
         for i in 1..4 {
-            assert_eq!(net.replica(i).text(), text);
+            assert_eq!(net.replica(i).text(DocId::DEFAULT), text);
         }
     }
 
@@ -580,49 +474,15 @@ mod tests {
             };
             let mut net = NetworkSim::with_link(&["a", "b", "c"], seed, link);
             for i in 0..15 {
-                net.edit_insert(i % 3, 0, "ab");
+                net.edit_insert(i % 3, DocId::DEFAULT, 0, "ab");
                 if i % 4 == 3 {
                     net.tick();
                 }
             }
             assert!(net.run_until_quiescent(10_000));
-            net.replica(0).text()
+            net.replica(0).text(DocId::DEFAULT)
         };
         assert_eq!(run(5), run(5));
-    }
-
-    #[test]
-    fn batched_outboxes_send_fewer_messages_than_eager() {
-        let script = |net: &mut NetworkSim| {
-            for i in 0..12 {
-                let len = net.replica(0).len_chars();
-                net.edit_insert(0, len, "word ");
-                net.edit_insert(1, 0, "x");
-                if i % 3 == 0 {
-                    net.tick();
-                }
-            }
-            assert!(net.run_until_quiescent(10_000));
-        };
-        let mut eager = NetworkSim::new(&["a", "b", "c"], 11);
-        script(&mut eager);
-        let mut batched = NetworkSim::builder(&["a", "b", "c"], 11)
-            .flush_every(4)
-            .build();
-        script(&mut batched);
-        assert_eq!(eager.replica(0).text(), batched.replica(0).text());
-        assert!(
-            batched.stats().sent < eager.stats().sent,
-            "batched {} vs eager {}",
-            batched.stats().sent,
-            eager.stats().sent
-        );
-        assert!(
-            batched.stats().bytes < eager.stats().bytes,
-            "batched {} vs eager {} bytes",
-            batched.stats().bytes,
-            eager.stats().bytes
-        );
     }
 
     #[test]
@@ -634,26 +494,26 @@ mod tests {
         };
         let mut net = NetworkSim::with_link(&["a", "b", "c"], 1234, link);
         for i in 0..20 {
-            net.edit_insert(i % 3, 0, "abc");
+            net.edit_insert(i % 3, DocId::DEFAULT, 0, "abc");
         }
         assert!(net.run_until_quiescent(10_000));
         let s = net.stats();
         assert_eq!(s.bytes, s.digest_bytes + s.bundle_bytes);
         assert!(s.bundle_bytes > 0);
-        // The lossy run must have needed digest repair.
-        assert!(s.syncs > 0);
+        // The lossy run must have needed a reset.
+        assert!(s.resets > 0);
         assert!(s.digest_bytes > 0);
     }
 
     #[test]
     fn multi_doc_edits_replicate_per_shard() {
         let mut net = NetworkSim::new(&["a", "b"], 5);
-        net.edit_insert_doc(0, DocId(1), 0, "one");
-        net.edit_insert_doc(1, DocId(2), 0, "two");
+        net.edit_insert(0, DocId(1), 0, "one");
+        net.edit_insert(1, DocId(2), 0, "two");
         assert!(net.run_until_quiescent(1000));
         for i in 0..2 {
-            assert_eq!(net.replica(i).text_doc(DocId(1)), "one");
-            assert_eq!(net.replica(i).text_doc(DocId(2)), "two");
+            assert_eq!(net.replica(i).text(DocId(1)), "one");
+            assert_eq!(net.replica(i).text(DocId(2)), "two");
         }
     }
 }

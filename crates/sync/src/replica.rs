@@ -11,7 +11,9 @@
 
 use eg_dag::RemoteId;
 use eg_rle::HasLength;
-use egwalker::{Branch, BundleError, EventBundle, Frontier, OpLog, Tracker};
+use egwalker::{Branch, BundleError, EventBundle, OpLog, Tracker};
+
+use crate::link::SyncHost;
 use std::collections::BTreeMap;
 
 /// Identifies one document in a replica's shard space.
@@ -23,7 +25,7 @@ use std::collections::BTreeMap;
 pub struct DocId(pub u64);
 
 impl DocId {
-    /// The document the single-document convenience APIs operate on.
+    /// The document of a single-document deployment.
     pub const DEFAULT: DocId = DocId(0);
 }
 
@@ -47,7 +49,7 @@ pub struct ReplicaStats {
     pub remote_events: usize,
 }
 
-/// What [`Replica::receive_doc`] did with a bundle.
+/// What [`Replica::receive`] did with a bundle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReceiveOutcome {
     /// The bundle (and possibly previously buffered ones) applied; this many
@@ -95,18 +97,6 @@ impl DocState {
     }
 }
 
-impl Clone for DocState {
-    fn clone(&self) -> Self {
-        // The tracker is transient scratch state; a clone starts fresh.
-        DocState {
-            oplog: self.oplog.clone(),
-            branch: self.branch.clone(),
-            pending: self.pending.clone(),
-            tracker: Tracker::new(),
-        }
-    }
-}
-
 /// One collaborating node (paper §2.1), hosting a shard space of
 /// documents. Each document keeps the full editing history, the
 /// materialised text, and a buffer of causally premature bundles.
@@ -114,7 +104,7 @@ impl Clone for DocState {
 /// Local edits apply to the branch immediately ("without waiting for a
 /// network round-trip"); remote bundles are merged through the walker,
 /// which transforms their indexes against any concurrent local edits.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Replica {
     name: String,
     docs: BTreeMap<DocId, DocState>,
@@ -156,56 +146,15 @@ impl Replica {
         self.docs.get(&doc)
     }
 
-    // --- default-document conveniences ----------------------------------
-
-    /// The current text of the default document.
-    pub fn text(&self) -> String {
-        self.text_doc(DocId::DEFAULT)
-    }
-
-    /// The number of characters in the default document.
-    pub fn len_chars(&self) -> usize {
-        self.len_chars_doc(DocId::DEFAULT)
-    }
-
-    /// The default document's digest; see [`Replica::digest_doc`].
-    pub fn digest(&self) -> Vec<RemoteId> {
-        self.digest_doc(DocId::DEFAULT)
-    }
-
-    /// Everything the default document knows that a peer with `digest` is
-    /// missing.
-    pub fn bundle_since(&self, digest: &[RemoteId]) -> EventBundle {
-        self.bundle_since_doc(DocId::DEFAULT, digest)
-    }
-
-    /// Inserts into the default document; see [`Replica::insert_doc`].
-    pub fn insert(&mut self, pos: usize, text: &str) -> EventBundle {
-        self.insert_doc(DocId::DEFAULT, pos, text)
-    }
-
-    /// Deletes from the default document; see [`Replica::delete_doc`].
-    pub fn delete(&mut self, pos: usize, len: usize) -> EventBundle {
-        self.delete_doc(DocId::DEFAULT, pos, len)
-    }
-
-    /// Ingests a bundle for the default document; see
-    /// [`Replica::receive_doc`].
-    pub fn receive(&mut self, bundle: &EventBundle) -> ReceiveOutcome {
-        self.receive_doc(DocId::DEFAULT, bundle)
-    }
-
-    // --- per-document API ------------------------------------------------
-
     /// The current text of `doc` (empty if the replica has never seen it).
-    pub fn text_doc(&self, doc: DocId) -> String {
+    pub fn text(&self, doc: DocId) -> String {
         self.doc(doc)
             .map(|d| d.branch.content.to_string())
             .unwrap_or_default()
     }
 
     /// The number of characters in `doc`.
-    pub fn len_chars_doc(&self, doc: DocId) -> usize {
+    pub fn len_chars(&self, doc: DocId) -> usize {
         self.doc(doc).map_or(0, |d| d.branch.len_chars())
     }
 
@@ -214,9 +163,8 @@ impl Replica {
     /// meaningful to a peer whose history has diverged — frontier tips the
     /// peer has never seen say nothing about their ancestry, which made
     /// post-partition resume degenerate to near-full re-sends. Empty if
-    /// the document is unknown. Same wire shape as a frontier digest, so
-    /// the EGWD codec and older peers are unaffected.
-    pub fn digest_doc(&self, doc: DocId) -> Vec<RemoteId> {
+    /// the document is unknown.
+    pub fn digest(&self, doc: DocId) -> Vec<RemoteId> {
         self.doc(doc)
             .map(|d| d.oplog.version_vector())
             .unwrap_or_default()
@@ -234,49 +182,10 @@ impl Replica {
 
     /// Everything this replica knows about `doc` that a peer with `digest`
     /// is missing.
-    pub fn bundle_since_doc(&self, doc: DocId, digest: &[RemoteId]) -> EventBundle {
+    pub fn bundle_since(&self, doc: DocId, digest: &[RemoteId]) -> EventBundle {
         self.doc(doc)
             .map(|d| d.oplog.bundle_since(digest))
             .unwrap_or_default()
-    }
-
-    /// [`Replica::bundle_since_doc`] against a *local* frontier, for
-    /// send-side delta tracking (outboxes). The frontier must have been
-    /// produced by this replica's own oplog for `doc`.
-    pub fn bundle_since_frontier(&self, doc: DocId, have: &Frontier) -> EventBundle {
-        self.doc(doc)
-            .map(|d| d.oplog.bundle_since_local(have))
-            .unwrap_or_default()
-    }
-
-    /// The local frontier of `doc` (root if unknown).
-    pub fn frontier_doc(&self, doc: DocId) -> Frontier {
-        self.doc(doc)
-            .map(|d| d.oplog.version().clone())
-            .unwrap_or_else(Frontier::root)
-    }
-
-    /// Reduces a peer-reported remote frontier to this replica's local
-    /// frontier form. Ids ahead of our knowledge are clamped to the local
-    /// per-agent maximum (sound: an agent's events form a causal chain);
-    /// agents we have never seen carry no information and are dropped.
-    pub fn map_remote_frontier(&self, doc: DocId, version: &[RemoteId]) -> Frontier {
-        match self.doc(doc) {
-            Some(d) => {
-                let known: Vec<_> = version
-                    .iter()
-                    .filter_map(|id| d.oplog.clamp_remote_to_lv(id))
-                    .collect();
-                d.oplog.graph.find_dominators(&known)
-            }
-            None => Frontier::root(),
-        }
-    }
-
-    /// Returns `true` if this replica has the event `id` in `doc`.
-    pub fn knows_remote(&self, doc: DocId, id: &RemoteId) -> bool {
-        self.doc(doc)
-            .is_some_and(|d| d.oplog.remote_to_lv(id).is_some())
     }
 
     /// Inserts `text` at `pos` in `doc`, returning the bundle to replicate.
@@ -285,7 +194,7 @@ impl Replica {
     ///
     /// Panics if `pos` is beyond the end of the document or `text` is
     /// empty.
-    pub fn insert_doc(&mut self, doc: DocId, pos: usize, text: &str) -> EventBundle {
+    pub fn insert(&mut self, doc: DocId, pos: usize, text: &str) -> EventBundle {
         let Self { name, docs, .. } = self;
         let d = docs.entry(doc).or_insert_with(|| DocState::new(name));
         assert!(pos <= d.branch.len_chars(), "insert out of bounds");
@@ -302,7 +211,7 @@ impl Replica {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or empty.
-    pub fn delete_doc(&mut self, doc: DocId, pos: usize, len: usize) -> EventBundle {
+    pub fn delete(&mut self, doc: DocId, pos: usize, len: usize) -> EventBundle {
         let Self { name, docs, .. } = self;
         let d = docs.entry(doc).or_insert_with(|| DocState::new(name));
         assert!(pos + len <= d.branch.len_chars(), "delete out of bounds");
@@ -316,7 +225,7 @@ impl Replica {
     /// Inserts `text` at `pos` in `doc` **authored by `agent`**, without
     /// extracting a per-edit bundle — the server-host hot path.
     ///
-    /// [`Replica::insert_doc`] authors every edit as the replica itself
+    /// [`Replica::insert`] authors every edit as the replica itself
     /// and pays for a replication bundle per keystroke; a multi-session
     /// host authors edits as the originating session and replicates later
     /// via batched anti-entropy, so this path does neither. It also skips
@@ -356,13 +265,16 @@ impl Replica {
     ///
     /// Premature bundles are stashed; each successful application retries
     /// the stash to a fixpoint, so delivery order does not matter as long
-    /// as everything arrives eventually.
-    pub fn receive_doc(&mut self, doc: DocId, bundle: &EventBundle) -> ReceiveOutcome {
-        let Self {
-            name, docs, stats, ..
-        } = self;
-        let d = docs.entry(doc).or_insert_with(|| DocState::new(name));
-        match d.oplog.apply_bundle(bundle) {
+    /// as everything arrives eventually. A bundle that neither applies nor
+    /// is stashed leaves no trace: an unknown `doc` stays unknown.
+    pub fn receive(&mut self, doc: DocId, bundle: &EventBundle) -> ReceiveOutcome {
+        let Self { name, docs, stats } = self;
+        let mut fresh = None;
+        let d = match docs.get_mut(&doc) {
+            Some(d) => d,
+            None => fresh.insert(DocState::new(name)),
+        };
+        let outcome = match d.oplog.apply_bundle(bundle) {
             Ok(new) if new.is_empty() => {
                 stats.duplicates += 1;
                 ReceiveOutcome::Duplicate
@@ -384,7 +296,16 @@ impl Replica {
                 ReceiveOutcome::Buffered
             }
             Err(BundleError::Malformed(_)) => ReceiveOutcome::Rejected,
+        };
+        if let Some(d) = fresh {
+            if matches!(
+                outcome,
+                ReceiveOutcome::Applied(_) | ReceiveOutcome::Buffered
+            ) {
+                docs.insert(doc, d);
+            }
         }
+        outcome
     }
 
     /// Retries buffered bundles until none can make progress. Returns the
@@ -471,27 +392,64 @@ impl Replica {
     }
 }
 
+/// The link's view of a replica: digests, extraction and integration by
+/// document, on the calling thread.
+impl SyncHost for Replica {
+    fn digest_of(&self, docs: &[DocId]) -> Vec<(DocId, Vec<RemoteId>)> {
+        let mut docs = docs.to_vec();
+        docs.sort_unstable();
+        docs.dedup();
+        docs.into_iter()
+            .map(|doc| (doc, self.digest(doc)))
+            .filter(|(_, vector)| !vector.is_empty())
+            .collect()
+    }
+
+    fn digest_all(&self) -> Vec<(DocId, Vec<RemoteId>)> {
+        Replica::digest_all(self)
+    }
+
+    fn bundles_for_listed(&self, have: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, EventBundle)> {
+        have.iter()
+            .map(|(doc, vector)| (*doc, self.bundle_since(*doc, vector)))
+            .filter(|(_, bundle)| !bundle.is_empty())
+            .collect()
+    }
+
+    fn receive(&mut self, batch: Vec<(DocId, EventBundle)>) -> Vec<DocId> {
+        batch
+            .into_iter()
+            .map(|(doc, bundle)| {
+                Replica::receive(self, doc, &bundle);
+                doc
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const D: DocId = DocId::DEFAULT;
+
     #[test]
     fn local_edits_apply_immediately() {
         let mut r = Replica::new("alice");
-        r.insert(0, "hello");
-        r.insert(5, " world");
-        r.delete(0, 1);
-        assert_eq!(r.text(), "ello world");
+        r.insert(D, 0, "hello");
+        r.insert(D, 5, " world");
+        r.delete(D, 0, 1);
+        assert_eq!(r.text(D), "ello world");
     }
 
     #[test]
     fn direct_exchange_converges() {
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        let ba = a.insert(0, "from alice ");
-        let bb = b.insert(0, "from bob ");
-        assert!(matches!(b.receive(&ba), ReceiveOutcome::Applied(11)));
-        assert!(matches!(a.receive(&bb), ReceiveOutcome::Applied(9)));
+        let ba = a.insert(D, 0, "from alice ");
+        let bb = b.insert(D, 0, "from bob ");
+        assert!(matches!(b.receive(D, &ba), ReceiveOutcome::Applied(11)));
+        assert!(matches!(a.receive(D, &bb), ReceiveOutcome::Applied(9)));
         assert!(a.converged_with(&b));
     }
 
@@ -499,46 +457,68 @@ mod tests {
     fn out_of_order_delivery_buffers_then_applies() {
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        let first = a.insert(0, "one ");
-        let second = a.insert(4, "two");
+        let first = a.insert(D, 0, "one ");
+        let second = a.insert(D, 4, "two");
         // Deliver in the wrong order.
-        assert_eq!(b.receive(&second), ReceiveOutcome::Buffered);
+        assert_eq!(b.receive(D, &second), ReceiveOutcome::Buffered);
         assert_eq!(b.pending_len(), 1);
-        assert!(matches!(b.receive(&first), ReceiveOutcome::Applied(7)));
+        assert!(matches!(b.receive(D, &first), ReceiveOutcome::Applied(7)));
         assert_eq!(b.pending_len(), 0);
         assert!(a.converged_with(&b));
         assert_eq!(b.stats().buffered, 1);
     }
 
     /// A chain buffered newest-first needs one fixpoint pass per link: the
-    /// bundle that unblocks it drains all of it in a single `receive_doc`.
+    /// bundle that unblocks it drains all of it in a single `receive`.
     #[test]
     fn three_deep_out_of_order_chain_drains_in_one_receive() {
         let doc = DocId(7);
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        let first = a.insert_doc(doc, 0, "one ");
-        let second = a.insert_doc(doc, 4, "two ");
-        let third = a.insert_doc(doc, 8, "three ");
-        let fourth = a.insert_doc(doc, 14, "four");
+        let first = a.insert(doc, 0, "one ");
+        let second = a.insert(doc, 4, "two ");
+        let third = a.insert(doc, 8, "three ");
+        let fourth = a.insert(doc, 14, "four");
         for late in [&fourth, &third, &second] {
-            assert_eq!(b.receive_doc(doc, late), ReceiveOutcome::Buffered);
+            assert_eq!(b.receive(doc, late), ReceiveOutcome::Buffered);
         }
         assert_eq!(b.pending_len_doc(doc), 3);
-        assert_eq!(b.receive_doc(doc, &first), ReceiveOutcome::Applied(18));
+        assert_eq!(b.receive(doc, &first), ReceiveOutcome::Applied(18));
         assert_eq!(b.pending_len_doc(doc), 0);
-        assert_eq!(b.text_doc(doc), "one two three four");
+        assert_eq!(b.text(doc), "one two three four");
         assert!(a.converged_with(&b));
         assert_eq!(b.stats().buffered, 3);
+    }
+
+    /// Only a bundle that applies or waits for its parents creates a
+    /// document; a malformed or empty one leaves the replica as it was.
+    #[test]
+    fn a_bundle_that_applies_nothing_creates_no_document() {
+        let mut a = Replica::new("alice");
+        let mut b = Replica::new("bob");
+        let first = a.insert(DocId(1), 0, "one ");
+        let second = a.insert(DocId(1), 4, "two");
+        let mut bad = first.clone();
+        bad.runs[0].content = None;
+        assert_eq!(b.receive(DocId(2), &bad), ReceiveOutcome::Rejected);
+        assert_eq!(
+            b.receive(DocId(3), &EventBundle::default()),
+            ReceiveOutcome::Duplicate
+        );
+        assert!(b.doc_parts(DocId(2)).is_none() && b.doc_parts(DocId(3)).is_none());
+        assert_eq!(b.receive(DocId(1), &second), ReceiveOutcome::Buffered);
+        assert!(b.doc_parts(DocId(1)).is_some(), "stashed");
+        assert_eq!(b.receive(DocId(1), &first), ReceiveOutcome::Applied(7));
+        assert_eq!(b.doc_ids(), vec![DocId(1)]);
     }
 
     #[test]
     fn duplicates_are_detected() {
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        let bundle = a.insert(0, "x");
-        assert!(matches!(b.receive(&bundle), ReceiveOutcome::Applied(1)));
-        assert_eq!(b.receive(&bundle), ReceiveOutcome::Duplicate);
+        let bundle = a.insert(D, 0, "x");
+        assert!(matches!(b.receive(D, &bundle), ReceiveOutcome::Applied(1)));
+        assert_eq!(b.receive(D, &bundle), ReceiveOutcome::Duplicate);
     }
 
     #[test]
@@ -546,41 +526,41 @@ mod tests {
         // The Figure 1 scenario, end to end through replicas.
         let mut u1 = Replica::new("user1");
         let mut u2 = Replica::new("user2");
-        let seed = u1.insert(0, "Helo");
-        u2.receive(&seed);
-        let b1 = u1.insert(3, "l"); // "Hello"
-        let b2 = u2.insert(4, "!"); // "Helo!"
-        u2.receive(&b1);
-        u1.receive(&b2);
-        assert_eq!(u1.text(), "Hello!");
-        assert_eq!(u2.text(), "Hello!");
+        let seed = u1.insert(D, 0, "Helo");
+        u2.receive(D, &seed);
+        let b1 = u1.insert(D, 3, "l"); // "Hello"
+        let b2 = u2.insert(D, 4, "!"); // "Helo!"
+        u2.receive(D, &b1);
+        u1.receive(D, &b2);
+        assert_eq!(u1.text(D), "Hello!");
+        assert_eq!(u2.text(D), "Hello!");
     }
 
     #[test]
     fn anti_entropy_bundle_since() {
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        a.insert(0, "shared");
-        let missing = a.bundle_since(&b.digest());
-        b.receive(&missing);
+        a.insert(D, 0, "shared");
+        let missing = a.bundle_since(D, &b.digest(D));
+        b.receive(D, &missing);
         // Now in sync: the delta is empty.
-        assert!(a.bundle_since(&b.digest()).is_empty());
-        assert!(b.bundle_since(&a.digest()).is_empty());
+        assert!(a.bundle_since(D, &b.digest(D)).is_empty());
+        assert!(b.bundle_since(D, &a.digest(D)).is_empty());
     }
 
     #[test]
     fn documents_are_isolated_shards() {
         let mut r = Replica::new("alice");
-        r.insert_doc(DocId(1), 0, "first doc");
-        r.insert_doc(DocId(2), 0, "second doc");
-        assert_eq!(r.text_doc(DocId(1)), "first doc");
-        assert_eq!(r.text_doc(DocId(2)), "second doc");
-        assert_eq!(r.text_doc(DocId(3)), "");
+        r.insert(DocId(1), 0, "first doc");
+        r.insert(DocId(2), 0, "second doc");
+        assert_eq!(r.text(DocId(1)), "first doc");
+        assert_eq!(r.text(DocId(2)), "second doc");
+        assert_eq!(r.text(DocId(3)), "");
         assert_eq!(r.doc_ids(), vec![DocId(1), DocId(2)]);
         // Digests are scoped per shard.
-        assert_eq!(r.digest_doc(DocId(1)).len(), 1);
-        assert!(r.digest_doc(DocId(3)).is_empty());
-        assert_ne!(r.digest_doc(DocId(1)), r.digest_doc(DocId(2)));
+        assert_eq!(r.digest(DocId(1)).len(), 1);
+        assert!(r.digest(DocId(3)).is_empty());
+        assert_ne!(r.digest(DocId(1)), r.digest(DocId(2)));
     }
 
     #[test]
@@ -589,27 +569,27 @@ mod tests {
         let mut b = Replica::new("bob");
         let d1 = DocId(10);
         let d2 = DocId(20);
-        let b1 = a.insert_doc(d1, 0, "alpha");
-        let b2 = b.insert_doc(d2, 0, "beta");
+        let b1 = a.insert(d1, 0, "alpha");
+        let b2 = b.insert(d2, 0, "beta");
         // Cross-deliver: each side learns the other's document.
-        assert!(matches!(b.receive_doc(d1, &b1), ReceiveOutcome::Applied(5)));
-        assert!(matches!(a.receive_doc(d2, &b2), ReceiveOutcome::Applied(4)));
+        assert!(matches!(b.receive(d1, &b1), ReceiveOutcome::Applied(5)));
+        assert!(matches!(a.receive(d2, &b2), ReceiveOutcome::Applied(4)));
         assert!(a.converged_with(&b));
-        assert_eq!(a.text_doc(d2), "beta");
-        assert_eq!(b.text_doc(d1), "alpha");
+        assert_eq!(a.text(d2), "beta");
+        assert_eq!(b.text(d1), "alpha");
     }
 
     #[test]
     fn converged_compares_whole_shard_space() {
         let mut a = Replica::new("alice");
         let mut b = Replica::new("bob");
-        let bundle = a.insert_doc(DocId(5), 0, "only in a");
+        let bundle = a.insert(DocId(5), 0, "only in a");
         assert!(!a.converged_with(&b));
-        b.receive_doc(DocId(5), &bundle);
+        b.receive(DocId(5), &bundle);
         assert!(a.converged_with(&b));
         // A doc id mismatch is divergence even with identical content.
-        let c5 = a.insert_doc(DocId(6), 0, "z");
-        b.receive_doc(DocId(7), &c5);
+        let c5 = a.insert(DocId(6), 0, "z");
+        b.receive(DocId(7), &c5);
         assert!(!a.converged_with(&b));
     }
 
@@ -619,15 +599,15 @@ mod tests {
         r.edit_insert_as(DocId(1), "s0", 0, "hello");
         r.edit_insert_as(DocId(1), "s1", 5, " world");
         r.edit_delete_as(DocId(1), "s0", 0, 1);
-        assert_eq!(r.text_doc(DocId(1)), "ello world");
+        assert_eq!(r.text(DocId(1)), "ello world");
         // The digest names the authoring sessions, not the host.
-        let digest = r.digest_doc(DocId(1));
+        let digest = r.digest(DocId(1));
         assert!(digest.iter().all(|id| id.agent.starts_with('s')));
         // And the edits replicate like any other events.
         let mut peer = Replica::new("peer");
-        let bundle = r.bundle_since_doc(DocId(1), &peer.digest_doc(DocId(1)));
+        let bundle = r.bundle_since(DocId(1), &peer.digest(DocId(1)));
         assert!(matches!(
-            peer.receive_doc(DocId(1), &bundle),
+            peer.receive(DocId(1), &bundle),
             ReceiveOutcome::Applied(12)
         ));
         assert!(peer.converged_with(&r));
@@ -636,8 +616,8 @@ mod tests {
     #[test]
     fn digest_all_lists_every_shard() {
         let mut r = Replica::new("alice");
-        r.insert_doc(DocId(2), 0, "two");
-        r.insert_doc(DocId(9), 0, "nine");
+        r.insert(DocId(2), 0, "two");
+        r.insert(DocId(9), 0, "nine");
         let all = r.digest_all();
         assert_eq!(all.len(), 2);
         assert_eq!(all[0].0, DocId(2));

@@ -2,13 +2,11 @@
 //!
 //! The event-graph model makes sync composable — any replica can ship any
 //! subset of events to any other (paper §2) — so the *shape* of the
-//! network is policy, not architecture. A topology decides three things:
+//! network is policy, not architecture. A topology decides two things:
 //!
-//! 1. **Links** — which peers a node keeps an [`crate::Outbox`] to;
-//! 2. **Relaying** — which outboxes to mark dirty when a node gains new
-//!    events (locally, or forwarded from a peer);
-//! 3. **Anti-entropy scheduling** — which directed digest probes to run
-//!    in each repair round.
+//! 1. **Links** — which peers a node keeps a [`crate::SyncLink`] to;
+//! 2. **Relaying** — which of those links hear about events a node
+//!    gained (locally, or from a peer).
 //!
 //! Two implementations ship: [`Mesh`] (full-mesh p2p: everyone pushes
 //! their own edits to everyone, O(n²) links) and [`Star`] (server relay:
@@ -16,17 +14,16 @@
 //! an overlay on either: nodes in different groups stop being linked
 //! until [`Topology::heal`].
 //!
-//! To add a topology, implement the trait: `links` defines the outbox
-//! graph, `relay_targets` defines the gossip rule (return the peers that
+//! To add a topology, implement the trait: `links` defines the link
+//! graph and `relay_targets` the gossip rule (return the peers that
 //! should hear about events `node` just gained, given where they came
-//! from), and `digest_pairs` defines the repair schedule. The engine
-//! handles everything else (batching, digests, delivery, convergence).
+//! from). The engine handles everything else (digests, marks, delivery,
+//! convergence).
 
 use crate::transport::NodeId;
-use std::collections::BTreeMap;
 
-/// A network shape: link structure, relay rule, and anti-entropy
-/// schedule, with a partition overlay.
+/// A network shape: link structure and relay rule, with a partition
+/// overlay.
 pub trait Topology: std::fmt::Debug {
     /// The number of nodes.
     fn len(&self) -> usize;
@@ -36,22 +33,17 @@ pub trait Topology: std::fmt::Debug {
         self.len() == 0
     }
 
-    /// The peers `node` maintains outboxes to (its edges, ignoring any
-    /// active partition).
+    /// The peers `node` keeps links to (its edges, ignoring any active
+    /// partition).
     fn links(&self, node: NodeId) -> Vec<NodeId>;
 
     /// Whether a message can pass directly between `a` and `b` right now
     /// (requires an edge *and* the same partition group).
     fn linked(&self, a: NodeId, b: NodeId) -> bool;
 
-    /// The outboxes to mark dirty when `node` gains new events. `from` is
-    /// the peer that delivered them, or `None` for local edits.
+    /// The peers to tell when `node` gains new events. `from` is the peer
+    /// that delivered them, or `None` for local edits.
     fn relay_targets(&self, node: NodeId, from: Option<NodeId>) -> Vec<NodeId>;
-
-    /// The directed digest probes `(sender, receiver)` for anti-entropy
-    /// round `round`. The engine skips pairs that are not currently
-    /// linked.
-    fn digest_pairs(&self, round: usize) -> Vec<(NodeId, NodeId)>;
 
     /// Splits the nodes into partition groups; unlisted nodes keep group
     /// 0. Messages only pass within a group.
@@ -95,8 +87,7 @@ impl Groups {
 /// Full-mesh peer-to-peer: every node links to every other.
 ///
 /// Each node pushes its own edits directly to all peers, so nothing is
-/// relayed on receive. Anti-entropy probes follow a doubling-stride ring
-/// (node `i` probes `i + 2^k`), which spreads repairs in O(log n) rounds.
+/// relayed on receive.
 #[derive(Debug, Clone)]
 pub struct Mesh {
     groups: Groups,
@@ -133,32 +124,6 @@ impl Topology for Mesh {
         }
     }
 
-    fn digest_pairs(&self, round: usize) -> Vec<(NodeId, NodeId)> {
-        // Doubling stride over a ring *per partition group*: rounds cycle
-        // through strides 1, 2, 4, … so any pair exchanges state within
-        // O(log n) rounds. Grouping matters: partition groups can be any
-        // subset of the indices (not a contiguous ring segment), and a
-        // plain index ring would schedule only cross-group probes for
-        // some co-grouped pairs, leaving losses between them unrepairable.
-        let mut by_group: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for (node, &g) in self.groups.0.iter().enumerate() {
-            by_group.entry(g).or_default().push(node);
-        }
-        let mut pairs = Vec::new();
-        for members in by_group.values() {
-            let m = members.len();
-            if m < 2 {
-                continue;
-            }
-            let strides = usize::BITS - (m - 1).leading_zeros();
-            let stride = 1usize << (round as u32 % strides);
-            for k in 0..m {
-                pairs.push((members[k], members[(k + stride) % m]));
-            }
-        }
-        pairs
-    }
-
     fn set_partition(&mut self, groups: &[&[NodeId]]) {
         self.groups.set(groups);
     }
@@ -187,11 +152,6 @@ impl Star {
             hub,
             groups: Groups::new(n),
         }
-    }
-
-    /// The hub node.
-    pub fn hub(&self) -> NodeId {
-        self.hub
     }
 }
 
@@ -225,21 +185,6 @@ impl Topology for Star {
         }
     }
 
-    fn digest_pairs(&self, round: usize) -> Vec<(NodeId, NodeId)> {
-        // Alternate probe direction so both hub-side and leaf-side losses
-        // are found.
-        (0..self.len())
-            .filter(|&leaf| leaf != self.hub)
-            .map(|leaf| {
-                if round % 2 == 0 {
-                    (leaf, self.hub)
-                } else {
-                    (self.hub, leaf)
-                }
-            })
-            .collect()
-    }
-
     fn set_partition(&mut self, groups: &[&[NodeId]]) {
         self.groups.set(groups);
     }
@@ -261,16 +206,6 @@ mod tests {
         assert!(!m.linked(2, 2));
         assert_eq!(m.relay_targets(0, None), vec![1, 2, 3]);
         assert!(m.relay_targets(0, Some(1)).is_empty());
-    }
-
-    #[test]
-    fn mesh_digest_strides_double() {
-        let m = Mesh::new(8);
-        let stride = |round: usize| m.digest_pairs(round)[0].1;
-        assert_eq!(stride(0), 1);
-        assert_eq!(stride(1), 2);
-        assert_eq!(stride(2), 4);
-        assert_eq!(stride(3), 1); // cycles
     }
 
     #[test]
@@ -299,13 +234,6 @@ mod tests {
         assert_eq!(s.relay_targets(0, None), vec![1, 2, 3]);
         assert_eq!(s.relay_targets(2, None), vec![0]);
         assert!(s.relay_targets(2, Some(0)).is_empty());
-    }
-
-    #[test]
-    fn star_digest_pairs_alternate_direction() {
-        let s = Star::new(3, 0);
-        assert_eq!(s.digest_pairs(0), vec![(1, 0), (2, 0)]);
-        assert_eq!(s.digest_pairs(1), vec![(0, 1), (0, 2)]);
     }
 
     #[test]

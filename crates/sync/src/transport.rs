@@ -1,20 +1,33 @@
-//! The [`Transport`] seam: how encoded sync messages move between nodes.
+//! The [`Transport`] seam: how encoded frames move between nodes.
 //!
-//! The sync engine never touches a socket or a queue directly — it hands
-//! opaque payload bytes to a [`Transport`] and polls deliveries back out.
-//! [`InMemoryTransport`] is the deterministic simulated implementation
-//! (per-message random delay, probabilistic loss, reordering); a real
-//! deployment would implement the same four methods over TCP, QUIC, or a
-//! message broker without the engine changing.
+//! The simulator never touches a socket or a queue directly — it hands
+//! each frame a link queued to a [`Transport`] and polls deliveries back
+//! out. A transport keeps the link contract [`crate::SyncLink`] relies
+//! on, as a daemon connection does: frames on one directed link arrive
+//! in the order they were sent, and only sync frames (tag
+//! [`TAG_SYNC`]) may be lost. [`InMemoryTransport`] is the deterministic
+//! simulated implementation (seeded per-frame delay and loss); a frame
+//! held back holds back the frames queued behind it on its link.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+use crate::frame::{FRAME_HEADER_LEN, TAG_SYNC};
 
 /// Index of a node in the sync engine (position in the replica vector).
 pub type NodeId = usize;
 
 /// Simulated time, in integer ticks.
 pub type Tick = u64;
+
+/// Whether an encoded frame (length prefix included) is a sync frame:
+/// the only kind a transport may lose, repeat, corrupt or delay.
+pub(crate) fn is_sync_frame(frame: &[u8]) -> bool {
+    frame.get(FRAME_HEADER_LEN) == Some(&TAG_SYNC)
+}
 
 /// Behaviour of every link in the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,7 +36,8 @@ pub struct LinkConfig {
     pub min_delay: u64,
     /// Maximum delivery delay, in ticks (inclusive).
     pub max_delay: u64,
-    /// Probability of losing a message, in parts per thousand.
+    /// Probability of losing a sync frame, in parts per thousand. Marks
+    /// and resets are never lost: the link audit relies on them.
     pub drop_per_mille: u16,
 }
 
@@ -37,66 +51,67 @@ impl Default for LinkConfig {
     }
 }
 
-/// A message handed back by [`Transport::poll`].
+/// A frame handed back by [`Transport::poll`].
 #[derive(Debug, Clone)]
 pub struct Delivery {
     /// The sending node.
     pub src: NodeId,
     /// The receiving node.
     pub dst: NodeId,
-    /// The encoded message.
+    /// The encoded frame.
     pub payload: Vec<u8>,
 }
 
-/// What a transport did with a submitted message.
+/// What a transport did with a submitted frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SendOutcome {
-    /// The message is in flight and will be delivered by a later poll.
+    /// The frame is in flight and will be delivered by a later poll.
     Queued,
-    /// The message was lost at send time (lossy link).
+    /// The frame was lost at send time.
     Dropped,
 }
 
-/// Point-to-point movement of encoded messages between nodes.
+/// Point-to-point movement of encoded frames between nodes, first in,
+/// first out on every directed link.
 ///
-/// Implementations own delay, loss, and ordering; the engine owns what to
-/// send and what delivery means. All methods must be deterministic given
-/// the construction seed.
+/// Implementations own delay and loss; the engine owns what to send and
+/// what delivery means. All methods must be deterministic given the
+/// construction seed.
 pub trait Transport: std::fmt::Debug {
-    /// Hands a payload to the network at time `now`.
+    /// Hands a frame to the network at time `now`.
     fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, payload: Vec<u8>) -> SendOutcome;
 
-    /// Drains every message due at or before `now`, in deterministic
+    /// Drains every frame due at or before `now`, in deterministic
     /// (delivery time, send order) order.
     fn poll(&mut self, now: Tick) -> Vec<Delivery>;
 
-    /// The number of messages queued but not yet delivered.
-    fn in_flight(&self) -> usize;
-
-    /// Drops queued messages for which `sever(src, dst)` returns `true`
-    /// (e.g. links cut by a partition), returning how many were lost.
+    /// Drops queued frames for which `sever(src, dst)` returns `true`
+    /// (links cut by a partition), returning how many were lost.
     fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize;
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct InFlight {
     deliver_at: Tick,
-    /// Tie-break so equal-time messages deliver in send order.
+    /// Tie-break so equal-time frames deliver in send order.
     seq: u64,
     src: NodeId,
     dst: NodeId,
     payload: Vec<u8>,
 }
 
-/// A deterministic single-process transport: per-message seeded random
-/// delay and loss, which together with the engine's anti-entropy rounds
-/// models the paper's reliable-broadcast assumption (§2.1) over an
-/// unreliable network.
+/// A deterministic single-process transport: per-frame seeded random
+/// delay and sync-frame loss, FIFO per directed link. Together with the
+/// link audit it models the paper's reliable-broadcast assumption (§2.1)
+/// over an unreliable network.
 #[derive(Debug)]
 pub struct InMemoryTransport {
     link: LinkConfig,
     rng: StdRng,
-    queue: Vec<InFlight>,
+    queue: BinaryHeap<Reverse<InFlight>>,
+    /// Per directed link, when its last queued frame is due: no frame is
+    /// due before the one queued ahead of it.
+    tails: HashMap<(NodeId, NodeId), Tick>,
     next_seq: u64,
 }
 
@@ -108,7 +123,8 @@ impl InMemoryTransport {
         InMemoryTransport {
             link,
             rng: StdRng::seed_from_u64(seed),
-            queue: Vec::new(),
+            queue: BinaryHeap::new(),
+            tails: HashMap::new(),
             next_seq: 0,
         }
     }
@@ -117,6 +133,7 @@ impl InMemoryTransport {
 impl Transport for InMemoryTransport {
     fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, payload: Vec<u8>) -> SendOutcome {
         if self.link.drop_per_mille > 0
+            && is_sync_frame(&payload)
             && self.rng.gen_range(0..1000u32) < self.link.drop_per_mille as u32
         {
             return SendOutcome::Dropped;
@@ -124,44 +141,41 @@ impl Transport for InMemoryTransport {
         let delay = self
             .rng
             .gen_range(self.link.min_delay..=self.link.max_delay);
-        self.queue.push(InFlight {
-            deliver_at: now + delay,
+        let tail = self.tails.entry((src, dst)).or_default();
+        *tail = (*tail).max(now + delay);
+        self.queue.push(Reverse(InFlight {
+            deliver_at: *tail,
             seq: self.next_seq,
             src,
             dst,
             payload,
-        });
+        }));
         self.next_seq += 1;
         SendOutcome::Queued
     }
 
     fn poll(&mut self, now: Tick) -> Vec<Delivery> {
-        let mut due: Vec<InFlight> = Vec::new();
-        self.queue.retain(|m| {
-            if m.deliver_at <= now {
-                due.push(m.clone());
-                false
-            } else {
-                true
+        let mut due = Vec::new();
+        while self
+            .queue
+            .peek()
+            .is_some_and(|Reverse(m)| m.deliver_at <= now)
+        {
+            if let Some(Reverse(m)) = self.queue.pop() {
+                due.push(Delivery {
+                    src: m.src,
+                    dst: m.dst,
+                    payload: m.payload,
+                });
             }
-        });
-        due.sort_by_key(|m| (m.deliver_at, m.seq));
-        due.into_iter()
-            .map(|m| Delivery {
-                src: m.src,
-                dst: m.dst,
-                payload: m.payload,
-            })
-            .collect()
-    }
-
-    fn in_flight(&self) -> usize {
-        self.queue.len()
+        }
+        due
     }
 
     fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize {
         let before = self.queue.len();
-        self.queue.retain(|m| !sever(m.src, m.dst));
+        self.queue.retain(|Reverse(m)| !sever(m.src, m.dst));
+        self.tails.retain(|&(src, dst), _| !sever(src, dst));
         before - self.queue.len()
     }
 }
@@ -169,6 +183,11 @@ impl Transport for InMemoryTransport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An encoded sync frame carrying `n`.
+    fn sync(n: u8) -> Vec<u8> {
+        crate::frame::frame_sync(&[n])
+    }
 
     fn lossless() -> InMemoryTransport {
         InMemoryTransport::new(
@@ -184,15 +203,13 @@ mod tests {
     #[test]
     fn delivers_within_delay_bounds() {
         let mut t = lossless();
-        t.send(0, 0, 1, vec![1]);
-        t.send(0, 0, 2, vec![2]);
-        assert_eq!(t.in_flight(), 2);
+        t.send(0, 0, 1, sync(1));
+        t.send(0, 0, 2, sync(2));
         let mut got = 0;
         for now in 1..=4 {
             got += t.poll(now).len();
         }
         assert_eq!(got, 2);
-        assert_eq!(t.in_flight(), 0);
     }
 
     #[test]
@@ -206,10 +223,10 @@ mod tests {
             1,
         );
         for i in 0..10u8 {
-            t.send(0, 0, 1, vec![i]);
+            t.send(0, 0, 1, sync(i));
         }
         let due = t.poll(2);
-        let order: Vec<u8> = due.iter().map(|d| d.payload[0]).collect();
+        let order: Vec<u8> = due.iter().map(|d| d.payload[5]).collect();
         assert_eq!(order, (0..10).collect::<Vec<u8>>());
     }
 
@@ -225,7 +242,7 @@ mod tests {
                 seed,
             );
             (0..100)
-                .filter(|_| t.send(0, 0, 1, vec![]) == SendOutcome::Dropped)
+                .filter(|_| t.send(0, 0, 1, sync(0)) == SendOutcome::Dropped)
                 .count()
         };
         assert_eq!(run(42), run(42));
@@ -234,13 +251,28 @@ mod tests {
     }
 
     #[test]
+    fn only_sync_frames_are_lost() {
+        let mut t = InMemoryTransport::new(
+            LinkConfig {
+                min_delay: 1,
+                max_delay: 1,
+                drop_per_mille: 1000,
+            },
+            5,
+        );
+        let mark = crate::frame::WireFrame::Mark(crate::frame::FrameTally::default()).encode();
+        assert_eq!(t.send(0, 0, 1, sync(0)), SendOutcome::Dropped);
+        assert_eq!(t.send(0, 0, 1, mark), SendOutcome::Queued);
+    }
+
+    #[test]
     fn cut_severs_matching_messages() {
         let mut t = lossless();
-        t.send(0, 0, 1, vec![]);
-        t.send(0, 1, 2, vec![]);
-        t.send(0, 2, 0, vec![]);
+        t.send(0, 0, 1, sync(0));
+        t.send(0, 1, 2, sync(1));
+        t.send(0, 2, 0, sync(2));
         let lost = t.cut(&mut |src, _| src == 0);
         assert_eq!(lost, 1);
-        assert_eq!(t.in_flight(), 2);
+        assert_eq!((1..=4).map(|now| t.poll(now).len()).sum::<usize>(), 2);
     }
 }

@@ -2,7 +2,9 @@
 //! under randomised edit scripts, delivery orders, losses and partitions
 //! (paper §2.1-2.2).
 
-use eg_sync::{LinkConfig, NetworkSim, ReceiveOutcome, Replica};
+use eg_sync::{DocId, LinkConfig, NetworkSim, ReceiveOutcome, Replica};
+
+const D: DocId = DocId::DEFAULT;
 use proptest::prelude::*;
 
 /// A scripted edit: which replica edits, where (as a fraction of the
@@ -27,19 +29,19 @@ fn edit_strategy(replicas: usize) -> impl Strategy<Value = Edit> {
 fn apply_edit(net: &mut NetworkSim, edit: &Edit) {
     match edit {
         Edit::Insert { who, at, text } => {
-            let len = net.replica(*who).len_chars();
+            let len = net.replica(*who).len_chars(D);
             let pos = *at as usize % (len + 1);
-            net.edit_insert(*who, pos, text);
+            net.edit_insert(*who, D, pos, text);
         }
         Edit::Delete { who, at, len } => {
-            let doc_len = net.replica(*who).len_chars();
+            let doc_len = net.replica(*who).len_chars(D);
             if doc_len == 0 {
                 return;
             }
             let pos = *at as usize % doc_len;
             let len = (*len as usize).min(doc_len - pos);
             if len > 0 {
-                net.edit_delete(*who, pos, len);
+                net.edit_delete(*who, D, pos, len);
             }
         }
     }
@@ -92,8 +94,8 @@ proptest! {
         let mut src = Replica::new("src");
         let mut bundles = Vec::new();
         for (at, text) in &edits {
-            let pos = *at as usize % (src.len_chars() + 1);
-            bundles.push(src.insert(pos, text));
+            let pos = *at as usize % (src.len_chars(D) + 1);
+            bundles.push(src.insert(D, pos, text));
         }
         // Deterministic permutation from `order`.
         let mut perm: Vec<usize> = (0..bundles.len()).collect();
@@ -107,7 +109,7 @@ proptest! {
 
         let mut dst = Replica::new("dst");
         for &i in &perm {
-            dst.receive(&bundles[i]);
+            dst.receive(D, &bundles[i]);
         }
         prop_assert_eq!(dst.pending_len(), 0);
         prop_assert!(dst.converged_with(&src));
@@ -144,11 +146,11 @@ fn three_way_concurrent_insertions_do_not_interleave_across_replicas() {
     // each user's run must appear contiguously (maximal non-interleaving,
     // paper §3.1).
     let mut net = NetworkSim::new(&["a", "b", "c"], 11);
-    net.edit_insert(0, 0, "aaaa");
-    net.edit_insert(1, 0, "bbbb");
-    net.edit_insert(2, 0, "cccc");
+    net.edit_insert(0, D, 0, "aaaa");
+    net.edit_insert(1, D, 0, "bbbb");
+    net.edit_insert(2, D, 0, "cccc");
     assert!(net.run_until_quiescent(10_000));
-    let text = net.replica(0).text();
+    let text = net.replica(0).text(D);
     assert!(text.contains("aaaa"), "run a interleaved: {text}");
     assert!(text.contains("bbbb"), "run b interleaved: {text}");
     assert!(text.contains("cccc"), "run c interleaved: {text}");
@@ -159,14 +161,17 @@ fn late_joiner_catches_up_via_anti_entropy() {
     let mut a = Replica::new("a");
     let mut b = Replica::new("b");
     for i in 0..50 {
-        let pos = (i * 7) % (a.len_chars() + 1);
-        let bundle = a.insert(pos, "word ");
-        b.receive(&bundle);
+        let pos = (i * 7) % (a.len_chars(D) + 1);
+        let bundle = a.insert(D, pos, "word ");
+        b.receive(D, &bundle);
     }
     // c joins with nothing.
     let mut c = Replica::new("c");
-    let catchup = a.bundle_since(&c.digest());
-    assert!(matches!(c.receive(&catchup), ReceiveOutcome::Applied(250)));
+    let catchup = a.bundle_since(D, &c.digest(D));
+    assert!(matches!(
+        c.receive(D, &catchup),
+        ReceiveOutcome::Applied(250)
+    ));
     assert!(c.converged_with(&a));
     assert!(c.converged_with(&b));
 }
@@ -177,24 +182,24 @@ fn offline_editing_session_merges() {
     // time, then reconnect (§1). Here each types 500 characters.
     let mut alice = Replica::new("alice");
     let mut bob = Replica::new("bob");
-    let seed = alice.insert(0, "The document starts here. ");
-    bob.receive(&seed);
+    let seed = alice.insert(D, 0, "The document starts here. ");
+    bob.receive(D, &seed);
 
     let mut alice_bundles = Vec::new();
     let mut bob_bundles = Vec::new();
     for i in 0..100 {
-        let ap = (i * 13) % (alice.len_chars() + 1);
-        alice_bundles.push(alice.insert(ap, "alice"));
-        let bp = (i * 31) % (bob.len_chars() + 1);
-        bob_bundles.push(bob.insert(bp, "bobbo"));
+        let ap = (i * 13) % (alice.len_chars(D) + 1);
+        alice_bundles.push(alice.insert(D, ap, "alice"));
+        let bp = (i * 31) % (bob.len_chars(D) + 1);
+        bob_bundles.push(bob.insert(D, bp, "bobbo"));
     }
     // Reconnect: ship both queues.
     for b in &bob_bundles {
-        alice.receive(b);
+        alice.receive(D, b);
     }
     for a in &alice_bundles {
-        bob.receive(a);
+        bob.receive(D, a);
     }
     assert!(alice.converged_with(&bob));
-    assert_eq!(alice.len_chars(), 26 + 500 + 500);
+    assert_eq!(alice.len_chars(D), 26 + 500 + 500);
 }

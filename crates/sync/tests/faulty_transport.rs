@@ -2,14 +2,25 @@
 //!
 //! [`FaultyTransport`] wraps the in-memory transport with a seeded
 //! schedule of drops, duplicates, corruption, extra delay, and timed
-//! partitions. Every schedule here must end in convergence: anti-entropy
-//! digest rounds repair losses, the CRC layer turns corruption into
-//! ordinary loss, and partitions in [`FaultSpec::random`] all close
-//! before the horizon, after which repair is guaranteed.
+//! partitions, all aimed at sync frames. Every schedule here must end in
+//! convergence: the marks find every loss and reset the link, the CRC
+//! layer turns corruption into ordinary loss, and partitions in
+//! [`FaultSpec::random`] all close before the horizon, after which repair
+//! is guaranteed. Both transports keep the link contract the marks rely
+//! on, which is pinned here too.
 
+use std::collections::BTreeMap;
+
+use eg_sync::frame::{frame_sync, FRAME_HEADER_LEN, TAG_RESET, TAG_SYNC};
 use eg_sync::{
-    FaultSpec, FaultyTransport, InMemoryTransport, LinkConfig, NetworkSim, PartitionWindow,
+    DocId, FaultSpec, FaultyTransport, FrameTally, InMemoryTransport, LinkConfig, NetworkSim,
+    PartitionWindow, Transport, WireFrame,
 };
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+const D: DocId = DocId::DEFAULT;
 
 const NAMES: [&str; 4] = ["n0", "n1", "n2", "n3"];
 
@@ -24,12 +35,12 @@ fn faulty_sim(spec: FaultSpec, seed: u64) -> NetworkSim {
 fn drive_edits(net: &mut NetworkSim, rounds: usize) {
     for r in 0..rounds {
         for who in 0..NAMES.len() {
-            let len = net.replica(who).len_chars();
-            net.edit_insert(who, (r * 7 + who * 3) % (len + 1), "ab ");
+            let len = net.replica(who).len_chars(D);
+            net.edit_insert(who, D, (r * 7 + who * 3) % (len + 1), "ab ");
             if r % 3 == 2 {
-                let len = net.replica(who).len_chars();
+                let len = net.replica(who).len_chars(D);
                 if len > 2 {
-                    net.edit_delete(who, (r + who) % (len - 1), 1);
+                    net.edit_delete(who, D, (r + who) % (len - 1), 1);
                 }
             }
         }
@@ -106,8 +117,101 @@ fn heavy_loss_with_duplicates_converges() {
     drive_edits(&mut net, 15);
     assert!(net.run_until_quiescent(300_000));
     assert!(net.all_converged());
-    let text = net.replica(0).text();
+    let text = net.replica(0).text(D);
     for i in 1..NAMES.len() {
-        assert_eq!(net.replica(i).text(), text);
+        assert_eq!(net.replica(i).text(D), text);
     }
+}
+
+/// Per directed link: the frames sent and the frames delivered, in order.
+type Traffic = BTreeMap<(usize, usize), (Vec<Vec<u8>>, Vec<Vec<u8>>)>;
+
+/// Sends frames carrying their send index over the six directed links of
+/// three nodes for `ticks` ticks (every fourth one a mark, every ninth a
+/// reset), then drains the transport. Returns, per directed link, what
+/// was sent and what arrived, in order.
+fn exercise(transport: &mut dyn Transport, seed: u64, ticks: u64) -> Traffic {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut links = Traffic::new();
+    let mut index = 0u64;
+    for now in 0..ticks + 64 {
+        if now < ticks {
+            for _ in 0..rng.gen_range(0..6u32) {
+                let src = rng.gen_range(0..3usize);
+                let dst = (src + rng.gen_range(1..3usize)) % 3;
+                index += 1;
+                let frame = match index % 36 {
+                    i if i % 9 == 0 => WireFrame::Reset { echo: i % 2 == 0 }.encode(),
+                    i if i % 4 == 0 => WireFrame::Mark(FrameTally {
+                        frames: index,
+                        check: 0,
+                    })
+                    .encode(),
+                    _ => frame_sync(&index.to_le_bytes()),
+                };
+                links.entry((src, dst)).or_default().0.push(frame.clone());
+                transport.send(now, src, dst, frame);
+            }
+        }
+        for d in transport.poll(now) {
+            links.entry((d.src, d.dst)).or_default().1.push(d.payload);
+        }
+    }
+    links
+}
+
+fn is_sync(frame: &[u8]) -> bool {
+    frame.get(FRAME_HEADER_LEN) == Some(&TAG_SYNC)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The link contract `SyncLink` relies on: frames on a directed link
+    /// arrive in the order sent, however long any of them is held back,
+    /// and only sync frames are ever lost, repeated, corrupted or
+    /// delayed — every mark and reset arrives once, intact, in order.
+    #[test]
+    fn transports_keep_the_link_contract(seed in any::<u64>()) {
+        let link = LinkConfig { min_delay: 1, max_delay: 9, drop_per_mille: 150 };
+        let spec = FaultSpec::random(seed, 3, 80);
+        let fifo = FaultSpec { corrupt_per_mille: 0, ..spec.clone() };
+        for (spec, corrupting) in [(fifo, false), (spec, true)] {
+            let inner = InMemoryTransport::new(link, seed);
+            let mut t = FaultyTransport::new(inner, spec, seed);
+            for (sent, got) in exercise(&mut t, seed, 80).into_values() {
+                // A mangled sync frame may lose its tag, so the audit
+                // frames are picked out by their exact bytes.
+                let marks: Vec<Vec<u8>> = sent.iter().filter(|f| !is_sync(f)).cloned().collect();
+                let arrived: Vec<Vec<u8>> = got.iter().filter(|f| marks.contains(f)).cloned().collect();
+                prop_assert_eq!(arrived, marks);
+                if !corrupting {
+                    // Every arrival is a sent frame, no earlier than the
+                    // one before it (resets all look alike: left out).
+                    let at = |f: &Vec<u8>| sent.iter().position(|s| s == f);
+                    let order: Vec<Option<usize>> = got
+                        .iter()
+                        .filter(|f| f.get(FRAME_HEADER_LEN) != Some(&TAG_RESET))
+                        .map(at)
+                        .collect();
+                    prop_assert!(order.iter().all(Option::is_some));
+                    prop_assert!(order.windows(2).all(|w| w[0] <= w[1]), "{:?}", order);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn lossless_star_at_scale_never_resets() {
+    let names: Vec<String> = (0..24).map(|i| format!("n{i}")).collect();
+    let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
+    let mut net = NetworkSim::builder(&refs, 3).star().build();
+    for i in 0..24 {
+        net.edit_insert(i, DocId((i % 4) as u64), 0, "hi ");
+        net.tick();
+    }
+    assert!(net.run_until_quiescent(10_000));
+    assert_eq!(net.stats().resets, 0, "FIFO and no loss: every mark agrees");
+    assert_eq!(net.stats().dropped, 0);
 }

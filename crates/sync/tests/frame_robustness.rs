@@ -18,8 +18,8 @@ use std::io::Cursor;
 /// A valid digest message from a non-trivial replica.
 fn digest_message() -> Message {
     let mut r = Replica::new("corpus");
-    r.insert_doc(DocId(1), 0, "hello");
-    r.insert_doc(DocId(2), 0, "world");
+    r.insert(DocId(1), 0, "hello");
+    r.insert(DocId(2), 0, "world");
     Message::Digest(r.digest_all())
 }
 
@@ -294,7 +294,7 @@ fn every_prefix_of_a_valid_stream_is_either_pending_or_complete() {
     // Decoding any prefix of a well-formed stream never errors: it
     // yields the complete frames it holds and waits for the rest.
     let mut r = Replica::new("p");
-    let b = r.insert_doc(DocId(7), 0, "prefix-stability");
+    let b = r.insert(DocId(7), 0, "prefix-stability");
     let frames = [
         WireFrame::Hello {
             proto: PROTOCOL_VERSION,

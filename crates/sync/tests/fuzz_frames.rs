@@ -65,8 +65,8 @@ fn corpus() -> Vec<Vec<u8>> {
             let doc = DocId(1 + i % 3);
             let at = rng.below(64);
             let r = if rng.below(2) == 0 { &mut a } else { &mut b };
-            let len = r.text_doc(doc).chars().count();
-            bundles.push((doc, r.insert_doc(doc, at.min(len), "xyzzy")));
+            let len = r.text(doc).chars().count();
+            bundles.push((doc, r.insert(doc, at.min(len), "xyzzy")));
         }
         frames.push(WireFrame::Sync(Message::Digest(a.digest_all())).encode());
         frames.push(WireFrame::Sync(Message::Digest(b.digest_all())).encode());

@@ -1,8 +1,10 @@
 //! Convergence across topologies and document shards: star vs mesh,
-//! partition/heal, and batched anti-entropy behaviour.
+//! partition/heal, and the link audit under loss.
 
 use eg_sync::{DocId, LinkConfig, NetworkSim, SimBuilder};
 use proptest::prelude::*;
+
+const D: DocId = DocId::DEFAULT;
 
 fn names(n: usize) -> Vec<String> {
     (0..n).map(|i| format!("node{i}")).collect()
@@ -17,29 +19,29 @@ fn builder(n: usize, seed: u64) -> SimBuilder {
 #[test]
 fn star_converges_through_the_hub() {
     let mut net = builder(5, 21).star().build();
-    net.edit_insert(1, 0, "from-1 ");
-    net.edit_insert(3, 0, "from-3 ");
-    net.edit_insert(0, 0, "from-hub ");
+    net.edit_insert(1, D, 0, "from-1 ");
+    net.edit_insert(3, D, 0, "from-3 ");
+    net.edit_insert(0, D, 0, "from-hub ");
     assert!(net.run_until_quiescent(10_000));
     assert!(net.all_converged());
-    let text = net.replica(4).text();
+    let text = net.replica(4).text(D);
     assert!(text.contains("from-1") && text.contains("from-3") && text.contains("from-hub"));
 }
 
 #[test]
 fn star_leaves_never_message_each_other() {
-    let mut net = builder(6, 33).star().flush_every(2).build();
+    let mut net = builder(6, 33).star().mark_every(2).build();
     for leaf in 1..6 {
-        net.edit_insert(leaf, 0, "leafword ");
+        net.edit_insert(leaf, D, 0, "leafword ");
     }
     assert!(net.run_until_quiescent(10_000));
     assert!(net.all_converged());
-    // O(n) links: every message touches the hub, so message count stays
-    // far below a mesh's fan-out for the same edits.
+    // O(n) links: every frame touches the hub, so the frame count stays
+    // far below a mesh's fan-out for the same edits and mark cadence.
     let star_sent = net.stats().sent;
-    let mut mesh = builder(6, 33).flush_every(2).build();
+    let mut mesh = builder(6, 33).mark_every(2).build();
     for leaf in 1..6 {
-        mesh.edit_insert(leaf, 0, "leafword ");
+        mesh.edit_insert(leaf, D, 0, "leafword ");
     }
     assert!(mesh.run_until_quiescent(10_000));
     assert!(
@@ -57,69 +59,76 @@ fn lossy_star_repaired_by_digest_exchange() {
         max_delay: 6,
         drop_per_mille: 350,
     };
-    let mut net = builder(8, 77).star().flush_every(3).link(link).build();
+    let mut net = builder(8, 77).star().mark_every(3).link(link).build();
     for i in 0..24 {
         let who = i % 8;
-        let len = net.replica(who).len_chars();
-        net.edit_insert(who, len / 2, "xy");
+        let len = net.replica(who).len_chars(D);
+        net.edit_insert(who, D, len / 2, "xy");
         net.tick();
     }
     assert!(net.run_until_quiescent(50_000));
     let s = net.stats();
     assert!(s.dropped > 0, "seed should exercise loss");
-    assert!(s.syncs > 0, "loss must force digest repair");
+    assert!(s.resets > 0, "loss must force a reset");
     assert!(s.digest_bytes > 0);
     assert!(net.all_converged());
 }
 
 #[test]
 fn mesh_partition_heal_converges() {
-    let mut net = builder(6, 9).mesh().flush_every(2).build();
-    net.edit_insert(0, 0, "base ");
+    let mut net = builder(6, 9).mesh().mark_every(2).build();
+    net.edit_insert(0, D, 0, "base ");
     assert!(net.run_until_quiescent(10_000));
 
     net.partition(&[&[0, 1, 2], &[3, 4, 5]]);
-    net.edit_insert(1, 0, "left ");
-    net.edit_insert(4, 0, "right ");
+    net.edit_insert(1, D, 0, "left ");
+    net.edit_insert(4, D, 0, "right ");
     assert!(net.run_until_quiescent(10_000));
     // Each side converged internally, but the sides diverged.
-    assert_eq!(net.replica(0).text(), net.replica(2).text());
-    assert_eq!(net.replica(3).text(), net.replica(5).text());
-    assert_ne!(net.replica(0).text(), net.replica(3).text());
+    assert_eq!(net.replica(0).text(D), net.replica(2).text(D));
+    assert_eq!(net.replica(3).text(D), net.replica(5).text(D));
+    assert_ne!(net.replica(0).text(D), net.replica(3).text(D));
 
+    // Healing reconnects the severed links, and only their opening
+    // digests carry what each side wrote: nothing is announced after it.
     net.heal();
     assert!(net.run_until_quiescent(10_000));
-    let text = net.replica(0).text();
+    assert_eq!(
+        net.stats().resets,
+        0,
+        "a partition disconnects, it does not reset"
+    );
+    let text = net.replica(0).text(D);
     assert!(text.contains("left ") && text.contains("right "));
     for i in 1..6 {
-        assert_eq!(net.replica(i).text(), text);
+        assert_eq!(net.replica(i).text(D), text);
     }
 }
 
 #[test]
 fn star_partition_isolates_hubless_side_until_heal() {
     let mut net = builder(5, 14).star().build();
-    net.edit_insert(0, 0, "base ");
+    net.edit_insert(0, D, 0, "base ");
     assert!(net.run_until_quiescent(10_000));
 
     // Hub stays left; leaves 3 and 4 are cut off — and, in a star, cut
     // off from each other too (their only link was the hub).
     net.partition(&[&[0, 1, 2], &[3, 4]]);
-    net.edit_insert(1, 0, "left ");
-    net.edit_insert(3, 0, "three ");
-    net.edit_insert(4, 0, "four ");
+    net.edit_insert(1, D, 0, "left ");
+    net.edit_insert(3, D, 0, "three ");
+    net.edit_insert(4, D, 0, "four ");
     assert!(net.run_until_quiescent(10_000));
-    assert_eq!(net.replica(0).text(), net.replica(2).text());
-    assert!(net.replica(0).text().contains("left "));
+    assert_eq!(net.replica(0).text(D), net.replica(2).text(D));
+    assert!(net.replica(0).text(D).contains("left "));
     // The hubless leaves kept only their own edits.
-    assert!(net.replica(3).text().contains("three "));
-    assert!(!net.replica(3).text().contains("four "));
-    assert!(!net.replica(4).text().contains("three "));
+    assert!(net.replica(3).text(D).contains("three "));
+    assert!(!net.replica(3).text(D).contains("four "));
+    assert!(!net.replica(4).text(D).contains("three "));
 
     net.heal();
     assert!(net.run_until_quiescent(10_000));
     assert!(net.all_converged());
-    let text = net.replica(0).text();
+    let text = net.replica(0).text(D);
     for word in ["base ", "left ", "three ", "four "] {
         assert!(text.contains(word), "{word:?} missing from {text:?}");
     }
@@ -140,35 +149,35 @@ fn mesh_noncontiguous_partition_group_repairs_losses() {
     let mut net = builder(8, 13).mesh().link(link).build();
     net.partition(&[&[0, 5], &[1, 2, 3, 4, 6, 7]]);
     for _ in 0..10 {
-        net.edit_insert(0, 0, "a");
-        net.edit_insert(5, 0, "b");
-        net.edit_insert(1, 0, "c");
+        net.edit_insert(0, D, 0, "a");
+        net.edit_insert(5, D, 0, "b");
+        net.edit_insert(1, D, 0, "c");
     }
     assert!(net.run_until_quiescent(20_000), "losses never repaired");
     assert!(net.all_converged());
-    assert_eq!(net.replica(0).text(), net.replica(5).text());
-    assert_eq!(net.replica(0).len_chars(), 20);
+    assert_eq!(net.replica(0).text(D), net.replica(5).text(D));
+    assert_eq!(net.replica(0).len_chars(D), 20);
     assert!(net.stats().dropped > 0, "seed should exercise loss");
 }
 
 #[test]
 fn sharded_docs_sync_with_scoped_digests() {
-    let mut net = builder(4, 55).star().flush_every(2).build();
+    let mut net = builder(4, 55).star().mark_every(2).build();
     // Different nodes write different shards; one shard is contested.
-    net.edit_insert_doc(1, DocId(10), 0, "ten-from-1 ");
-    net.edit_insert_doc(2, DocId(20), 0, "twenty-from-2 ");
-    net.edit_insert_doc(3, DocId(10), 0, "ten-from-3 ");
+    net.edit_insert(1, DocId(10), 0, "ten-from-1 ");
+    net.edit_insert(2, DocId(20), 0, "twenty-from-2 ");
+    net.edit_insert(3, DocId(10), 0, "ten-from-3 ");
     assert!(net.run_until_quiescent(10_000));
     assert!(net.all_converged());
     for i in 0..4 {
         let r = net.replica(i);
         assert_eq!(r.doc_ids(), vec![DocId(10), DocId(20)]);
-        assert!(r.text_doc(DocId(10)).contains("ten-from-1"));
-        assert!(r.text_doc(DocId(10)).contains("ten-from-3"));
-        assert_eq!(r.text_doc(DocId(20)), "twenty-from-2 ");
+        assert!(r.text(DocId(10)).contains("ten-from-1"));
+        assert!(r.text(DocId(10)).contains("ten-from-3"));
+        assert_eq!(r.text(DocId(20)), "twenty-from-2 ");
         // Digests are scoped per shard and mutually disjoint.
-        let d10 = r.digest_doc(DocId(10));
-        let d20 = r.digest_doc(DocId(20));
+        let d10 = r.digest(DocId(10));
+        let d20 = r.digest(DocId(20));
         assert!(!d10.is_empty() && !d20.is_empty());
         assert!(d10.iter().all(|id| !d20.contains(id)));
     }
@@ -178,18 +187,15 @@ fn sharded_docs_sync_with_scoped_digests() {
 fn late_joining_shard_backfills_over_digest() {
     // Node 3 only ever hears about doc 7 through anti-entropy: the edits
     // happen while it is partitioned away.
-    let mut net = builder(4, 91).mesh().flush_every(2).build();
+    let mut net = builder(4, 91).mesh().mark_every(2).build();
     net.partition(&[&[0, 1, 2], &[3]]);
-    net.edit_insert_doc(0, DocId(7), 0, "written while 3 was away");
+    net.edit_insert(0, DocId(7), 0, "written while 3 was away");
     assert!(net.run_until_quiescent(10_000));
-    assert_eq!(net.replica(3).text_doc(DocId(7)), "");
+    assert_eq!(net.replica(3).text(DocId(7)), "");
 
     net.heal();
     assert!(net.run_until_quiescent(10_000));
-    assert_eq!(
-        net.replica(3).text_doc(DocId(7)),
-        "written while 3 was away"
-    );
+    assert_eq!(net.replica(3).text(DocId(7)), "written while 3 was away");
 }
 
 proptest! {
@@ -205,14 +211,14 @@ proptest! {
         let run = |star: bool| {
             let b = builder(5, seed);
             let b = if star { b.star() } else { b.mesh() };
-            let mut net = b.flush_every(2).build();
+            let mut net = b.mark_every(2).build();
             for (who, at, text) in &edits {
-                let len = net.replica(*who).len_chars();
-                net.edit_insert(*who, *at as usize % (len + 1), text);
+                let len = net.replica(*who).len_chars(D);
+                net.edit_insert(*who, D, *at as usize % (len + 1), text);
                 net.tick();
             }
             prop_assert!(net.run_until_quiescent(100_000));
-            Ok(net.replica(0).text())
+            Ok(net.replica(0).text(D))
         };
         let star_text = run(true)?;
         let mesh_text = run(false)?;
@@ -230,16 +236,16 @@ proptest! {
     ) {
         let b = builder(6, seed);
         let b = if star { b.star() } else { b.mesh() };
-        let mut net = b.flush_every(3).build();
-        net.edit_insert(0, 0, "base ");
+        let mut net = b.mark_every(3).build();
+        net.edit_insert(0, D, 0, "base ");
         prop_assert!(net.run_until_quiescent(100_000));
 
         let all: Vec<usize> = (0..6).collect();
         let (left, right) = all.split_at(cut);
         net.partition(&[left, right]);
         for (who, at, text) in &during {
-            let len = net.replica(*who).len_chars();
-            net.edit_insert(*who, *at as usize % (len + 1), text);
+            let len = net.replica(*who).len_chars(D);
+            net.edit_insert(*who, D, *at as usize % (len + 1), text);
         }
         prop_assert!(net.run_until_quiescent(100_000));
 
@@ -247,6 +253,6 @@ proptest! {
         prop_assert!(net.run_until_quiescent(100_000));
         prop_assert!(net.all_converged());
         let expected = "base ".len() + during.iter().map(|(_, _, t)| t.len()).sum::<usize>();
-        prop_assert_eq!(net.replica(0).len_chars(), expected);
+        prop_assert_eq!(net.replica(0).len_chars(D), expected);
     }
 }

@@ -141,19 +141,19 @@ pub fn apply_sync_op(net: &mut NetworkSim, op: &SyncOp) {
             at,
             text,
         } => {
-            let len = net.replica(*node).len_chars_doc(DocId(*doc));
+            let len = net.replica(*node).len_chars(DocId(*doc));
             let pos = (*at as usize) % (len + 1);
-            net.edit_insert_doc(*node, DocId(*doc), pos, text);
+            net.edit_insert(*node, DocId(*doc), pos, text);
         }
         SyncOp::Delete { node, doc, at, len } => {
-            let doc_len = net.replica(*node).len_chars_doc(DocId(*doc));
+            let doc_len = net.replica(*node).len_chars(DocId(*doc));
             if doc_len == 0 {
                 return;
             }
             let pos = (*at as usize) % doc_len;
             let n = (*len).min(doc_len - pos);
             if n > 0 {
-                net.edit_delete_doc(*node, DocId(*doc), pos, n);
+                net.edit_delete(*node, DocId(*doc), pos, n);
             }
         }
         SyncOp::Ticks(n) => {
@@ -449,7 +449,7 @@ mod tests {
         assert!(net.run_until_quiescent(50_000));
         assert!(net.all_converged());
         // The hot shard really is multi-writer.
-        assert!(net.replica(0).len_chars_doc(DocId(0)) > 0);
+        assert!(net.replica(0).len_chars(DocId(0)) > 0);
     }
 
     // --- fleet workloads -------------------------------------------------

@@ -4,7 +4,7 @@
 //! the original document on the receiving replica.
 
 use eg_walker_suite::encoding::{decode_bundle, encode_bundle};
-use eg_walker_suite::sync::Replica;
+use eg_walker_suite::sync::{DocId, Replica};
 use eg_walker_suite::trace::{builtin_specs, generate};
 use eg_walker_suite::{EventBundle, OpLog};
 
@@ -34,7 +34,7 @@ fn deliver_scrambled(chunks: Vec<EventBundle>, seed: u64) -> Replica {
         // Through the wire codec, like a real network would.
         let wire = encode_bundle(&chunks[i]);
         let decoded = decode_bundle(&wire).expect("wire roundtrip");
-        replica.receive(&decoded);
+        replica.receive(DocId::DEFAULT, &decoded);
     }
     assert_eq!(replica.pending_len(), 0, "causal buffer did not drain");
     replica
@@ -56,7 +56,7 @@ fn traces_replicate_through_bundles() {
         let chunks = chunk_bundle(&full, 7);
         let replica = deliver_scrambled(chunks, 0x5EED ^ spec.name.len() as u64);
         assert_eq!(
-            replica.text(),
+            replica.text(DocId::DEFAULT),
             expected,
             "replication mismatch on {}",
             spec.name

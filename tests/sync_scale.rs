@@ -1,7 +1,7 @@
 //! Scale-out acceptance: a 100-replica, 8-document sharded simulation
-//! must converge within a fixed tick budget, and the star topology with
-//! batched anti-entropy must put strictly fewer bytes on the wire than
-//! the full-mesh eager-broadcast baseline for the same edit script.
+//! must converge within a fixed tick budget, and the star topology must
+//! put strictly fewer bytes and frames on the wire than the full mesh
+//! for the same edit script and the same mark cadence.
 
 use eg_walker_suite::sync::{DocId, NetworkSim, SimBuilder};
 use eg_walker_suite::trace::workload::{apply_sync_workload, sync_workload, SyncWorkloadSpec};
@@ -10,6 +10,8 @@ const NODES: usize = 100;
 const DOCS: u64 = 8;
 /// Tick budget for draining the 100-node simulation to convergence.
 const TICK_BUDGET: u64 = 20_000;
+/// Ticks between mark rounds, the same for every topology compared.
+const MARK_EVERY: u64 = 8;
 
 fn scale_workload() -> Vec<eg_walker_suite::trace::SyncOp> {
     sync_workload(&SyncWorkloadSpec {
@@ -32,8 +34,8 @@ fn builder(seed: u64) -> SimBuilder {
 fn hundred_replica_star_sharded_beats_mesh_eager_baseline() {
     let ops = scale_workload();
 
-    // Star relay with batched outboxes (flush every 2 ticks).
-    let mut star = builder(42).star().flush_every(2).build();
+    // Star relay: leaves link only to the hub, which forwards.
+    let mut star = builder(42).star().mark_every(MARK_EVERY).build();
     apply_sync_workload(&mut star, &ops);
     assert!(
         star.run_until_quiescent(TICK_BUDGET),
@@ -41,9 +43,10 @@ fn hundred_replica_star_sharded_beats_mesh_eager_baseline() {
         star.now()
     );
     assert!(star.all_converged());
+    assert_eq!(star.stats().resets, 0, "no faults: every mark agrees");
 
-    // Full-mesh eager per-edit broadcast: the pre-refactor behaviour.
-    let mut mesh = builder(42).mesh().flush_every(0).build();
+    // Full mesh: every node links to every other, the baseline.
+    let mut mesh = builder(42).mesh().mark_every(MARK_EVERY).build();
     apply_sync_workload(&mut mesh, &ops);
     assert!(
         mesh.run_until_quiescent(TICK_BUDGET),
@@ -57,15 +60,12 @@ fn hundred_replica_star_sharded_beats_mesh_eager_baseline() {
     for net in [&star, &mesh] {
         assert_eq!(net.replica(0).doc_ids().len() as u64, DOCS);
         for doc in 0..DOCS {
-            assert!(
-                net.replica(0).len_chars_doc(DocId(doc)) > 0,
-                "doc {doc} empty"
-            );
+            assert!(net.replica(0).len_chars(DocId(doc)) > 0, "doc {doc} empty");
         }
     }
 
-    // The honest-bandwidth acceptance bar: batched star anti-entropy puts
-    // strictly fewer bytes on the wire than eager mesh broadcast.
+    // The honest-bandwidth acceptance bar: the star puts strictly fewer
+    // bytes and frames on the wire than the mesh.
     let (s, m) = (star.stats(), mesh.stats());
     assert!(
         s.bytes < m.bytes,
@@ -75,11 +75,11 @@ fn hundred_replica_star_sharded_beats_mesh_eager_baseline() {
     );
     assert!(
         s.sent < m.sent,
-        "star messages {} not below mesh baseline {}",
+        "star frames {} not below mesh baseline {}",
         s.sent,
         m.sent
     );
-    // Byte accounting is wire-size based and splits by message kind.
+    // Byte accounting is wire-size based and splits by frame kind.
     assert_eq!(s.bytes, s.digest_bytes + s.bundle_bytes);
     assert_eq!(m.bytes, m.digest_bytes + m.bundle_bytes);
 }
@@ -97,7 +97,7 @@ fn hundred_replica_star_survives_loss() {
     });
     let mut net = builder(7)
         .star()
-        .flush_every(2)
+        .mark_every(2)
         .link(LinkConfig {
             min_delay: 1,
             max_delay: 6,
@@ -110,5 +110,5 @@ fn hundred_replica_star_survives_loss() {
         "lossy star did not converge"
     );
     assert!(net.stats().dropped > 0, "seed should exercise loss");
-    assert!(net.stats().syncs > 0, "loss must force digest repair");
+    assert!(net.stats().resets > 0, "loss must force a link reset");
 }
