@@ -172,24 +172,31 @@ impl OpLog {
     /// checkpoint) a fresh conflict-window merge runs from `version`,
     /// which is still O(tail + conflict window), not O(history).
     ///
-    /// The result is byte-identical to [`OpLog::checkout_tip`]. The caller
-    /// is responsible for snapshot/version integrity
-    /// ([`TrackerSnapshot::validate`] plus remote→local version mapping
-    /// for untrusted inputs).
+    /// The branch is byte-identical to [`OpLog::checkout_tip`]. It comes
+    /// with the tracker it was merged through, left live at the tip, for
+    /// the document's next merge to resume. The caller is responsible for
+    /// snapshot/version integrity ([`TrackerSnapshot::validate`] plus
+    /// remote→local version mapping for untrusted inputs).
     pub fn open_cached(
         &self,
         content: &str,
         version: &[LV],
         snapshot: Option<&TrackerSnapshot>,
-    ) -> Branch {
+    ) -> (Branch, Tracker) {
         let mut b = Branch::from_cached(content, Frontier::from(version));
-        match snapshot {
+        let tracker = match snapshot {
             Some(snap) => {
-                b.merge_resuming(self, &mut Tracker::from_snapshot(snap));
+                let mut tracker = Tracker::from_snapshot(snap);
+                b.merge_resuming(self, &mut tracker);
+                tracker
             }
-            None => b.merge(self),
-        }
-        b
+            None => {
+                let mut tracker = Tracker::new();
+                b.merge_reusing(self, &mut tracker);
+                tracker
+            }
+        };
+        (b, tracker)
     }
 }
 
@@ -262,14 +269,14 @@ mod tests {
                 let at = oplog.checkout(version.as_slice());
                 let content = at.content.to_string();
 
-                let cold = oplog.open_cached(&content, version.as_slice(), None);
+                let (cold, _) = oplog.open_cached(&content, version.as_slice(), None);
                 assert_eq!(cold, expect, "case {case} cut {cut} no-snapshot");
 
                 let tracker = walker::tracker_at(oplog, version.as_slice(), WalkerOpts::default());
                 let snap = tracker.to_snapshot();
                 snap.validate(oplog.len())
                     .expect("self-made snapshot validates");
-                let warm = oplog.open_cached(&content, version.as_slice(), Some(&snap));
+                let (warm, _) = oplog.open_cached(&content, version.as_slice(), Some(&snap));
                 assert_eq!(warm, expect, "case {case} cut {cut} snapshot");
 
                 // The same open by hand: it resumes exactly when the whole

@@ -480,10 +480,11 @@ impl Live {
         self.valid = true;
     }
 
-    /// Declares a tracker restored from a snapshot of `oplog` at `version`
-    /// (prepare == effect == `version`) live there. Its placeholder may
-    /// stand for an older version, but only a tail causally after the
-    /// snapshot is let through, as if it did stand for `version`.
+    /// Declares a tracker at `version` of `oplog` (prepare == effect ==
+    /// `version`) live there: one restored from a snapshot, or rebuilt by
+    /// `walker::snapshot_at`. Its placeholder may stand for an older
+    /// version, but only a tail causally after `version` is let through, as
+    /// if it did stand for `version`.
     pub(crate) fn install(&mut self, oplog: &OpLog, version: &[LV]) {
         self.log = oplog.id.0;
         self.floor.0.clear();
@@ -728,12 +729,13 @@ impl Tracker {
     /// Captures the tracker's replay state as a [`TrackerSnapshot`].
     ///
     /// The snapshot pairs with the version the tracker represents, and only
-    /// when its prepare and effect dimensions both stand there — what
-    /// [`crate::walker::tracker_at`] builds. The caller records that
-    /// version alongside (the storage layer's checkpoint record does). A
-    /// tracker a merge left live does not qualify in general: its prepare
-    /// dimension stands at the last event the merge applied, which may lag
-    /// the merged version.
+    /// when its prepare and effect dimensions both stand there. The caller
+    /// records that version alongside (the storage layer's checkpoint
+    /// record does). A tracker a merge left live stands there once its
+    /// prepare dimension, which stops at the last event the merge applied,
+    /// has caught up: [`crate::walker::snapshot_at`] advances it and then
+    /// snapshots, and rebuilds any other tracker the way
+    /// [`crate::walker::tracker_at`] builds one.
     pub fn to_snapshot(&self) -> TrackerSnapshot {
         let records = self.records();
         let mut del_runs = Vec::new();

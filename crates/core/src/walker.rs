@@ -7,7 +7,7 @@
 //! to the latest critical version.
 
 use crate::op::{ListOpKind, TextOpRef, TextOperation};
-use crate::tracker::Tracker;
+use crate::tracker::{Tracker, TrackerSnapshot};
 use crate::OpLog;
 use eg_dag::walk::{PlanOrder, WalkPlan};
 use eg_dag::{Frontier, Graph, LV};
@@ -490,6 +490,42 @@ pub fn tracker_at(oplog: &OpLog, version: &[LV], opts: WalkerOpts) -> Tracker {
         tracker.advance(oplog, r);
     }
     tracker
+}
+
+/// Snapshots the document at `version` — what a checkpoint stores beside
+/// the text — from `tracker`, and leaves `tracker` live at `version`, so
+/// the next merge through it resumes as it would have without the
+/// snapshot. Returns the snapshot, and `true` if it came from the state
+/// a merge left live at `version` on this oplog.
+///
+/// That state already describes `version`, except that its prepare
+/// dimension may lag (it stands at the last event the merge consumed):
+/// the lag, `diff(prepare, version)`, is advanced over, which walks no
+/// conflict window. Any other tracker is rebuilt at `version` as
+/// [`tracker_at`] builds one, then declared live there.
+pub fn snapshot_at(
+    oplog: &OpLog,
+    version: &[LV],
+    tracker: &mut Tracker,
+) -> (TrackerSnapshot, bool) {
+    let live = &tracker.live;
+    let from_live = live.valid && live.log == oplog.id.0 && live.version.as_slice() == version;
+    if from_live {
+        let gap = oplog.graph.diff(&tracker.live.prepare, version);
+        debug_assert!(gap.only_a.is_empty());
+        for r in gap.only_b {
+            tracker.advance(oplog, r);
+        }
+        // Advancing dropped the live mark; the records still describe
+        // `version`, and now the prepare dimension stands there too.
+        let live = &mut tracker.live;
+        live.prepare.0.clone_from(&live.version.0);
+        live.valid = true;
+    } else {
+        *tracker = tracker_at(oplog, version, WalkerOpts::default());
+        tracker.live.install(oplog, version);
+    }
+    (tracker.to_snapshot(), from_live)
 }
 
 /// Replays the full event graph applying the emitted (transformed)

@@ -220,7 +220,7 @@ proptest! {
             let resumes = (cut..oplog.len())
                 .all(|lv| oplog.graph.frontier_contains_frontier(&[lv], &version));
             resumed_any |= resumes && snap.records.len() > 1;
-            let warm = oplog.open_cached(&at.content.to_string(), &version, Some(&snap));
+            let (warm, _) = oplog.open_cached(&at.content.to_string(), &version, Some(&snap));
             prop_assert_eq!(&warm, &tip, "cut {} (resumes: {})", cut, resumes);
         }
         prop_assert!(resumed_any, "no cut exercised the resumed path with live records");

@@ -14,6 +14,15 @@
 //!    half-open detection;
 //! 6. flushing per-session outboxes to writable sockets.
 //!
+//! A bundle frame is a merge, and the loop waits for it. So before it
+//! hands one over, the loop writes what that connection's peer is owed:
+//! the peer can then merge what it receives while this end merges too.
+//! When the socket takes no more, the frame and the frames behind it wait
+//! (reading goes on) until the output has drained, or until the decoder
+//! holds [`MAX_FRAME_LEN`] bytes, from where frames are handed over as
+//! they come: a peer that never reads can neither grow the buffer without
+//! bound nor stall the link.
+//!
 //! There is no `epoll` (the workspace is std-only by constraint):
 //! sockets are non-blocking and the loop sleeps ~1ms when an iteration
 //! makes no progress, which bounds idle CPU while keeping sync latency
@@ -33,7 +42,7 @@ use std::time::{Duration, Instant};
 
 use eg_dag::RemoteId;
 use eg_server::{ServerConfig, ServerHost};
-use eg_sync::frame::FrameDecoder;
+use eg_sync::frame::{is_bundle_body, FrameDecoder, MAX_FRAME_LEN};
 use eg_sync::DocId;
 use eg_trace::{fleet_workload, FleetOp, FleetSpec};
 use serde::Value;
@@ -122,6 +131,40 @@ struct Conn {
     dial_slot: Option<usize>,
 }
 
+impl Conn {
+    /// Whether frames for the peer are queued or only partly written.
+    fn output_pending(&self) -> bool {
+        self.write_pos < self.write_cur.len() || self.session.outbox_bytes() > 0
+    }
+
+    /// Writes queued frames until the outbox is empty or the socket takes
+    /// no more. Returns the bytes written, or why the connection is dead.
+    fn write_out(&mut self) -> Result<usize, String> {
+        let mut written = 0;
+        loop {
+            if self.write_pos >= self.write_cur.len() {
+                match self.session.outbox().pop() {
+                    Some(frame) => {
+                        self.write_cur = frame;
+                        self.write_pos = 0;
+                    }
+                    None => return Ok(written),
+                }
+            }
+            match self.stream.write(&self.write_cur[self.write_pos..]) {
+                Ok(0) => return Err("write returned zero".to_owned()),
+                Ok(n) => {
+                    written += n;
+                    self.write_pos += n;
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(written),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(format!("write error: {e}")),
+            }
+        }
+    }
+}
+
 struct DialSlot {
     path: PathBuf,
     backoff: Backoff,
@@ -208,11 +251,16 @@ impl Daemon {
         }
     }
 
-    fn add_conn(&mut self, stream: UnixStream, dial_slot: Option<usize>) -> io::Result<usize> {
+    fn add_conn(
+        &mut self,
+        now: Instant,
+        stream: UnixStream,
+        dial_slot: Option<usize>,
+    ) -> io::Result<usize> {
         stream.set_nonblocking(true)?;
         let conn = Conn {
             stream,
-            session: PeerSession::connect(Instant::now(), &self.config.name, self.session_config()),
+            session: PeerSession::connect(now, &self.config.name, self.session_config()),
             decoder: FrameDecoder::new(),
             write_cur: Vec::new(),
             write_pos: 0,
@@ -231,7 +279,7 @@ impl Daemon {
         Ok(idx)
     }
 
-    fn close_conn(&mut self, idx: usize, why: &str) {
+    fn close_conn(&mut self, now: Instant, idx: usize, why: &str) {
         if let Some(conn) = self.conns[idx].take() {
             self.stats.disconnects += 1;
             let peer = conn.session.peer_name().unwrap_or("<pre-hello>").to_owned();
@@ -242,23 +290,22 @@ impl Daemon {
             if let Some(slot_idx) = conn.dial_slot {
                 let slot = &mut self.dials[slot_idx];
                 slot.conn = None;
-                slot.due = Instant::now() + slot.backoff.next_delay();
+                slot.due = now + slot.backoff.next_delay();
             }
         }
     }
 
-    /// One reactor pass; returns `true` when any I/O or timer progressed
-    /// (so the caller knows whether to sleep).
-    fn poll_once(&mut self) -> bool {
+    /// One reactor pass at time `now`; returns `true` when any I/O or
+    /// timer progressed (so the caller knows whether to sleep).
+    fn poll_once(&mut self, now: Instant) -> bool {
         let mut progress = false;
-        let now = Instant::now();
 
         // Accept inbound connections.
         loop {
             match self.listener.accept() {
                 Ok((stream, _addr)) => {
                     self.stats.accepted += 1;
-                    if self.add_conn(stream, None).is_ok() {
+                    if self.add_conn(now, stream, None).is_ok() {
                         progress = true;
                     }
                 }
@@ -277,7 +324,7 @@ impl Daemon {
             }
             let path = self.dials[i].path.clone();
             match UnixStream::connect(&path) {
-                Ok(stream) => match self.add_conn(stream, Some(i)) {
+                Ok(stream) => match self.add_conn(now, stream, Some(i)) {
                     Ok(idx) => {
                         self.dials[i].conn = Some(idx);
                         progress = true;
@@ -322,6 +369,7 @@ impl Daemon {
                         progress = true;
                         self.stats.bytes_in += n as u64;
                         conn.decoder.push(&buf[..n]);
+                        conn.session.on_bytes(now);
                     }
                     Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -332,8 +380,24 @@ impl Daemon {
                 }
             }
 
-            // Dispatch complete frames.
+            // Dispatch complete frames; a bundle frame only once the
+            // peer's answer is written (see the module docs).
             while dead.is_none() {
+                if conn.decoder.peek_frame().is_some_and(is_bundle_body) && conn.output_pending() {
+                    match conn.write_out() {
+                        Ok(n) => {
+                            progress |= n > 0;
+                            self.stats.bytes_out += n as u64;
+                        }
+                        Err(why) => {
+                            dead = Some(why);
+                            break;
+                        }
+                    }
+                    if conn.output_pending() && conn.decoder.buffered() < MAX_FRAME_LEN {
+                        break;
+                    }
+                }
                 match conn.decoder.next_frame() {
                     Ok(Some(body)) => {
                         let was_established = conn.session.state() == SessionState::Established;
@@ -382,36 +446,16 @@ impl Daemon {
             }
 
             // Flush the outbox.
-            while dead.is_none() {
-                if conn.write_pos >= conn.write_cur.len() {
-                    match conn.session.outbox().pop() {
-                        Some(frame) => {
-                            conn.write_cur = frame;
-                            conn.write_pos = 0;
-                        }
-                        None => break,
-                    }
-                }
-                match conn.stream.write(&conn.write_cur[conn.write_pos..]) {
-                    Ok(0) => {
-                        dead = Some("write returned zero".to_owned());
-                    }
+            if dead.is_none() {
+                match conn.write_out() {
                     Ok(n) => {
-                        progress = true;
+                        progress |= n > 0;
                         self.stats.bytes_out += n as u64;
-                        conn.write_pos += n;
                     }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                    Err(e) => {
-                        dead = Some(format!("write error: {e}"));
-                    }
+                    Err(why) => dead = Some(why),
                 }
             }
-            if dead.is_none()
-                && conn.write_pos >= conn.write_cur.len()
-                && conn.session.outbox().is_empty()
-            {
+            if dead.is_none() && !conn.output_pending() {
                 conn.session.on_drained(now, &self.host);
             }
 
@@ -422,7 +466,7 @@ impl Daemon {
         }
         for (idx, why) in to_close {
             progress = true;
-            self.close_conn(idx, &why);
+            self.close_conn(now, idx, &why);
         }
         // What one peer brought is a local change to every other link:
         // say so there, or those views would never learn of it.
@@ -567,6 +611,7 @@ impl Daemon {
                             "checkpoints_written",
                             Value::UInt(persist.checkpoints_written),
                         ),
+                        ("checkpoints_live", Value::UInt(persist.checkpoints_live)),
                         ("bytes_written", Value::UInt(persist.bytes_written)),
                     ]),
                     false,
@@ -622,7 +667,7 @@ impl Daemon {
                     }
                 }
             }
-            if self.poll_once() {
+            if self.poll_once(Instant::now()) {
                 progress = true;
             }
             if !progress {
@@ -685,6 +730,8 @@ pub fn snapshot_hash(snapshot: &[(DocId, Vec<RemoteId>, String)]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eg_sync::frame::{WireFrame, PROTOCOL_VERSION};
+    use eg_sync::{Message, Replica};
     use std::path::Path;
 
     #[test]
@@ -786,6 +833,185 @@ mod tests {
         }
         b.shutdown();
         a.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A daemon turned by hand, on a clock the test sets, holding one
+    /// document larger than a socket buffer; and a plain socket connected
+    /// to it, playing the peer.
+    fn manual(tag: &str, heartbeat_timeout: Duration) -> (Daemon, UnixStream, PathBuf) {
+        let dir = scratch_dir(tag);
+        let sock = dir.join("a.sock");
+        let mut daemon = Daemon::new(DaemonConfig {
+            sync_interval: Duration::from_secs(3600),
+            heartbeat_interval: Duration::from_secs(3600),
+            heartbeat_timeout,
+            ..fast("alpha", &sock, vec![])
+        })
+        .unwrap();
+        daemon.handle_cmd(ControlCmd::Edit {
+            doc: 1,
+            at: 0,
+            text: "x".repeat(6 << 20),
+        });
+        let peer = UnixStream::connect(&sock).unwrap();
+        (daemon, peer, dir)
+    }
+
+    /// What the peer says first: its Hello, then a digest naming nothing,
+    /// which the daemon answers with its whole large document.
+    fn hello_and_empty_digest() -> Vec<u8> {
+        let hello = WireFrame::Hello {
+            proto: PROTOCOL_VERSION,
+            name: "peer".into(),
+        };
+        [hello, WireFrame::Sync(Message::Digest(Vec::new()))]
+            .iter()
+            .flat_map(WireFrame::encode)
+            .collect()
+    }
+
+    /// A bundle frame carrying `text` as document `doc`, from the peer.
+    fn bundle_frame(doc: u64, text: &str) -> Vec<u8> {
+        let bundle = Replica::new("peer").insert(DocId(doc), 0, text);
+        WireFrame::Sync(Message::Bundles(vec![(DocId(doc), bundle)])).encode()
+    }
+
+    fn has_doc(daemon: &Daemon, doc: u64) -> bool {
+        daemon.host.digest_all().iter().any(|(id, _)| id.0 == doc)
+    }
+
+    fn the_conn(daemon: &Daemon) -> &Conn {
+        daemon
+            .conns
+            .iter()
+            .flatten()
+            .next()
+            .expect("the peer's connection")
+    }
+
+    /// Reads whatever the daemon has written so far.
+    fn read_available(peer: &mut UnixStream, into: &mut FrameDecoder) {
+        let mut buf = [0u8; 64 * 1024];
+        loop {
+            match peer.read(&mut buf) {
+                Ok(0) => panic!("the daemon closed the connection"),
+                Ok(n) => into.push(&buf[..n]),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(e) => panic!("read: {e}"),
+            }
+        }
+    }
+
+    /// A bundle frame behind the daemon's own unwritten answer waits, with
+    /// reading and writing going on, and is merged once the answer has
+    /// gone out whole.
+    #[test]
+    fn a_bundle_frame_waits_until_the_answer_ahead_of_it_is_written() {
+        let (mut daemon, mut peer, dir) = manual("defer", Duration::from_secs(3));
+        let now = Instant::now();
+        peer.write_all(&hello_and_empty_digest()).unwrap();
+        peer.write_all(&bundle_frame(7, "from the peer")).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        daemon.poll_once(now);
+        let conn = the_conn(&daemon);
+        assert!(conn.output_pending(), "the answer fits in the socket");
+        assert!(conn.decoder.peek_frame().is_some_and(is_bundle_body));
+        assert!(!has_doc(&daemon, 7), "merged before the answer went out");
+
+        let mut got = FrameDecoder::new();
+        let mut passes = 0;
+        while !has_doc(&daemon, 7) {
+            assert!(the_conn(&daemon).output_pending());
+            read_available(&mut peer, &mut got);
+            daemon.poll_once(now);
+            passes += 1;
+            assert!(passes < 10_000, "the frame was never handed over");
+        }
+        assert!(passes > 1, "the answer went out in one pass");
+        // The answer was out before the merge: the peer reads all of it
+        // without another pass.
+        read_available(&mut peer, &mut got);
+        let mut answered = false;
+        while let Some(frame) = got.next_wire_frame().unwrap() {
+            if let WireFrame::Sync(Message::Bundles(batch)) = frame {
+                answered |= batch.iter().any(|(doc, _)| *doc == DocId(1));
+            }
+        }
+        assert!(answered, "the answer reached the peer whole");
+        assert_eq!(daemon.stats.disconnects, 0);
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A peer that never reads cannot make the daemon hold its frames
+    /// without bound: once the decoder holds `MAX_FRAME_LEN` bytes, frames
+    /// are handed over in arrival order again.
+    #[test]
+    fn held_input_past_max_frame_len_is_handed_over_anyway() {
+        let (mut daemon, mut peer, dir) = manual("bound", Duration::from_secs(3));
+        let now = Instant::now();
+        peer.write_all(&hello_and_empty_digest()).unwrap();
+        peer.write_all(&bundle_frame(7, "from the peer")).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        daemon.poll_once(now);
+        assert!(!has_doc(&daemon, 7));
+
+        // The peer sends on — 1 MiB bundle frames — and reads nothing.
+        let text = "y".repeat(1 << 20);
+        let mut unsent: Vec<u8> = (8..26).flat_map(|doc| bundle_frame(doc, &text)).collect();
+        assert!(unsent.len() > MAX_FRAME_LEN);
+        let mut most = 0;
+        while !unsent.is_empty() {
+            match peer.write(&unsent) {
+                Ok(n) => drop(unsent.drain(..n)),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {}
+                Err(e) => panic!("write: {e}"),
+            }
+            daemon.poll_once(now);
+            let conn = the_conn(&daemon);
+            assert!(conn.output_pending(), "the peer read nothing");
+            let held = conn.decoder.buffered();
+            assert!(held < MAX_FRAME_LEN, "{held} B held after a pass");
+            if held < MAX_FRAME_LEN - (1 << 20) {
+                assert!(!has_doc(&daemon, 7), "handed over below the bound");
+            }
+            most = most.max(held);
+        }
+        assert!(has_doc(&daemon, 7), "held past the bound");
+        assert!(most > MAX_FRAME_LEN - (2 << 20), "only {most} B held");
+        assert_eq!(daemon.stats.disconnects, 0);
+        drop(daemon);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The heartbeat timeout measures the peer's silence. Frames held back
+    /// arrived, so holding them past the timeout drops nothing.
+    #[test]
+    fn holding_a_frame_back_does_not_time_the_link_out() {
+        let timeout = Duration::from_secs(10);
+        let (mut daemon, mut peer, dir) = manual("heartbeat", timeout);
+        let t0 = Instant::now();
+        peer.write_all(&hello_and_empty_digest()).unwrap();
+        peer.set_nonblocking(true).unwrap();
+        daemon.poll_once(t0);
+        assert!(the_conn(&daemon).output_pending());
+        // The bundle frame arrives late, and then the peer goes quiet for
+        // longer than the timeout counts from the last frame handed over.
+        peer.write_all(&bundle_frame(7, "from the peer")).unwrap();
+        daemon.poll_once(t0 + timeout * 6 / 10);
+        let later = t0 + timeout * 12 / 10;
+        daemon.poll_once(later);
+        assert_eq!(daemon.stats.disconnects, 0, "timed out while holding");
+        assert!(!has_doc(&daemon, 7));
+
+        let mut got = FrameDecoder::new();
+        while !has_doc(&daemon, 7) {
+            read_available(&mut peer, &mut got);
+            daemon.poll_once(later);
+        }
+        assert_eq!(daemon.stats.disconnects, 0);
+        drop(daemon);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -346,6 +346,14 @@ impl PeerSession {
         Ok(Vec::new())
     }
 
+    /// Bytes arrived from the peer: the link is alive, whether or not they
+    /// complete a frame the reactor hands over now. (It holds frames back
+    /// while its own output to the peer is pending; the heartbeat timeout
+    /// measures the peer's silence, not that wait.)
+    pub fn on_bytes(&mut self, now: Instant) {
+        self.last_recv = now;
+    }
+
     /// Clock tick: emits a heartbeat when the link has been send-idle,
     /// and reports a half-open link when nothing has arrived within the
     /// timeout.

@@ -100,6 +100,7 @@ fn sigkill_mid_sync_restart_converges_byte_identical() {
     // counter only has to be there.
     assert!(a.status_counter("bytes_written") > 0);
     a.status_counter("checkpoints_written");
+    a.status_counter("checkpoints_live");
     assert_eq!(
         a.full_texts(),
         b.full_texts(),

@@ -734,6 +734,10 @@ mod tests {
             stats.checkpoints_written
         );
 
+        // Every edit merges through the document's tracker, so every
+        // checkpoint snapshots it live instead of replaying a window.
+        assert_eq!(stats.checkpoints_live, stats.checkpoints_written);
+
         // The counters are the directory: nothing hides beside the stores.
         assert_eq!(stats.store_bytes, dir_bytes(&tmp.0));
         assert!(stats.bytes_written >= stats.store_bytes);
@@ -750,6 +754,7 @@ mod tests {
             compact.store_bytes
         );
         assert!(compact.checkpoints_written > stats.checkpoints_written);
+        assert_eq!(compact.checkpoints_live, compact.checkpoints_written);
         assert!(compact.bytes_written > stats.bytes_written);
     }
 }

@@ -84,6 +84,10 @@ pub struct PersistStats {
     pub store_bytes: u64,
     /// Checkpoints written since startup (each replaced its file).
     pub checkpoints_written: u64,
+    /// Of those, how many took their tracker snapshot from the tracker the
+    /// document's last merge left live (the rest rebuilt one by replaying
+    /// the conflict window).
+    pub checkpoints_live: u64,
     /// Bytes written to segment files since startup, replaced ones
     /// included: ÷ `store_bytes` is the write amplification.
     pub bytes_written: u64,
@@ -95,6 +99,7 @@ impl PersistStats {
         self.docs_cached += other.docs_cached;
         self.store_bytes += other.store_bytes;
         self.checkpoints_written += other.checkpoints_written;
+        self.checkpoints_live += other.checkpoints_live;
         self.bytes_written += other.bytes_written;
     }
 }
@@ -162,7 +167,7 @@ impl Persistence {
                 if loaded.cached {
                     this.stats.docs_cached += 1;
                 }
-                replica.install_doc(doc, loaded.oplog, loaded.branch);
+                replica.install_doc(doc, loaded.oplog, loaded.branch, loaded.tracker);
             }
             this.stores.insert(doc, store);
         }
@@ -171,9 +176,26 @@ impl Persistence {
 
     /// Appends everything new in `doc` past its persisted frontier, and
     /// writes a checkpoint when the store's tail has earned one.
-    fn persist(&mut self, replica: &Replica, doc: DocId) {
-        let Some((oplog, branch)) = replica.doc_parts(doc) else {
-            return;
+    fn persist(&mut self, replica: &mut Replica, doc: DocId) {
+        self.save(replica, doc, DocStore::checkpoint_due);
+    }
+
+    /// Forces a checkpoint on every owned document with events past its
+    /// last checkpoint. Returns how many checkpoints were written.
+    fn checkpoint_all(&mut self, replica: &mut Replica) -> usize {
+        replica
+            .doc_ids()
+            .into_iter()
+            .filter(|&doc| self.save(replica, doc, |store| store.events_since_checkpoint() > 0))
+            .count()
+    }
+
+    /// Appends what is new in `doc`, then checkpoints it if `due` says so,
+    /// snapshotting the document's own tracker. Returns whether it wrote a
+    /// checkpoint.
+    fn save(&mut self, replica: &mut Replica, doc: DocId, due: impl Fn(&DocStore) -> bool) -> bool {
+        let Some((oplog, branch, tracker)) = replica.doc_parts(doc) else {
+            return false;
         };
         let store = self.stores.entry(doc).or_insert_with(|| {
             let (store, _) =
@@ -181,33 +203,15 @@ impl Persistence {
             store
         });
         store.append_new(oplog).expect("append to segment store");
-        if store.checkpoint_due() {
-            store.write_checkpoint(oplog, branch).expect("checkpoint");
-            self.stats.checkpoints_written += 1;
+        if !due(store) {
+            return false;
         }
-    }
-
-    /// Forces a checkpoint on every owned document with events past its
-    /// last checkpoint. Returns how many checkpoints were written.
-    fn checkpoint_all(&mut self, replica: &Replica) -> usize {
-        let mut written = 0;
-        for doc in replica.doc_ids() {
-            let Some((oplog, branch)) = replica.doc_parts(doc) else {
-                continue;
-            };
-            let store = self.stores.entry(doc).or_insert_with(|| {
-                let (store, _) =
-                    DocStore::open(Self::doc_path(&self.dir, doc)).expect("create segment store");
-                store
-            });
-            store.append_new(oplog).expect("append to segment store");
-            if store.events_since_checkpoint() > 0 {
-                store.write_checkpoint(oplog, branch).expect("checkpoint");
-                written += 1;
-            }
-        }
-        self.stats.checkpoints_written += written as u64;
-        written
+        let from_live = store
+            .write_checkpoint_with(oplog, branch, tracker)
+            .expect("checkpoint");
+        self.stats.checkpoints_written += 1;
+        self.stats.checkpoints_live += u64::from(from_live);
+        true
     }
 
     fn stats(&self) -> PersistStats {
@@ -303,7 +307,7 @@ pub(crate) fn worker_main(
                 }
                 if let Some(p) = persist.as_mut() {
                     for doc in touched.drain(..) {
-                        p.persist(&replica, doc);
+                        p.persist(&mut replica, doc);
                     }
                 }
                 let mut items = batch.items;
@@ -358,7 +362,7 @@ pub(crate) fn worker_main(
                 }
                 if let Some(p) = persist.as_mut() {
                     for doc in applied {
-                        p.persist(&replica, doc);
+                        p.persist(&mut replica, doc);
                     }
                 }
             }
@@ -369,7 +373,9 @@ pub(crate) fn worker_main(
                 let _ = reply.send(std::mem::take(&mut report));
             }
             Job::Checkpoint(reply) => {
-                let written = persist.as_mut().map_or(0, |p| p.checkpoint_all(&replica));
+                let written = persist
+                    .as_mut()
+                    .map_or(0, |p| p.checkpoint_all(&mut replica));
                 let _ = reply.send(written);
             }
             Job::Persisted(reply) => {

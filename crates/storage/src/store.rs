@@ -21,8 +21,8 @@ use eg_dag::{DiffResult, RemoteId};
 use eg_encoding::varint::DecodeError;
 use eg_encoding::{apply_bundle_bytes, ApplyBundleError};
 use eg_rle::{DTRange, HasLength};
-use egwalker::walker::{self, WalkerOpts};
-use egwalker::{Branch, BundleError, Frontier, OpLog};
+use egwalker::walker;
+use egwalker::{Branch, BundleError, Frontier, OpLog, Tracker};
 
 use crate::format::{self, scan_frames, HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS};
 
@@ -82,14 +82,18 @@ impl From<ApplyBundleError> for StorageError {
     }
 }
 
-/// The in-memory result of opening a store: the rebuilt oplog and the
-/// materialised document.
+/// The in-memory result of opening a store: the rebuilt oplog, the
+/// materialised document, and the tracker that merged it.
 #[derive(Debug)]
 pub struct LoadedDoc {
     /// The full event graph rebuilt from the segment file.
     pub oplog: OpLog,
     /// The document at the oplog tip.
     pub branch: Branch,
+    /// The tracker a cached open merged through, live at the tip, so that
+    /// the document's next merge can resume it. Fresh after a sequential
+    /// tail (it replays without one) and after a cold replay.
+    pub tracker: Tracker,
     /// `true` if a checkpoint drove the cached-load fast path; `false`
     /// means a cold full replay (no checkpoint, or one that did not
     /// resolve against the rebuilt log).
@@ -282,17 +286,18 @@ impl DocStore {
                 resolved = Some((view.content, frontier, tail_from, snapshot));
             }
         }
-        let (branch, cached) = match resolved {
+        let (branch, tracker, cached) = match resolved {
             Some((content, frontier, Some(tail_from), _)) => {
                 let mut b = Branch::from_cached(content, frontier);
                 b.apply_sequential_tail(&oplog, (tail_from..oplog.len()).into());
-                (b, true)
+                (b, Tracker::new(), true)
             }
-            Some((content, frontier, None, snapshot)) => (
-                oplog.open_cached(content, frontier.as_slice(), snapshot.as_ref()),
-                true,
-            ),
-            None => (oplog.checkout_tip(), false),
+            Some((content, frontier, None, snapshot)) => {
+                let (b, tracker) =
+                    oplog.open_cached(content, frontier.as_slice(), snapshot.as_ref());
+                (b, tracker, true)
+            }
+            None => (oplog.checkout_tip(), Tracker::new(), false),
         };
 
         let file = OpenOptions::new().append(true).open(path)?;
@@ -315,6 +320,7 @@ impl DocStore {
             LoadedDoc {
                 oplog,
                 branch,
+                tracker,
                 cached,
             },
         ))
@@ -395,12 +401,29 @@ impl DocStore {
     /// beside the old one and renamed over it, so a process killed at any
     /// instruction leaves one of the two, complete.
     ///
-    /// The tracker snapshot is built fresh at the branch version
-    /// ([`walker::tracker_at`]); at a critical version it degenerates to
-    /// the placeholder and costs nothing to restore.
+    /// The tracker snapshot is built fresh at the branch version; at a
+    /// critical version it degenerates to the placeholder and costs
+    /// nothing to restore. A caller that keeps the document's tracker
+    /// passes it to [`Self::write_checkpoint_with`] instead.
     pub fn write_checkpoint(&mut self, oplog: &OpLog, branch: &Branch) -> Result<(), StorageError> {
-        let snapshot = walker::tracker_at(oplog, branch.version.as_slice(), WalkerOpts::default())
-            .to_snapshot();
+        self.write_checkpoint_with(oplog, branch, &mut Tracker::new())
+            .map(drop)
+    }
+
+    /// [`Self::write_checkpoint`], taking the tracker snapshot from the
+    /// document's own `tracker` ([`walker::snapshot_at`]). When the last
+    /// merge left it live at the branch version, the snapshot costs only
+    /// catching its prepare dimension up, not a replay of the conflict
+    /// window; otherwise it is rebuilt there. Either way `tracker` is left
+    /// live at the branch version. Returns `true` if the snapshot came
+    /// from the live tracker.
+    pub fn write_checkpoint_with(
+        &mut self,
+        oplog: &OpLog,
+        branch: &Branch,
+        tracker: &mut Tracker,
+    ) -> Result<bool, StorageError> {
+        let (snapshot, from_live) = walker::snapshot_at(oplog, branch.version.as_slice(), tracker);
         let version: Vec<RemoteId> = branch
             .version
             .iter()
@@ -433,7 +456,7 @@ impl DocStore {
         self.tail_events = 0;
         self.file_bytes = replacement.len() as u64;
         self.bytes_written = self.bytes_written.saturating_add(self.file_bytes);
-        Ok(())
+        Ok(from_live)
     }
 
     /// Forces the file's data to stable storage (`fdatasync`), and after

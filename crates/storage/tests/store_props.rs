@@ -19,8 +19,8 @@ use eg_storage::{
     encode_checkpoint, push_frame, scan_frames, Checkpoint, DocStore, StorageError, FRAME_OVERHEAD,
     HEADER_LEN, RECORD_CHECKPOINT, RECORD_EVENTS,
 };
-use egwalker::testgen::{random_oplog, SmallRng};
-use egwalker::OpLog;
+use egwalker::testgen::{mid_run_criticals_oplog, random_oplog, SmallRng};
+use egwalker::{Branch, Frontier, OpLog, Tracker};
 
 /// A fresh temp-file path (no tempfile crate in-tree; hand-rolled from the
 /// process ID plus a counter).
@@ -602,4 +602,220 @@ fn append_is_incremental_and_idempotent() {
         store.file_bytes(),
         std::fs::metadata(&path).expect("meta").len()
     );
+}
+
+/// The tracker snapshot of the checkpoint in the segment file at `path`.
+fn stored_snapshot(path: &Path) -> egwalker::TrackerSnapshot {
+    let bytes = std::fs::read(path).expect("read segment");
+    let (frames, _) = scan_frames(&bytes).expect("scan");
+    let frame = frames
+        .iter()
+        .find(|f| f.kind == RECORD_CHECKPOINT)
+        .expect("a checkpoint");
+    let view = eg_storage::read_checkpoint(frame.payload).expect("checkpoint");
+    eg_storage::decode_snapshot(view.snapshot.expect("a snapshot")).expect("snapshot")
+}
+
+/// A replica that takes a history in deliveries, merging each through the
+/// one tracker it keeps, as `eg-sync`'s `Replica` does.
+struct Merger {
+    log: OpLog,
+    branch: Branch,
+    tracker: Tracker,
+}
+
+impl Merger {
+    fn new() -> Self {
+        Merger {
+            log: OpLog::new(),
+            branch: Branch::new(),
+            tracker: Tracker::new(),
+        }
+    }
+
+    /// Applies what `source` holds beyond this log.
+    fn take(&mut self, source: &OpLog) {
+        let delta = source.bundle_since(&self.log.version_vector());
+        self.log.apply_bundle(&delta).expect("causally ready");
+    }
+
+    /// Types `text` at the start of the document: a local edit.
+    fn type_ahead(&mut self, text: &str) {
+        let agent = self.log.get_or_create_agent("local");
+        self.log.add_insert_at(agent, &self.branch.version, 0, text);
+    }
+}
+
+/// A checkpoint that snapshots the tracker the last merge left live —
+/// catching up its lagging prepare dimension instead of replaying the
+/// conflict window — is as good as one from a rebuilt tracker. Two
+/// replicas take the same deliveries of a growing history (concurrent
+/// `random_oplog`s, and `mid_run_criticals_oplog`, whose critical versions
+/// clear the tracker) and the same local edits; one of them checkpoints at random cuts, once with
+/// its own tracker and once, into a second file, with a rebuilt one. At
+/// every cut the snapshots validate, and after the next delivery both
+/// files reopen to `checkout_tip`, over the sequential-tail path or the
+/// snapshot path, whichever the delivery's shape picks. The checkpoint
+/// leaves the tracker live: every later merge resumes exactly when the
+/// other replica's does and builds the same text. Some cases checkpoint a
+/// tracker that is not live instead; that one is rebuilt, and the next
+/// merge resumes exactly when the delivery is causally after the
+/// checkpoint.
+#[test]
+fn a_checkpoint_from_the_live_tracker_matches_one_from_a_rebuilt_tracker() {
+    let [mut live, mut lagging, mut rebuilt] = [0usize; 3];
+    let [mut sequential, mut snapshot, mut resumed_after] = [0usize; 3];
+    for seed in 0..36u64 {
+        let history = |step: usize| -> OpLog {
+            if seed % 2 == 0 {
+                random_oplog(seed, step * 6, 3, 0.3)
+            } else {
+                mid_run_criticals_oplog(seed, step).0
+            }
+        };
+        let mut rng = SmallRng::new(seed ^ 0x5eed);
+        let [mut ours, mut twin] = [Merger::new(), Merger::new()];
+        let (_g, path) = temp_file("live-ck");
+        let (_g2, rebuilt_path) = temp_file("rebuilt-ck");
+        // A rebuilt case checkpoints one tracker that is not live; after
+        // it the two trackers stand on different floors, and only the
+        // texts are compared.
+        let rebuild_at = (seed % 3 == 0).then(|| 1 + rng.below(8));
+        let mut lockstep = true;
+        // The last checkpoint: its version, the log length it imaged, and
+        // whether it snapshotted the live tracker.
+        let mut checkpoint: Option<(Frontier, usize, bool)> = None;
+        for step in 1..=24 {
+            // A delivery, or now and then a local edit: a tail that
+            // chains onto the checkpoint.
+            if rng.below(4) == 0 {
+                ours.type_ahead("xy");
+                twin.type_ahead("xy");
+            } else {
+                let source = history(step);
+                ours.take(&source);
+                twin.take(&source);
+            }
+            let what = format!("seed {seed} step {step}");
+            if let Some((version, imaged, _)) = &checkpoint {
+                // The delivery as the tail behind the checkpoint.
+                let tail = ours.log.graph.is_sequential_extension(*imaged, version);
+                sequential += usize::from(tail);
+                snapshot += usize::from(!tail);
+                for p in [&path, &rebuilt_path] {
+                    let (mut store, _) = DocStore::open(p).expect("open");
+                    store.append_new(&ours.log).expect("append");
+                    drop(store);
+                    let (_, loaded) = DocStore::open(p).expect("reopen");
+                    assert!(loaded.cached, "{what}");
+                    assert_eq!(
+                        loaded.branch,
+                        ours.log.checkout_tip(),
+                        "{what}: sequential tail {tail}"
+                    );
+                }
+            }
+            let resumed = ours.branch.merge_reusing(&ours.log, &mut ours.tracker);
+            let twin_resumed = twin.branch.merge_reusing(&twin.log, &mut twin.tracker);
+            match checkpoint.take() {
+                Some((version, imaged, false)) => {
+                    let after = (imaged..ours.log.len())
+                        .all(|lv| ours.log.graph.frontier_contains_frontier(&[lv], &version));
+                    assert_eq!(resumed, after && imaged < ours.log.len(), "{what}");
+                    resumed_after += usize::from(resumed);
+                }
+                Some(_) if lockstep => {
+                    assert_eq!(resumed, twin_resumed, "{what}");
+                    resumed_after += usize::from(resumed);
+                }
+                _ if lockstep => assert_eq!(resumed, twin_resumed, "{what}"),
+                _ => {}
+            }
+            ours.tracker.check();
+            assert_eq!(ours.branch, twin.branch, "{what}");
+            assert_eq!(ours.branch, ours.log.checkout_tip(), "{what}");
+
+            let rebuild = rebuild_at == Some(step);
+            if rng.below(3) != 0 && !rebuild {
+                continue;
+            }
+            if rebuild {
+                ours.tracker = Tracker::new();
+                lockstep = false;
+            }
+            let (mut store, _) = DocStore::open(&path).expect("open");
+            store.append_new(&ours.log).expect("append");
+            let from_live = store
+                .write_checkpoint_with(&ours.log, &ours.branch, &mut ours.tracker)
+                .expect("checkpoint");
+            ours.tracker.check();
+            assert_eq!(from_live, !rebuild, "{what}");
+            let (mut store, _) = DocStore::open(&rebuilt_path).expect("open");
+            store.append_new(&ours.log).expect("append");
+            store
+                .write_checkpoint(&ours.log, &ours.branch)
+                .expect("checkpoint");
+            for p in [&path, &rebuilt_path] {
+                stored_snapshot(p)
+                    .validate(ours.log.len())
+                    .unwrap_or_else(|e| panic!("{what}: {e}"));
+            }
+            let version = ours.branch.version.clone();
+            live += usize::from(from_live);
+            rebuilt += usize::from(!from_live);
+            // A live prepare dimension stands on one event, so a version
+            // with several heads was behind it.
+            lagging += usize::from(from_live && version.len() > 1);
+            checkpoint = Some((version, ours.log.len(), from_live));
+        }
+    }
+    eprintln!(
+        "{live} live checkpoints ({lagging} lagging), {rebuilt} rebuilt; reopened {sequential} \
+         over a sequential tail and {snapshot} over the snapshot; {resumed_after} next merges resumed"
+    );
+    assert!(
+        live > 0 && lagging > 0 && rebuilt > 0,
+        "{live} {lagging} {rebuilt}"
+    );
+    assert!(sequential > 0 && snapshot > 0, "{sequential} {snapshot}");
+    assert!(resumed_after > 0);
+}
+
+/// A reopen whose tail is causally after the checkpoint, but not one
+/// chain, resumes the snapshot's tracker over it — and hands that tracker
+/// over live at the tip, so the document's first merge after the reopen
+/// resumes it too instead of replaying its conflict window.
+#[test]
+fn a_reopened_document_keeps_the_tracker_its_open_resumed() {
+    let (_guard, path) = temp_file("reopen-tracker");
+    let mut oplog = OpLog::new();
+    let [a, b] = ["alice", "bob"].map(|name| oplog.get_or_create_agent(name));
+    let base = oplog.add_insert(a, 0, "base");
+    oplog.add_insert_at(b, &[base.last()], 4, "+bob");
+    oplog.add_insert_at(a, &[base.last()], 0, "alice+");
+    let (mut store, _) = DocStore::open(&path).expect("create");
+    store.append_new(&oplog).expect("append");
+    store
+        .write_checkpoint(&oplog, &oplog.checkout_tip())
+        .expect("checkpoint");
+    // Two concurrent edits off the checkpoint version.
+    let at = oplog.version().clone();
+    oplog.add_insert_at(a, &at, 0, "A");
+    oplog.add_insert_at(b, &at, 1, "B");
+    store.append_new(&oplog).expect("append");
+    drop(store);
+
+    let (_, mut loaded) = DocStore::open(&path).expect("reopen");
+    assert!(loaded.cached);
+    assert_eq!(loaded.branch, oplog.checkout_tip());
+    let agent = loaded.oplog.get_or_create_agent("carol");
+    let tip = loaded.oplog.version().clone();
+    loaded.oplog.add_insert_at(agent, &tip, 2, "C");
+    assert!(
+        loaded
+            .branch
+            .merge_reusing(&loaded.oplog, &mut loaded.tracker),
+        "the first merge after the reopen resumes"
+    );
+    assert_eq!(loaded.branch, loaded.oplog.checkout_tip());
 }

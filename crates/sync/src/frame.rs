@@ -333,6 +333,23 @@ impl FrameDecoder {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// The next complete frame body, without taking it: what
+    /// [`FrameDecoder::next_frame`] would return next. `None` if more bytes
+    /// are needed or the stream is broken (`next_frame` says why).
+    pub fn peek_frame(&self) -> Option<&[u8]> {
+        if self.poisoned {
+            return None;
+        }
+        let pending = self.buf.get(self.start..)?;
+        let mut len4 = [0u8; 4];
+        len4.copy_from_slice(pending.get(..FRAME_HEADER_LEN)?);
+        let body_len = u32::from_le_bytes(len4) as usize;
+        if body_len == 0 || body_len > self.max_frame {
+            return None;
+        }
+        pending.get(FRAME_HEADER_LEN..FRAME_HEADER_LEN.saturating_add(body_len))
+    }
+
     /// Returns the next complete frame body (tag + payload), `None` if
     /// more bytes are needed, or an error if the stream is broken.
     /// After an error every further call returns the same error.
@@ -474,6 +491,33 @@ mod tests {
             }
         }
         assert_eq!(got, frames);
+    }
+
+    #[test]
+    fn peek_shows_the_frame_next_frame_takes() {
+        let mut wire = Vec::new();
+        for f in &sample_frames() {
+            wire.extend_from_slice(&f.encode());
+        }
+        let mut decoder = FrameDecoder::new();
+        let mut bodies = 0;
+        for b in wire {
+            decoder.push(&[b]);
+            loop {
+                let peeked = decoder.peek_frame().map(<[u8]>::to_vec);
+                assert_eq!(peeked, decoder.next_frame().unwrap());
+                if peeked.is_none() {
+                    break;
+                }
+                bodies += 1;
+            }
+        }
+        assert_eq!(bodies, sample_frames().len());
+        // A broken stream peeks as nothing; `next_frame` reports it.
+        decoder.push(&0u32.to_le_bytes());
+        assert_eq!(decoder.peek_frame(), None);
+        assert!(decoder.next_frame().is_err());
+        assert_eq!(decoder.peek_frame(), None);
     }
 
     #[test]

@@ -345,17 +345,22 @@ impl Replica {
         self.doc(doc).map_or(0, |d| d.pending.len())
     }
 
-    /// Borrows `doc`'s oplog and branch, e.g. for a persistence layer
-    /// appending the log tail and writing checkpoints.
-    pub fn doc_parts(&self, doc: DocId) -> Option<(&OpLog, &Branch)> {
-        self.doc(doc).map(|d| (&d.oplog, &d.branch))
+    /// Borrows `doc`'s oplog, branch and walker tracker, e.g. for a
+    /// persistence layer appending the log tail and writing checkpoints
+    /// (which snapshot the tracker the document's merges left live, and
+    /// leave it live for the next one).
+    pub fn doc_parts(&mut self, doc: DocId) -> Option<(&OpLog, &Branch, &mut Tracker)> {
+        self.docs
+            .get_mut(&doc)
+            .map(|d| (&d.oplog, &d.branch, &mut d.tracker))
     }
 
     /// Installs a document rebuilt by a persistence layer (a segment-store
-    /// reopen): the full oplog plus the branch materialised at its tip.
-    /// Replaces any state this replica held for `doc`; the causal buffer
-    /// starts empty and the walker tracker starts fresh.
-    pub fn install_doc(&mut self, doc: DocId, mut oplog: OpLog, branch: Branch) {
+    /// reopen): the full oplog, the branch materialised at its tip, and the
+    /// tracker the reopen merged through (fresh if it merged nothing), which
+    /// the document's next merge resumes when it can. Replaces any state
+    /// this replica held for `doc`; the causal buffer starts empty.
+    pub fn install_doc(&mut self, doc: DocId, mut oplog: OpLog, branch: Branch, tracker: Tracker) {
         debug_assert_eq!(&branch.version, oplog.version(), "branch must be at tip");
         oplog.get_or_create_agent(&self.name);
         self.docs.insert(
@@ -364,7 +369,7 @@ impl Replica {
                 oplog,
                 branch,
                 pending: Vec::new(),
-                tracker: Tracker::new(),
+                tracker,
             },
         );
     }
