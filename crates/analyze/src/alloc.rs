@@ -166,7 +166,7 @@ fn harvest(scan_idx: usize, scan: &FileScan, nodes: &mut Vec<FnNode>) {
 /// Runs the pass: harvest every configured crate, then BFS from each
 /// hot entry fn, reporting reachable allocation sites with their call
 /// chain.
-pub fn check(scans: &[FileScan], cfg: &Config, findings: &mut Vec<Finding>) {
+pub(crate) fn check(scans: &[FileScan], cfg: &Config, findings: &mut Vec<Finding>) {
     if cfg.alloc_hot.is_empty() {
         return;
     }
@@ -182,7 +182,7 @@ pub fn check(scans: &[FileScan], cfg: &Config, findings: &mut Vec<Finding>) {
         by_name.entry(node.name.as_str()).or_default().push(ni);
     }
 
-    let setup: BTreeSet<&str> = cfg.alloc_setup.iter().map(|s| s.fn_name.as_str()).collect();
+    let setup: BTreeSet<&str> = cfg.alloc_setup.iter().map(String::as_str).collect();
     let ignore: BTreeSet<&str> = cfg.alloc_ignore.iter().map(String::as_str).collect();
 
     // Same-crate candidates shadow cross-crate ones: a `self.clear()`

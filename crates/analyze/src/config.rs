@@ -8,23 +8,16 @@ use crate::diag::AllowEntry;
 use crate::toml_lite::{self, Table};
 
 /// An encode-side or otherwise out-of-scope fn inside a panic-free file.
+/// Its `analyze.toml` entry must also give a `reason`, which is for the
+/// reviewer and is checked but not kept.
 #[derive(Debug, Clone)]
-pub struct ExcludedFn {
+pub(crate) struct ExcludedFn {
     pub file: String,
     pub fn_name: String,
-    pub reason: String,
-}
-
-/// A setup fn the allocation pass may traverse into without flagging
-/// (amortised slab growth, pool construction).
-#[derive(Debug, Clone)]
-pub struct SetupFn {
-    pub fn_name: String,
-    pub reason: String,
 }
 
 #[derive(Debug, Default)]
-pub struct Config {
+pub(crate) struct Config {
     /// Workspace-relative files whose non-test code must be panic-free.
     pub panic_free_files: Vec<String>,
     /// fn-level carve-outs within those files.
@@ -35,15 +28,16 @@ pub struct Config {
     pub alloc_crates: Vec<String>,
     /// Callee names never followed (name-collision false positives).
     pub alloc_ignore: Vec<String>,
-    /// Allocation-pass carve-outs.
-    pub alloc_setup: Vec<SetupFn>,
+    /// Allocation-pass carve-outs: setup fns the pass may traverse into
+    /// without flagging (amortised slab growth, pool construction).
+    pub alloc_setup: Vec<String>,
     /// Committed inventory path, workspace-relative.
     pub inventory_path: String,
 }
 
 impl Config {
     /// The set of excluded fn names for one panic-free file.
-    pub fn excluded_fns(&self, file: &str) -> Vec<&str> {
+    pub(crate) fn excluded_fns(&self, file: &str) -> Vec<&str> {
         self.panic_free_excludes
             .iter()
             .filter(|e| e.file == file)
@@ -67,7 +61,7 @@ fn str_list(t: &Table, key: &str) -> Vec<String> {
 }
 
 /// Loads `analyze.toml` from the workspace root.
-pub fn load_config(root: &Path) -> Result<Config, String> {
+pub(crate) fn load_config(root: &Path) -> Result<Config, String> {
     let path = root.join("analyze.toml");
     let src = std::fs::read_to_string(&path)
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
@@ -93,18 +87,16 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
 
     for (i, t) in doc.array_of("panic_free.exclude").iter().enumerate() {
         let ctx = format!("analyze.toml [[panic_free.exclude]] #{}", i + 1);
+        req_str(t, "reason", &ctx)?;
         cfg.panic_free_excludes.push(ExcludedFn {
             file: req_str(t, "file", &ctx)?,
             fn_name: req_str(t, "fn", &ctx)?,
-            reason: req_str(t, "reason", &ctx)?,
         });
     }
     for (i, t) in doc.array_of("alloc.setup").iter().enumerate() {
         let ctx = format!("analyze.toml [[alloc.setup]] #{}", i + 1);
-        cfg.alloc_setup.push(SetupFn {
-            fn_name: req_str(t, "fn", &ctx)?,
-            reason: req_str(t, "reason", &ctx)?,
-        });
+        req_str(t, "reason", &ctx)?;
+        cfg.alloc_setup.push(req_str(t, "fn", &ctx)?);
     }
 
     // Excluded fns must point at configured panic-free files, so a file
@@ -121,7 +113,7 @@ pub fn load_config(root: &Path) -> Result<Config, String> {
 }
 
 /// Loads `analyze-allowlist.toml`; a missing file means an empty list.
-pub fn load_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
+pub(crate) fn load_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
     let path = root.join("analyze-allowlist.toml");
     let src = match std::fs::read_to_string(&path) {
         Ok(s) => s,

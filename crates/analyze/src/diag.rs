@@ -5,7 +5,7 @@ use std::fmt;
 /// Which pass/check produced a finding. The string form is what
 /// allowlist entries name in their `check` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Check {
+pub(crate) enum Check {
     /// `unwrap`/`expect`/`panic!`-family in a panic-free module.
     Panic,
     /// Raw slice/array indexing in a panic-free module.
@@ -27,7 +27,7 @@ pub enum Check {
 }
 
 impl Check {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Check::Panic => "panic",
             Check::Index => "index",
@@ -47,12 +47,12 @@ impl Check {
 /// snippet, matching the golden fixture files.
 #[derive(Debug, Clone)]
 pub struct Finding {
-    pub check: Check,
-    pub file: String,
-    pub line: u32,
-    pub fn_name: Option<String>,
-    pub snippet: String,
-    pub message: String,
+    pub(crate) check: Check,
+    pub(crate) file: String,
+    pub(crate) line: u32,
+    pub(crate) fn_name: Option<String>,
+    pub(crate) snippet: String,
+    pub(crate) message: String,
 }
 
 impl fmt::Display for Finding {
@@ -78,7 +78,7 @@ impl fmt::Display for Finding {
 /// One committed allowlist entry. `file` + `check` are required; `fn`
 /// and `snippet` narrow the match; `reason` is mandatory prose.
 #[derive(Debug, Clone)]
-pub struct AllowEntry {
+pub(crate) struct AllowEntry {
     pub file: String,
     pub check: String,
     pub fn_name: Option<String>,
@@ -108,7 +108,7 @@ impl AllowEntry {
 /// Drops findings matched by the allowlist; any entry that matched
 /// nothing becomes a `stale-allow` finding so dead suppressions cannot
 /// linger after the underlying code is fixed.
-pub fn apply_allowlist(findings: Vec<Finding>, allow: &[AllowEntry]) -> Vec<Finding> {
+pub(crate) fn apply_allowlist(findings: Vec<Finding>, allow: &[AllowEntry]) -> Vec<Finding> {
     let mut used = vec![false; allow.len()];
     let mut kept: Vec<Finding> = Vec::new();
     for f in findings {
@@ -143,7 +143,7 @@ pub fn apply_allowlist(findings: Vec<Finding>, allow: &[AllowEntry]) -> Vec<Find
 }
 
 /// Stable output order: file, then line, then check.
-pub fn sort_findings(findings: &mut [Finding]) {
+pub(crate) fn sort_findings(findings: &mut [Finding]) {
     findings.sort_by(|a, b| {
         (&a.file, a.line, a.check)
             .partial_cmp(&(&b.file, b.line, b.check))

@@ -12,7 +12,7 @@
 
 /// Token classes the scanners distinguish.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TokKind {
+pub(crate) enum TokKind {
     /// Identifier or keyword (`fn`, `unwrap`, `as`, …).
     Ident,
     /// A lifetime (`'a`, `'_`, `'static`).
@@ -32,7 +32,7 @@ pub enum TokKind {
 
 /// One token with its 1-based source line.
 #[derive(Debug, Clone)]
-pub struct Tok {
+pub(crate) struct Tok {
     pub kind: TokKind,
     pub text: String,
     pub line: u32,
@@ -40,12 +40,12 @@ pub struct Tok {
 
 impl Tok {
     /// True when the token is exactly the punctuation character `c`.
-    pub fn is_punct(&self, c: char) -> bool {
+    pub(crate) fn is_punct(&self, c: char) -> bool {
         self.kind == TokKind::Punct && self.text.len() == c.len_utf8() && self.text.starts_with(c)
     }
 
     /// True when the token is exactly the identifier/keyword `s`.
-    pub fn is_ident(&self, s: &str) -> bool {
+    pub(crate) fn is_ident(&self, s: &str) -> bool {
         self.kind == TokKind::Ident && self.text == s
     }
 }
@@ -61,7 +61,7 @@ fn is_ident_continue(c: char) -> bool {
 /// Lexes `src` into a token stream. Never fails: unterminated literals
 /// simply consume to end of input (the tool lints source that `rustc`
 /// already accepted, so this path only matters for robustness).
-pub fn lex(src: &str) -> Vec<Tok> {
+pub(crate) fn lex(src: &str) -> Vec<Tok> {
     let chars: Vec<char> = src.chars().collect();
     let n = chars.len();
     let mut toks = Vec::new();

@@ -9,25 +9,29 @@
 //!    manifest must not transitively reach allocating calls.
 //! 3. **Unsafe audit** ([`unsafe_audit`]): every `unsafe` needs a
 //!    `// SAFETY:` comment and a committed inventory line.
+//! 4. **API inventory** ([`api`]): every `pub` item reachable from a
+//!    library crate root has a line in the committed `api_inventory.txt`.
 //!
 //! Findings surviving the committed allowlist fail the run; allowlist
 //! entries that match nothing are themselves findings (stale-allow).
 
-pub mod alloc;
-pub mod config;
-pub mod diag;
-pub mod lexer;
-pub mod panic_free;
-pub mod scan;
-pub mod toml_lite;
-pub mod unsafe_audit;
-pub mod workspace;
+mod alloc;
+mod api;
+mod config;
+mod diag;
+mod inventory;
+mod lexer;
+mod panic_free;
+mod scan;
+mod toml_lite;
+mod unsafe_audit;
+mod workspace;
 
 use std::path::Path;
 
-use diag::Finding;
+pub use diag::Finding;
 
-/// Runs all three passes on the workspace at `root` and returns the
+/// Runs all four passes on the workspace at `root` and returns the
 /// post-allowlist findings, sorted. An empty vec means the gate passes.
 pub fn run_check(root: &Path, write_inventory: bool) -> Result<Vec<Finding>, String> {
     let cfg = config::load_config(root)?;
@@ -38,10 +42,34 @@ pub fn run_check(root: &Path, write_inventory: bool) -> Result<Vec<Finding>, Str
     panic_free::check(&scans, &cfg, &mut findings);
     alloc::check(&scans, &cfg, &mut findings);
     unsafe_audit::check(&scans, &cfg, root, write_inventory, &mut findings)?;
+    let api = api::inventory_lines(&scans);
+    inventory::check(
+        root,
+        api::API_INVENTORY,
+        api::API_HEADER,
+        &api,
+        write_inventory,
+        [
+            "new pub item not in committed API inventory — review it, then \
+             rerun with --write-inventory",
+            "API inventory lists a pub item that is no longer exported — \
+             rerun with --write-inventory",
+        ],
+        &mut findings,
+    )?;
 
     let mut findings = diag::apply_allowlist(findings, &allow);
     diag::sort_findings(&mut findings);
     Ok(findings)
+}
+
+/// The unsafe inventory of the workspace at `root`, rendered as the
+/// committed `unsafe_inventory.txt` would be.
+pub fn unsafe_inventory(root: &Path) -> Result<String, String> {
+    let scans = workspace::scan_workspace(root)?;
+    Ok(unsafe_audit::render_inventory(
+        &unsafe_audit::collect_sites(&scans),
+    ))
 }
 
 /// Renders findings plus a one-line verdict, exactly as the golden

@@ -50,10 +50,9 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        "inventory" => match eg_analyze::workspace::scan_workspace(&root) {
-            Ok(scans) => {
-                let sites = eg_analyze::unsafe_audit::collect_sites(&scans);
-                print!("{}", eg_analyze::unsafe_audit::render_inventory(&sites));
+        "inventory" => match eg_analyze::unsafe_inventory(&root) {
+            Ok(inventory) => {
+                print!("{inventory}");
                 ExitCode::SUCCESS
             }
             Err(e) => {

@@ -71,7 +71,7 @@ fn lenlike_nearby(toks: &[Tok], i: usize, radius: usize) -> bool {
 }
 
 /// Runs the pass over every configured panic-free file.
-pub fn check(scans: &[FileScan], cfg: &Config, findings: &mut Vec<Finding>) {
+pub(crate) fn check(scans: &[FileScan], cfg: &Config, findings: &mut Vec<Finding>) {
     for file in &cfg.panic_free_files {
         if !scans.iter().any(|s| &s.path == file) {
             findings.push(Finding {

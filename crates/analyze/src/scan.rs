@@ -5,10 +5,8 @@ use crate::lexer::{lex, Tok, TokKind};
 
 /// One `fn` item (free function, method, or nested fn).
 #[derive(Debug, Clone)]
-pub struct FnInfo {
+pub(crate) struct FnInfo {
     pub name: String,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// Token range of the body *including* the outer braces; empty for
     /// bodyless declarations (trait methods, extern).
     pub body: std::ops::Range<usize>,
@@ -19,7 +17,7 @@ pub struct FnInfo {
 
 /// One lexed-and-scanned source file.
 #[derive(Debug)]
-pub struct FileScan {
+pub(crate) struct FileScan {
     /// Workspace-relative path with forward slashes.
     pub path: String,
     /// Crate directory name (`core`, `analyze`, `vendor/serde`, or
@@ -38,7 +36,7 @@ pub struct FileScan {
 
 impl FileScan {
     /// The trimmed source text of 1-based line `line`.
-    pub fn snippet(&self, line: u32) -> &str {
+    pub(crate) fn snippet(&self, line: u32) -> &str {
         self.lines
             .get(line.saturating_sub(1) as usize)
             .map(|s| s.trim())
@@ -46,7 +44,7 @@ impl FileScan {
     }
 
     /// Name of the innermost fn containing token `idx`, if any.
-    pub fn fn_name_at(&self, idx: usize) -> Option<&str> {
+    pub(crate) fn fn_name_at(&self, idx: usize) -> Option<&str> {
         self.fn_of
             .get(idx)
             .copied()
@@ -58,14 +56,14 @@ impl FileScan {
 /// True when an attribute's token text marks test-only code: `#[test]`,
 /// `#[cfg(test)]`, `#[cfg(all(test, …))]`. A `not(…)` anywhere makes it
 /// non-test (`#[cfg(not(test))]` guards production code).
-fn attr_is_test(attr_toks: &[Tok]) -> bool {
+pub(crate) fn attr_is_test(attr_toks: &[Tok]) -> bool {
     let has_test = attr_toks.iter().any(|t| t.is_ident("test"));
     let has_not = attr_toks.iter().any(|t| t.is_ident("not"));
     has_test && !has_not
 }
 
 /// Scans one file into functions, test regions, and token attribution.
-pub fn scan_file(path: String, crate_name: String, src: &str) -> FileScan {
+pub(crate) fn scan_file(path: String, crate_name: String, src: &str) -> FileScan {
     let toks = lex(src);
     let lines: Vec<String> = src.lines().map(str::to_string).collect();
     let n = toks.len();
@@ -159,7 +157,6 @@ pub fn scan_file(path: String, crate_name: String, src: &str) -> FileScan {
                 i += 1;
                 continue;
             };
-            let fn_line = t.line;
             let fn_is_test = pending_attr_test || stack.iter().any(|&b| b);
             pending_attr_test = false;
             // Find the body opening `{` (or `;` for bodyless decls).
@@ -197,7 +194,6 @@ pub fn scan_file(path: String, crate_name: String, src: &str) -> FileScan {
             }
             fns.push(FnInfo {
                 name,
-                line: fn_line,
                 body,
                 in_test: fn_is_test,
             });
@@ -262,7 +258,7 @@ mod tests {
     use super::*;
 
     const SRC: &str = r#"
-pub fn outer(x: usize) -> usize {
+pub(crate) fn outer(x: usize) -> usize {
     fn inner(y: usize) -> usize { y + 1 }
     inner(x)
 }

@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Value {
+pub(crate) enum Value {
     Str(String),
     Array(Vec<String>),
     Bool(bool),
@@ -15,14 +15,14 @@ pub enum Value {
 }
 
 impl Value {
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Value::Str(s) => Some(s),
             _ => None,
         }
     }
 
-    pub fn as_array(&self) -> Option<&[String]> {
+    pub(crate) fn as_array(&self) -> Option<&[String]> {
         match self {
             Value::Array(a) => Some(a),
             _ => None,
@@ -30,24 +30,24 @@ impl Value {
     }
 }
 
-pub type Table = BTreeMap<String, Value>;
+pub(crate) type Table = BTreeMap<String, Value>;
 
 /// A parsed document: plain tables by dotted name, and array-of-tables
 /// by dotted name. Keys before any header land in the `""` table.
 #[derive(Debug, Default)]
-pub struct Doc {
+pub(crate) struct Doc {
     pub tables: BTreeMap<String, Table>,
     pub arrays: BTreeMap<String, Vec<Table>>,
 }
 
 impl Doc {
     /// The plain table `name`, or an empty one.
-    pub fn table(&self, name: &str) -> Table {
+    pub(crate) fn table(&self, name: &str) -> Table {
         self.tables.get(name).cloned().unwrap_or_default()
     }
 
     /// The array-of-tables `name`, or empty.
-    pub fn array_of(&self, name: &str) -> &[Table] {
+    pub(crate) fn array_of(&self, name: &str) -> &[Table] {
         self.arrays.get(name).map(Vec::as_slice).unwrap_or(&[])
     }
 }
@@ -58,7 +58,7 @@ enum Target {
 }
 
 /// Parses `src`; errors carry a 1-based line number.
-pub fn parse(src: &str) -> Result<Doc, String> {
+pub(crate) fn parse(src: &str) -> Result<Doc, String> {
     let mut doc = Doc::default();
     let mut target = Target::Table(String::new());
 

@@ -7,12 +7,13 @@ use std::path::Path;
 
 use crate::config::Config;
 use crate::diag::{Check, Finding};
+use crate::inventory;
 use crate::lexer::TokKind;
 use crate::scan::FileScan;
 
 /// One `unsafe` occurrence, rendered as `path:line kind context`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-pub struct UnsafeSite {
+pub(crate) struct UnsafeSite {
     pub file: String,
     pub line: u32,
     pub kind: String,
@@ -27,7 +28,7 @@ impl UnsafeSite {
 }
 
 /// Collects every `unsafe` site in the scanned workspace, sorted.
-pub fn collect_sites(scans: &[FileScan]) -> Vec<UnsafeSite> {
+pub(crate) fn collect_sites(scans: &[FileScan]) -> Vec<UnsafeSite> {
     let mut sites = Vec::new();
     for scan in scans {
         let toks = &scan.toks;
@@ -85,22 +86,20 @@ pub fn collect_sites(scans: &[FileScan]) -> Vec<UnsafeSite> {
     sites
 }
 
+/// Header line of the committed inventory.
+const UNSAFE_HEADER: &str =
+    "# unsafe inventory — regenerate with `cargo run -p eg-analyze -- check --write-inventory`";
+
 /// Renders the committed inventory format.
-pub fn render_inventory(sites: &[UnsafeSite]) -> String {
-    let mut out = String::from(
-        "# unsafe inventory — regenerate with `cargo run -p eg-analyze -- check --write-inventory`\n",
-    );
-    for s in sites {
-        out.push_str(&s.inventory_line());
-        out.push('\n');
-    }
-    out
+pub(crate) fn render_inventory(sites: &[UnsafeSite]) -> String {
+    let lines: Vec<String> = sites.iter().map(UnsafeSite::inventory_line).collect();
+    inventory::render(UNSAFE_HEADER, &lines)
 }
 
 /// Runs the pass: undocumented sites are findings, and the committed
 /// inventory must match the scan exactly. With `write_inventory` the
 /// file is rewritten instead of diffed.
-pub fn check(
+pub(crate) fn check(
     scans: &[FileScan],
     cfg: &Config,
     root: &Path,
@@ -124,47 +123,19 @@ pub fn check(
         }
     }
 
-    let inv_path = root.join(&cfg.inventory_path);
-    let rendered = render_inventory(&sites);
-    if write_inventory {
-        std::fs::write(&inv_path, &rendered)
-            .map_err(|e| format!("cannot write {}: {e}", inv_path.display()))?;
-        return Ok(());
-    }
-    let committed = std::fs::read_to_string(&inv_path).unwrap_or_default();
-    let committed_lines: Vec<&str> = committed
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
-        .collect();
-    let current_lines: Vec<String> = sites.iter().map(UnsafeSite::inventory_line).collect();
-
-    for line in &current_lines {
-        if !committed_lines.iter().any(|c| c == line) {
-            findings.push(Finding {
-                check: Check::Inventory,
-                file: cfg.inventory_path.clone(),
-                line: 0,
-                fn_name: None,
-                snippet: line.clone(),
-                message: "new unsafe site not in committed inventory — audit it, then \
-                          rerun with --write-inventory"
-                    .into(),
-            });
-        }
-    }
-    for line in &committed_lines {
-        if !current_lines.iter().any(|c| c == line) {
-            findings.push(Finding {
-                check: Check::Inventory,
-                file: cfg.inventory_path.clone(),
-                line: 0,
-                fn_name: None,
-                snippet: (*line).to_string(),
-                message: "inventory lists an unsafe site that no longer exists — \
-                          rerun with --write-inventory"
-                    .into(),
-            });
-        }
-    }
-    Ok(())
+    let lines: Vec<String> = sites.iter().map(UnsafeSite::inventory_line).collect();
+    inventory::check(
+        root,
+        &cfg.inventory_path,
+        UNSAFE_HEADER,
+        &lines,
+        write_inventory,
+        [
+            "new unsafe site not in committed inventory — audit it, then \
+             rerun with --write-inventory",
+            "inventory lists an unsafe site that no longer exists — \
+             rerun with --write-inventory",
+        ],
+        findings,
+    )
 }

@@ -10,7 +10,7 @@ use crate::scan::{scan_file, FileScan};
 
 /// Discovers and scans the workspace rooted at `root`. Files come back
 /// sorted by workspace-relative path so every report is deterministic.
-pub fn scan_workspace(root: &Path) -> Result<Vec<FileScan>, String> {
+pub(crate) fn scan_workspace(root: &Path) -> Result<Vec<FileScan>, String> {
     let mut sources: Vec<(String, String, PathBuf)> = Vec::new(); // (rel, crate, abs)
 
     let crates_dir = root.join("crates");

@@ -101,3 +101,27 @@ fn unsafe_audit_diffs_inventory() {
         ],
     );
 }
+
+#[test]
+fn api_inventory_lists_reachable_items_and_diffs() {
+    run_fixture(
+        "api_ws",
+        &[
+            // Missing from the committed file, and stale in it.
+            "new pub item not in committed API inventory",
+            "| demo::shapes::SIDES const",
+            "API inventory lists a pub item that is no longer exported",
+            "| demo::shapes::Circle struct",
+        ],
+        &[
+            // Not API: crate-visible, test-gated, nested in a fn body,
+            // private, or a method of a type no path reaches.
+            "crate_only",
+            "test_only",
+            "inner_is_not_api",
+            "private_helper",
+            "NotReexported",
+            "unreachable_method",
+        ],
+    );
+}

@@ -1,8 +1,7 @@
 //! A counting global allocator (for the Fig. 10 memory experiment and the
 //! zero-allocation emit-path test).
 //!
-//! Byte accounting (live bytes + peak) is always on. With the
-//! `alloc-counts` feature (default), the allocator additionally counts
+//! The allocator tracks live bytes and their peak, and counts
 //! **allocation calls** — the metric the zero-allocation emit pipeline is
 //! measured by: a steady-state transform+apply must not allocate per
 //! operation, which byte peaks alone cannot prove (a small alloc/free per
@@ -28,7 +27,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-#[cfg(feature = "alloc-counts")]
 static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 
 // The calling thread's own counters. Const-initialised and without a
@@ -38,7 +36,6 @@ static ALLOC_CALLS: AtomicUsize = AtomicUsize::new(0);
 thread_local! {
     static THREAD_CURRENT: Cell<isize> = const { Cell::new(0) };
     static THREAD_PEAK: Cell<isize> = const { Cell::new(0) };
-    #[cfg(feature = "alloc-counts")]
     static THREAD_ALLOC_CALLS: Cell<usize> = const { Cell::new(0) };
 }
 
@@ -57,18 +54,14 @@ fn account(grown: isize, call: bool) {
         c.set(cur);
         let _ = THREAD_PEAK.try_with(|p| p.set(p.get().max(cur)));
     });
-    #[cfg(feature = "alloc-counts")]
     if call {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
         let _ = THREAD_ALLOC_CALLS.try_with(|c| c.set(c.get().wrapping_add(1)));
     }
-    #[cfg(not(feature = "alloc-counts"))]
-    let _ = call;
 }
 
 /// The tracking allocator: forwards to the system allocator, counting
-/// live bytes, the high-water mark, and (with `alloc-counts`) the number
-/// of allocation calls.
+/// live bytes, the high-water mark, and the number of allocation calls.
 pub struct TrackingAlloc;
 
 // SAFETY: All allocation is delegated to `System`; the extra work only
@@ -107,46 +100,32 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 }
 
 /// Live heap bytes right now.
-pub fn current_bytes() -> usize {
+pub(crate) fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
 /// Resets the peak to the current level and returns the previous peak.
-pub fn reset_peak() -> usize {
+pub(crate) fn reset_peak() -> usize {
     PEAK.swap(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed)
 }
 
 /// The high-water mark since the last [`reset_peak`].
-pub fn peak_bytes() -> usize {
+pub(crate) fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
 /// Allocation calls made so far **by the calling thread** (alloc +
-/// realloc; 0 without the `alloc-counts` feature). Other threads —
+/// realloc). Other threads —
 /// `cargo test` runs tests in parallel — do not show up in it.
 pub fn alloc_calls() -> usize {
-    #[cfg(feature = "alloc-counts")]
-    {
-        THREAD_ALLOC_CALLS.with(Cell::get)
-    }
-    #[cfg(not(feature = "alloc-counts"))]
-    {
-        0
-    }
+    THREAD_ALLOC_CALLS.with(Cell::get)
 }
 
 /// Allocation calls made so far by **every** thread of the process. The
 /// explicit opt-in for measurements whose work runs on other threads
 /// (the worker-pool test); anything else in the process is billed too.
 pub fn global_alloc_calls() -> usize {
-    #[cfg(feature = "alloc-counts")]
-    {
-        ALLOC_CALLS.load(Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "alloc-counts"))]
-    {
-        0
-    }
+    ALLOC_CALLS.load(Ordering::Relaxed)
 }
 
 /// Runs `f`, returning `(result, peak_delta, retained_delta)`: extra bytes
@@ -175,7 +154,7 @@ pub fn measure_thread<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 
 /// Runs `f`, returning `(result, peak_delta, retained_delta, alloc_calls)`
 /// — [`measure`] plus the number of allocation calls the calling thread
-/// performed during the call (0 without `alloc-counts`).
+/// performed during the call.
 pub fn measure_counting<T>(f: impl FnOnce() -> T) -> (T, usize, usize, usize) {
     let calls_before = alloc_calls();
     let (value, peak, retained) = measure(f);

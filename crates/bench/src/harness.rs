@@ -9,7 +9,7 @@ use std::time::Instant;
 /// Default fraction of the paper's trace sizes used by the quick-run
 /// binaries (the paper's traces hold ~0.5–1M events each; scaling keeps
 /// laptop runtimes in seconds while preserving every shape).
-pub const DEFAULT_SCALE: f64 = 0.02;
+const DEFAULT_SCALE: f64 = 0.02;
 
 /// Command-line options shared by the benchmark binaries.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ pub fn parse_args() -> BenchArgs {
 
 /// One bench-output row: ordered `(key, value)` pairs in the workspace's
 /// JSON [`Value`] model.
-pub type JsonRow = Vec<(&'static str, Value)>;
+pub(crate) type JsonRow = Vec<(&'static str, Value)>;
 
 /// Builds a string [`Value`].
 pub fn json_str(s: &str) -> Value {
@@ -91,40 +91,24 @@ pub fn json_num(v: f64) -> Value {
 /// Writes one bench result file for trajectory capture:
 /// `{"bench": ..., "scale": ..., "rows": [{...}, ...]}`.
 pub fn write_json(path: &str, bench: &str, scale: f64, rows: &[JsonRow]) {
-    write_json_extra(path, bench, scale, &[], rows);
-}
-
-/// [`write_json`] with additional top-level fields (e.g. the worker-count
-/// sweep of `server_load`, which `bench_diff` uses to refuse diffs across
-/// differently-configured captures).
-pub fn write_json_extra(
-    path: &str,
-    bench: &str,
-    scale: f64,
-    extras: &[(&str, Value)],
-    rows: &[JsonRow],
-) {
-    let mut top = vec![
+    let top = vec![
         ("bench".to_string(), json_str(bench)),
         ("scale".to_string(), json_num(scale)),
-    ];
-    for (k, v) in extras {
-        top.push((k.to_string(), v.clone()));
-    }
-    top.push((
-        "rows".to_string(),
-        Value::Arr(
-            rows.iter()
-                .map(|row| {
-                    Value::Obj(
-                        row.iter()
-                            .map(|(k, v)| (k.to_string(), v.clone()))
-                            .collect(),
-                    )
-                })
-                .collect(),
+        (
+            "rows".to_string(),
+            Value::Arr(
+                rows.iter()
+                    .map(|row| {
+                        Value::Obj(
+                            row.iter()
+                                .map(|(k, v)| (k.to_string(), v.clone()))
+                                .collect(),
+                        )
+                    })
+                    .collect(),
+            ),
         ),
-    ));
+    ];
     let doc = Value::Obj(top);
     let mut out = serde_json::to_string(&doc).expect("serialise bench JSON");
     out.push('\n');
@@ -158,9 +142,8 @@ pub fn build_traces(scale: f64) -> Vec<(TraceSpec, OpLog)> {
 /// With `iters >= 2`, one untimed warm-up run precedes measurement
 /// (caches, branch predictors, lazy allocations), each iteration is
 /// timed individually, and the top/bottom ~10% of samples are dropped
-/// before averaging once there are at least five — the same treatment
-/// as the vendored criterion stand-in, so the JSON the cross-run
-/// `bench_diff` consumes is stable against one-sided scheduler stalls.
+/// before averaging once there are at least five, so a committed
+/// capture is stable against one-sided scheduler stalls.
 /// `iters == 1` stays a single cold run: callers use it for routines
 /// too expensive to repeat (e.g. quadratic OT merges).
 pub fn time_mean(iters: usize, mut f: impl FnMut()) -> f64 {

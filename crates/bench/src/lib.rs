@@ -1,11 +1,10 @@
 //! Benchmark harness for the Eg-walker evaluation (paper §4).
 //!
-//! One binary per table/figure regenerates the corresponding results (see
-//! DESIGN.md §3 for the experiment index); Criterion benches cover the
-//! timing-sensitive subset. Shared infrastructure lives here:
+//! One binary per table/figure regenerates the corresponding results.
+//! Shared infrastructure lives here:
 //!
-//! * [`alloc_track`] — a byte-counting global allocator for the memory
-//!   experiment (Fig. 10);
+//! * [`alloc_track`] — a counting global allocator for the memory
+//!   experiment (Fig. 10) and the zero-allocation tests;
 //! * [`harness`] — trace construction, argument parsing and table
 //!   formatting.
 

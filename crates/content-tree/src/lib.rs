@@ -54,9 +54,7 @@
 
 mod tree;
 
-pub use tree::{
-    ArenaStats, ContentTree, Cursor, LeafIdx, RunStep, TreeIter, Widths, DEFAULT_FANOUT,
-};
+pub use tree::{ArenaStats, ContentTree, Cursor, LeafIdx, RunStep, TreeIter, Widths};
 
 use eg_rle::{HasLength, MergableSpan, SplitableSpan};
 

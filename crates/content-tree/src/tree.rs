@@ -117,7 +117,7 @@ impl NodeRef {
 /// Default fanout of a [`ContentTree`]: maximum children per internal node
 /// and maximum entries per leaf. Settled by two sweeps over 8/16/32/64 on
 /// the tracker's workload (`crates/core/README.md`, "Fanout tuning").
-pub const DEFAULT_FANOUT: usize = 16;
+pub(crate) const DEFAULT_FANOUT: usize = 16;
 
 /// A fixed-capacity inline vector: `N` slots in the node itself, no heap.
 ///
@@ -388,7 +388,7 @@ pub struct ArenaStats {
 /// and of entries in a leaf (`N >= 4`). Larger fanouts mean shallower trees
 /// (cheaper descents and width repairs) but more linear scanning within
 /// nodes; the sweet spot depends on the entry type and workload, so it is a
-/// compile-time parameter swept by the `walker_hot` benchmark.
+/// compile-time parameter (the core README says how to sweep it).
 #[derive(Debug, Clone)]
 pub struct ContentTree<E: TreeEntry, const N: usize = DEFAULT_FANOUT> {
     leaves: Vec<LeafNode<E, N>>,

@@ -311,7 +311,7 @@ impl OpLog {
     /// Validates a bundle without mutating the log: structure plus causal
     /// readiness (every parent known locally or supplied earlier in the
     /// bundle).
-    pub fn check_bundle(&self, bundle: &EventBundle) -> Result<(), BundleError> {
+    pub(crate) fn check_bundle(&self, bundle: &EventBundle) -> Result<(), BundleError> {
         // Seq ranges the bundle itself provides, grouped per agent. Runs
         // from one agent arrive seq-ascending when extracted by
         // `bundle_since`, but a hand-built bundle need not be sorted, so

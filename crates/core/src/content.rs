@@ -63,7 +63,7 @@ impl ContentArena {
     }
 
     /// Appends one character, returning its char index.
-    pub fn push_char(&mut self, c: char) -> usize {
+    pub(crate) fn push_char(&mut self, c: char) -> usize {
         let at = self.index.len_chars();
         self.text.push(c);
         self.index.append_char_width(c.len_utf8());

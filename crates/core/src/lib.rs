@@ -35,12 +35,9 @@ mod branch;
 pub mod bundle;
 pub mod content;
 pub mod convert;
-pub mod cursor;
-pub mod history;
 mod op;
 mod oplog;
 pub mod reference;
-pub mod session;
 pub mod testgen;
 pub mod tracker;
 pub mod walker;
@@ -49,7 +46,7 @@ pub use branch::Branch;
 pub use bundle::{BundleError, BundleRun, EventBundle, RunView};
 pub use op::{ListOpKind, OpRun, TextOpRef, TextOperation};
 pub use oplog::OpLog;
-pub use tracker::{Tracker, TrackerSnapshot, TRACKER_FANOUT};
+pub use tracker::{Tracker, TrackerSnapshot};
 pub use walker::WalkerOpts;
 
 pub use eg_dag::{Frontier, RemoteId, LV};

@@ -43,7 +43,7 @@ pub struct OpRun {
 
 impl OpRun {
     /// The document index at which unit `k` of the run was generated.
-    pub fn unit_pos(&self, k: usize) -> usize {
+    pub(crate) fn unit_pos(&self, k: usize) -> usize {
         debug_assert!(k < self.len());
         match (self.kind, self.fwd) {
             (ListOpKind::Ins, true) => self.loc.start + k,
@@ -176,7 +176,7 @@ impl<'a> TextOpRef<'a> {
     }
 
     /// Builds a deletion.
-    pub fn del(pos: usize, len: usize) -> Self {
+    pub(crate) fn del(pos: usize, len: usize) -> Self {
         TextOpRef {
             kind: ListOpKind::Del,
             pos,
@@ -186,7 +186,7 @@ impl<'a> TextOpRef<'a> {
     }
 
     /// Applies the operation to a rope without copying the content.
-    pub fn apply_to(&self, doc: &mut eg_rope::Rope) {
+    pub(crate) fn apply_to(&self, doc: &mut eg_rope::Rope) {
         match self.kind {
             ListOpKind::Ins => doc.insert(self.pos, self.content.unwrap_or("")),
             ListOpKind::Del => doc.remove(self.pos, self.len),

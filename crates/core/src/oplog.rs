@@ -301,11 +301,6 @@ impl OpLog {
         self.agents.lv_to_remote(lv)
     }
 
-    /// Maps a remote ID to a local version, if known.
-    pub fn remote_to_lv(&self, id: &RemoteId) -> Option<LV> {
-        self.agents.remote_id_to_lv(id)
-    }
-
     /// Maps a remote ID to the LV of the latest locally known event from
     /// the same agent with sequence number at most `id.seq`, or `None` if
     /// the agent is entirely unknown here. The sound reading of a peer's
@@ -313,7 +308,7 @@ impl OpLog {
     /// [`AgentAssignment::latest_lv_at_or_below`].
     ///
     /// [`AgentAssignment::latest_lv_at_or_below`]: eg_dag::AgentAssignment::latest_lv_at_or_below
-    pub fn clamp_remote_to_lv(&self, id: &RemoteId) -> Option<LV> {
+    pub(crate) fn clamp_remote_to_lv(&self, id: &RemoteId) -> Option<LV> {
         let agent = self.agents.agent_id(&id.agent)?;
         self.agents.latest_lv_at_or_below(agent, id.seq)
     }
@@ -478,7 +473,7 @@ mod tests {
         let id = log.lv_to_remote(1);
         assert_eq!(id.agent, "alice");
         assert_eq!(id.seq, 1);
-        assert_eq!(log.remote_to_lv(&id), Some(1));
+        assert_eq!(log.agents.remote_id_to_lv(&id), Some(1));
     }
 
     #[test]
@@ -506,7 +501,7 @@ mod tests {
         // Both now know the same set of remote events.
         for lv in 0..a.len() {
             let id = a.lv_to_remote(lv);
-            assert!(b.remote_to_lv(&id).is_some());
+            assert!(b.agents.remote_id_to_lv(&id).is_some());
         }
     }
 }

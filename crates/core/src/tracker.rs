@@ -34,12 +34,12 @@ use std::collections::HashMap;
 /// levels) and 64 (wide nodes: linear scans and `Vec` shifts dominate).
 /// To re-sweep after changing the record layout, edit this constant and
 /// read `merge_events_per_s` on `egbench`'s `doc_conc`.
-pub const TRACKER_FANOUT: usize = 16;
+pub(crate) const TRACKER_FANOUT: usize = 16;
 
 /// Origin sentinel: inserted at the start of the document.
-pub const ORIGIN_START: usize = usize::MAX;
+pub(crate) const ORIGIN_START: usize = usize::MAX;
 /// Origin sentinel: inserted at the end of the document.
-pub const ORIGIN_END: usize = usize::MAX - 1;
+pub(crate) const ORIGIN_END: usize = usize::MAX - 1;
 
 /// Base of the fake-ID space used for placeholder records (§3.6). The
 /// placeholder character at base-document position `i` has ID
@@ -62,7 +62,7 @@ pub enum SpState {
 /// An internal-state change observed during replay, in ID space. Origins
 /// use the [`ORIGIN_START`]/[`ORIGIN_END`] sentinels of [`CrdtSpan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CrdtChange {
+pub(crate) enum CrdtChange {
     /// A new record was integrated.
     Ins {
         /// The record, with its resolved origins.
@@ -525,8 +525,7 @@ pub struct Tracker {
     /// when the ID space itself resets ([`Tracker::clear`]); structural
     /// edits merely turn hits into misses.
     cache: Cell<Option<Cursor>>,
-    /// Disables the cache entirely (reference mode for equivalence tests
-    /// and the `walker_hot` cache ablation).
+    /// Disables the cache entirely (reference mode for equivalence tests).
     cache_enabled: bool,
     /// Last emitted insert position, the fast path that lets consecutive
     /// sequential insert runs skip the per-op upward
@@ -612,7 +611,7 @@ impl Tracker {
     /// [`Tracker::new`] with both the cursor cache and the emit-position
     /// cache switched on or off independently. All four combinations
     /// produce byte-identical output; disabling exists for the equivalence
-    /// property tests and ablation benchmarks.
+    /// property tests.
     pub fn new_with_caches(cache_enabled: bool, emit_cache_enabled: bool) -> Self {
         let mut t = Tracker {
             tree: ContentTree::new(),
@@ -641,7 +640,7 @@ impl Tracker {
     /// (or a merge that cannot resume a reused tracker) costs zero
     /// allocator calls until the state outgrows its previous high-water
     /// mark. The live version of the last merge is dropped.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.tree.clear();
         self.ins_loc.clear();
         self.del_targets.clear();
@@ -692,7 +691,7 @@ impl Tracker {
     ///
     /// Skipping the call is safe — the indexes then count from wherever
     /// they last did, at the cost of a vector spanning the gap.
-    pub fn begin_segment(&mut self, first: LV) {
+    pub(crate) fn begin_segment(&mut self, first: LV) {
         self.ins_loc.real.start_at(first);
         self.del_targets.start_at(first);
     }
@@ -1016,7 +1015,7 @@ impl Tracker {
     /// [`Tracker::apply_range`] with an observer that sees every internal
     /// state change in ID space. Used to convert event graphs into CRDT
     /// operation streams (the paper's `crdt-converter`, §A.5).
-    pub fn apply_range_observed<F>(
+    pub(crate) fn apply_range_observed<F>(
         &mut self,
         oplog: &OpLog,
         range: DTRange,
@@ -1477,14 +1476,6 @@ impl Tracker {
     /// Validates tree invariants (testing).
     pub fn check(&self) {
         self.tree.check();
-    }
-
-    /// Debug helper: dumps the record sequence (id range, sp, se) in order.
-    pub fn dump_entries(&self) -> Vec<(DTRange, String, bool)> {
-        self.tree
-            .iter()
-            .map(|e| (e.id, format!("{:?}", e.sp), e.se_deleted))
-            .collect()
     }
 }
 

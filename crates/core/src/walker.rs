@@ -23,12 +23,12 @@ pub struct WalkerOpts {
     /// the "opt disabled" series of the paper's Fig. 9.
     pub enable_clearing: bool,
     /// Branch-ordering policy for the topological sort (§3.2, §3.7). The
-    /// non-default policies exist only for the traversal-order ablation
-    /// that §4.3 describes ("as much as 8× slower").
+    /// non-default policies are the orders §4.3 compares ("as much as 8×
+    /// slower"); the order-invariance property tests walk with them.
     pub plan_order: PlanOrder,
     /// Enables the tracker's last-used-cursor cache (on by default).
     /// Disabling reproduces the reference (uncached) replay for the
-    /// equivalence property tests and the `walker_hot` cache ablation;
+    /// equivalence property tests;
     /// output is byte-identical either way.
     pub cursor_cache: bool,
     /// Enables the tracker's emit-position cache (on by default):

@@ -1,12 +1,13 @@
 //! Edge cases and cross-feature property tests for the core crate:
 //! Unicode, degenerate documents, traversal-order invariance, bundles, and
-//! the history APIs, all checked against the naive reference
+//! version-to-version patches, all checked against the naive reference
 //! implementation on random histories.
 
 use eg_dag::walk::PlanOrder;
 use eg_rle::HasLength;
 use egwalker::reference::replay_reference;
 use egwalker::testgen::{random_oplog, SmallRng};
+use egwalker::walker;
 use egwalker::{Branch, EventBundle, OpLog, TextOperation, Tracker, WalkerOpts};
 use proptest::prelude::*;
 
@@ -18,7 +19,6 @@ use proptest::prelude::*;
 fn empty_oplog_checkout() {
     let oplog = OpLog::new();
     assert_eq!(oplog.checkout_tip().content.to_string(), "");
-    assert!(oplog.blame().is_empty());
     assert!(oplog.bundle_since(&[]).is_empty());
 }
 
@@ -237,7 +237,7 @@ proptest! {
         prop_assert!(peer.apply_bundle(&delta).unwrap().is_empty());
     }
 
-    /// `diff_versions(from, tip)` applied to `checkout(from)` equals
+    /// `transformed_ops(from, tip)` applied to `checkout(from)` equals
     /// `checkout(tip)` for random versions.
     #[test]
     fn diff_versions_is_a_correct_patch(
@@ -259,58 +259,14 @@ proptest! {
 
         let mut doc = oplog.checkout(&from);
         let tip = oplog.version().clone();
-        for op in oplog.diff_versions(&from, &tip) {
+        let (_, ops) = walker::transformed_ops(&oplog, &from, &tip, WalkerOpts::default());
+        for (_, op) in ops {
             op.apply_to(&mut doc.content);
         }
         prop_assert_eq!(
             doc.content.to_string(),
             oplog.checkout_tip().content.to_string()
         );
-    }
-
-    /// The scrubber's last step equals the checkout, and every step is a
-    /// prefix-consistent state (lengths change by exactly one per step).
-    #[test]
-    fn scrubber_steps_are_consistent(
-        seed in 0u64..1_000_000,
-        steps in 1usize..40,
-        replicas in 1usize..4,
-        merge_prob in 0.0f64..0.5,
-    ) {
-        let oplog = random_oplog(seed, steps, replicas, merge_prob);
-        let mut scrub = egwalker::history::Scrubber::new(&oplog);
-        let n = scrub.num_steps();
-        let mut prev_len = scrub.seek(0).chars().count();
-        prop_assert_eq!(prev_len, 0);
-        for k in 1..=n {
-            let len = scrub.seek(k).chars().count();
-            let delta = len as i64 - prev_len as i64;
-            prop_assert!(delta.abs() == 1, "step {k} changed length by {delta}");
-            prev_len = len;
-        }
-        prop_assert_eq!(scrub.seek(n), oplog.checkout_tip().content.to_string());
-    }
-
-    /// Blame covers the document exactly and attributes to real agents.
-    #[test]
-    fn blame_partitions_document(
-        seed in 0u64..1_000_000,
-        steps in 1usize..60,
-        replicas in 1usize..4,
-        merge_prob in 0.0f64..0.5,
-    ) {
-        let oplog = random_oplog(seed, steps, replicas, merge_prob);
-        let doc = oplog.checkout_tip().content.to_string();
-        let spans = oplog.blame();
-        let total: usize = spans.iter().map(|s| s.len()).sum();
-        prop_assert_eq!(total, doc.chars().count());
-        for span in &spans {
-            prop_assert!(span.agent.starts_with("agent"), "agent {:?}", span.agent);
-            // The span's events must really be this agent's.
-            for lv in span.lvs.iter() {
-                prop_assert_eq!(oplog.agent_name_of(lv), span.agent.as_str());
-            }
-        }
     }
 }
 

@@ -28,7 +28,7 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 /// delay is drawn from `[½·delay, delay]` where `delay = min(cap, base ·
 /// 2^attempt)`.
 #[derive(Debug, Clone)]
-pub struct Backoff {
+pub(crate) struct Backoff {
     base: Duration,
     cap: Duration,
     seed: u64,
@@ -38,7 +38,7 @@ pub struct Backoff {
 impl Backoff {
     /// A policy starting at `base`, doubling per attempt, capped at
     /// `cap`, jittered deterministically from `seed`.
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
+    pub(crate) fn new(base: Duration, cap: Duration, seed: u64) -> Backoff {
         Backoff {
             base: base.max(Duration::from_millis(1)),
             cap: cap.max(base),
@@ -48,7 +48,7 @@ impl Backoff {
     }
 
     /// The delay before the next dial, advancing the attempt counter.
-    pub fn next_delay(&mut self) -> Duration {
+    pub(crate) fn next_delay(&mut self) -> Duration {
         let exp = self.attempt.min(20);
         let raw = self.base.saturating_mul(1u32 << exp.min(31)).min(self.cap);
         self.attempt = self.attempt.saturating_add(1);
@@ -58,14 +58,9 @@ impl Backoff {
         Duration::from_millis(raw_ms - jitter)
     }
 
-    /// Dials made since the last [`Backoff::reset`].
-    pub fn attempt(&self) -> u32 {
-        self.attempt
-    }
-
     /// Called after a successful handshake: the next failure starts the
     /// ladder over from `base`.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.attempt = 0;
     }
 }
@@ -108,9 +103,9 @@ mod tests {
         for _ in 0..6 {
             b.next_delay();
         }
-        assert_eq!(b.attempt(), 6);
+        assert_eq!(b.attempt, 6);
         b.reset();
-        assert_eq!(b.attempt(), 0);
+        assert_eq!(b.attempt, 0);
         assert!(b.next_delay() <= Duration::from_millis(10));
     }
 }

@@ -64,7 +64,7 @@ pub struct ControlMsg {
 }
 
 /// Builds a JSON object value (field order preserved).
-pub fn obj(fields: Vec<(&str, Value)>) -> Value {
+pub(crate) fn obj(fields: Vec<(&str, Value)>) -> Value {
     Value::Obj(fields.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 

@@ -104,7 +104,7 @@ impl Default for DaemonConfig {
 
 /// Daemon-wide traffic and lifecycle counters.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct DaemonStats {
+pub(crate) struct DaemonStats {
     /// Raw socket bytes read.
     pub bytes_in: u64,
     /// Raw socket bytes written.
@@ -226,11 +226,6 @@ impl Daemon {
             last_sync: now,
             edit_session_counter: 0,
         })
-    }
-
-    /// The embedded host (for in-process embedders and tests).
-    pub fn host(&self) -> &ServerHost {
-        &self.host
     }
 
     /// Runs the daemon on its own thread, returning a control handle.
@@ -703,7 +698,7 @@ impl DaemonHandle {
 /// FNV-1a over the canonical snapshot: doc ids, versions (agent + seq),
 /// and text. Two daemons agree on this hash iff their non-empty document
 /// sets are byte-identical.
-pub fn snapshot_hash(snapshot: &[(DocId, Vec<RemoteId>, String)]) -> u64 {
+pub(crate) fn snapshot_hash(snapshot: &[(DocId, Vec<RemoteId>, String)]) -> u64 {
     const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01b3;
     let mut h = OFFSET;

@@ -32,8 +32,7 @@ mod daemon;
 mod peer;
 mod proxy;
 
-pub use backoff::Backoff;
 pub use control::{parse_cmd, ControlCmd, ControlMsg};
-pub use daemon::{snapshot_hash, Daemon, DaemonConfig, DaemonHandle, DaemonStats};
+pub use daemon::{Daemon, DaemonConfig, DaemonHandle};
 pub use peer::{PeerOutbox, PeerSession, SessionConfig, SessionError, SessionState, SessionStats};
 pub use proxy::{FaultProxy, ProxyFaults, ProxyStats};

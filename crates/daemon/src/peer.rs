@@ -165,18 +165,13 @@ impl PeerOutbox {
         Some(f)
     }
 
-    /// Queued frame count.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
     /// Whether nothing is queued.
     pub fn is_empty(&self) -> bool {
         self.frames.is_empty()
     }
 
     /// Bytes currently queued.
-    pub fn queued_bytes(&self) -> usize {
+    pub(crate) fn queued_bytes(&self) -> usize {
         self.queued_bytes
     }
 }
@@ -221,7 +216,7 @@ impl PeerSession {
     }
 
     /// Current lifecycle state.
-    pub fn state(&self) -> SessionState {
+    pub(crate) fn state(&self) -> SessionState {
         match self.link {
             Some(_) => SessionState::Established,
             None => SessionState::AwaitHello,
@@ -229,7 +224,7 @@ impl PeerSession {
     }
 
     /// The peer's replica name, once its Hello arrived.
-    pub fn peer_name(&self) -> Option<&str> {
+    pub(crate) fn peer_name(&self) -> Option<&str> {
         self.peer_name.as_deref()
     }
 
@@ -244,7 +239,7 @@ impl PeerSession {
     }
 
     /// Bytes queued for this peer right now.
-    pub fn outbox_bytes(&self) -> usize {
+    pub(crate) fn outbox_bytes(&self) -> usize {
         self.outbox.queued_bytes()
     }
 
@@ -350,14 +345,14 @@ impl PeerSession {
     /// complete a frame the reactor hands over now. (It holds frames back
     /// while its own output to the peer is pending; the heartbeat timeout
     /// measures the peer's silence, not that wait.)
-    pub fn on_bytes(&mut self, now: Instant) {
+    pub(crate) fn on_bytes(&mut self, now: Instant) {
         self.last_recv = now;
     }
 
     /// Clock tick: emits a heartbeat when the link has been send-idle,
     /// and reports a half-open link when nothing has arrived within the
     /// timeout.
-    pub fn on_tick(&mut self, now: Instant) -> Result<(), SessionError> {
+    pub(crate) fn on_tick(&mut self, now: Instant) -> Result<(), SessionError> {
         if now.duration_since(self.last_recv) >= self.cfg.heartbeat_timeout {
             return Err(SessionError::HeartbeatTimeout);
         }

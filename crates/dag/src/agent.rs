@@ -30,16 +30,6 @@ pub struct AgentSpan {
     pub seq_range: DTRange,
 }
 
-/// A run of consecutive event IDs, used when encoding or exchanging spans of
-/// events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RemoteIdSpan {
-    /// The replica that generated the events.
-    pub agent: String,
-    /// The covered sequence numbers.
-    pub seq_range: DTRange,
-}
-
 impl HasLength for AgentSpan {
     fn len(&self) -> usize {
         self.seq_range.len()
@@ -127,7 +117,7 @@ impl AgentAssignment {
     }
 
     /// The next unused sequence number for `agent`.
-    pub fn next_seq_for(&self, agent: AgentId) -> usize {
+    pub(crate) fn next_seq_for(&self, agent: AgentId) -> usize {
         self.client_data[agent as usize].end_key()
     }
 

@@ -30,7 +30,7 @@ enum Flag {
 /// version pairs (the walk planner's per-step retreat/advance computation)
 /// performs no per-call allocation.
 #[derive(Debug, Default)]
-pub struct DiffScratch {
+pub(crate) struct DiffScratch {
     queue: BinaryHeap<(LV, Flag)>,
 }
 
@@ -121,7 +121,7 @@ impl Graph {
     /// [`Graph::diff`] into caller-owned buffers: `only_a` / `only_b` are
     /// cleared and filled (ascending), and `scratch` is recycled, so
     /// repeated diffs allocate nothing once the buffers have grown.
-    pub fn diff_with_scratch(
+    pub(crate) fn diff_with_scratch(
         &self,
         a: &[LV],
         b: &[LV],

@@ -62,12 +62,12 @@ impl Frontier {
     }
 
     /// Returns `true` if `lv` is one of the frontier's entries.
-    pub fn contains_entry(&self, lv: LV) -> bool {
+    pub(crate) fn contains_entry(&self, lv: LV) -> bool {
         self.0.binary_search(&lv).is_ok()
     }
 
     /// Inserts `lv` keeping the entries sorted (no-op if present).
-    pub fn insert(&mut self, lv: LV) {
+    pub(crate) fn insert(&mut self, lv: LV) {
         if let Err(idx) = self.0.binary_search(&lv) {
             self.0.insert(idx, lv);
         }

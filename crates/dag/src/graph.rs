@@ -244,7 +244,7 @@ impl Graph {
     }
 
     /// The largest critical version `c <= lv`, if any.
-    pub fn latest_critical_at_or_before(&self, lv: LV) -> Option<LV> {
+    pub(crate) fn latest_critical_at_or_before(&self, lv: LV) -> Option<LV> {
         match self.criticals.find_index(lv) {
             Ok(_) => Some(lv),
             Err(idx) => {
@@ -283,11 +283,6 @@ impl Graph {
         self.entries.entries_from(lv)
     }
 
-    /// LVs of the events with no parents.
-    pub fn root_events(&self) -> &[LV] {
-        &self.root_events
-    }
-
     /// Iterates the (possibly trimmed) entries covering `range`.
     pub fn iter_range(&self, range: DTRange) -> impl Iterator<Item = GraphEntry> + '_ {
         self.entries.iter_range(range)
@@ -317,7 +312,7 @@ mod tests {
         assert_eq!(g.parents_of(3), Frontier::new_1(0));
         assert_eq!(g.parents_of(4), Frontier::new_1(3));
         assert_eq!(g.parents_of(5), Frontier::from_unsorted(&[2, 4]));
-        assert_eq!(g.root_events(), &[0]);
+        assert_eq!(g.root_events, [0]);
         // A cursor from mid-run starts at the (untrimmed) entry holding it.
         let from = g.entries_from(4);
         assert_eq!(from.len(), 2);

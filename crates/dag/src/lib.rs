@@ -29,7 +29,7 @@ mod graph;
 pub mod naive;
 pub mod walk;
 
-pub use agent::{AgentAssignment, AgentId, AgentSpan, RemoteId, RemoteIdSpan};
+pub use agent::{AgentAssignment, AgentId, AgentSpan, RemoteId};
 pub use critical::criticality;
 pub use diff::DiffResult;
 pub use frontier::Frontier;

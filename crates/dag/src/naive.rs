@@ -35,7 +35,7 @@ impl NaiveGraph {
     ///
     /// Parents are dominator-reduced so the graph stays transitively
     /// reduced.
-    pub fn add(&mut self, parents: &[LV]) -> LV {
+    pub(crate) fn add(&mut self, parents: &[LV]) -> LV {
         let lv = self.parents.len();
         let mut reduced: Vec<LV> = Vec::new();
         for &p in parents {
@@ -53,7 +53,7 @@ impl NaiveGraph {
     }
 
     /// The ancestor closure of `lv`, including `lv` itself.
-    pub fn ancestors(&self, lv: LV) -> HashSet<LV> {
+    pub(crate) fn ancestors(&self, lv: LV) -> HashSet<LV> {
         let mut out = HashSet::new();
         let mut stack = vec![lv];
         while let Some(v) = stack.pop() {

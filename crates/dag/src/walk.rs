@@ -47,8 +47,8 @@ pub struct WalkStepRef<'a> {
 ///
 /// The paper (§3.2, §3.7) picks branches with fewer events first, and §4.3
 /// reports that "a poorly chosen traversal order can make this trace as
-/// much as 8× slower to merge". The non-default variants exist to measure
-/// exactly that ablation; they are never better.
+/// much as 8× slower to merge". The non-default variants are those worse
+/// orders, kept for the order-invariance tests; they are never better.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlanOrder {
     /// Visit small branches before large ones (the paper's heuristic).
@@ -134,7 +134,7 @@ impl WalkPlan {
     }
 
     /// The `i`-th step, borrowing from the shared range pool.
-    pub fn step(&self, i: usize) -> WalkStepRef<'_> {
+    pub(crate) fn step(&self, i: usize) -> WalkStepRef<'_> {
         let s = &self.steps[i];
         WalkStepRef {
             retreat: &self.pool[s.retreat.0 as usize..s.retreat.1 as usize],
@@ -191,7 +191,7 @@ impl WalkPlan {
     }
 
     /// [`WalkPlan::plan`] with an explicit branch-ordering policy (see
-    /// [`PlanOrder`]); used by the traversal-order ablation.
+    /// [`PlanOrder`]); used by the order-invariance tests.
     pub fn plan_with_order(
         &mut self,
         graph: &Graph,

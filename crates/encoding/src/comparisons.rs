@@ -8,7 +8,7 @@
 //!   run-length encoding: the upper baseline standing in for heavier
 //!   full-history formats in Fig. 11.
 
-use crate::varint::{push_usize, read_usize, DecodeError};
+use crate::varint::push_usize;
 use eg_rle::HasLength;
 use egwalker::convert::{to_crdt_ops, CrdtOp};
 use egwalker::{ListOpKind, OpLog};
@@ -108,19 +108,20 @@ pub fn encode_verbose(oplog: &OpLog) -> Vec<u8> {
     out
 }
 
-/// Decodes the event count of a verbose file (sanity-check helper).
-pub fn verbose_event_count(data: &[u8]) -> Result<usize, DecodeError> {
-    if data.len() < 8 || &data[..8] != b"VERBOSE1" {
-        return Err(DecodeError::BadMagic);
-    }
-    let mut cur = &data[8..];
-    read_usize(&mut cur)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::varint::{read_usize, DecodeError};
     use egwalker::testgen::random_oplog;
+
+    /// Decodes the event count of a verbose file.
+    fn verbose_event_count(data: &[u8]) -> Result<usize, DecodeError> {
+        if data.len() < 8 || &data[..8] != b"VERBOSE1" {
+            return Err(DecodeError::BadMagic);
+        }
+        let mut cur = &data[8..];
+        read_usize(&mut cur)
+    }
 
     #[test]
     fn crdt_state_smaller_than_verbose() {

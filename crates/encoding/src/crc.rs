@@ -66,7 +66,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 ///
 /// Every trailing-checksum codec (bundles, digests, event-graph files)
 /// shares this split so their decode paths stay free of raw slicing.
-pub fn split_crc(bytes: &[u8]) -> Option<(&[u8], u32)> {
+pub(crate) fn split_crc(bytes: &[u8]) -> Option<(&[u8], u32)> {
     let split = bytes.len().checked_sub(4)?;
     let body = bytes.get(..split)?;
     let tail: [u8; 4] = bytes.get(split..)?.try_into().ok()?;

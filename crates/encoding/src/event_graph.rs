@@ -29,12 +29,12 @@ const MAGIC: &[u8; 8] = b"EGWALKR1";
 
 /// Chunk type tags.
 mod chunk {
-    pub const OPS: u8 = 1;
-    pub const CONTENT: u8 = 2;
-    pub const PARENTS: u8 = 3;
-    pub const AGENT_NAMES: u8 = 4;
-    pub const AGENT_ASSIGNMENT: u8 = 5;
-    pub const FINAL_DOC: u8 = 6;
+    pub(crate) const OPS: u8 = 1;
+    pub(crate) const CONTENT: u8 = 2;
+    pub(crate) const PARENTS: u8 = 3;
+    pub(crate) const AGENT_NAMES: u8 = 4;
+    pub(crate) const AGENT_ASSIGNMENT: u8 = 5;
+    pub(crate) const FINAL_DOC: u8 = 6;
 }
 
 /// Encoding options.

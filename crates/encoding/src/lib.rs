@@ -34,12 +34,12 @@ pub mod varint;
 pub use bundle_wire::{
     apply_bundle_bytes, decode_bundle, encode_bundle, encode_runs, ApplyBundleError,
 };
-pub use comparisons::{encode_crdt_state, encode_verbose, verbose_event_count};
+pub use comparisons::{encode_crdt_state, encode_verbose};
 pub use crc::crc32;
 pub use digest_wire::{
     decode_bundle_batch, decode_digest, encode_bundle_batch, encode_digest, BUNDLE_BATCH_MAGIC,
     DIGEST_MAGIC,
 };
 pub use event_graph::{decode, decode_cached_doc_only, encode, Decoded, EncodeOpts};
-pub use oplog_image::{decode_oplog_image, encode_oplog_image, IMAGE_MAGIC};
+pub use oplog_image::{decode_oplog_image, encode_oplog_image};
 pub use varint::DecodeError;

@@ -39,7 +39,7 @@ use eg_rle::{DTRange, HasLength, KVPair};
 use egwalker::{ListOpKind, OpLog, OpRun};
 
 /// Magic bytes opening an oplog image.
-pub const IMAGE_MAGIC: &[u8; 4] = b"EGIM";
+pub(crate) const IMAGE_MAGIC: &[u8; 4] = b"EGIM";
 const IMAGE_VERSION: u8 = 1;
 
 fn push_str(out: &mut Vec<u8>, s: &str) {

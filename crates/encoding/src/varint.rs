@@ -51,7 +51,7 @@ pub fn push_usize(out: &mut Vec<u8>, value: usize) {
 
 /// Appends a signed value with zigzag encoding (small magnitudes stay
 /// small).
-pub fn push_i64(out: &mut Vec<u8>, value: i64) {
+pub(crate) fn push_i64(out: &mut Vec<u8>, value: i64) {
     push_u64(out, ((value << 1) ^ (value >> 63)) as u64);
 }
 
@@ -96,14 +96,14 @@ pub fn read_usize(input: &mut &[u8]) -> Result<usize, DecodeError> {
 }
 
 /// Reads a zigzag-encoded signed value.
-pub fn read_i64(input: &mut &[u8]) -> Result<i64, DecodeError> {
+pub(crate) fn read_i64(input: &mut &[u8]) -> Result<i64, DecodeError> {
     let raw = read_u64(input)?;
     Ok(((raw >> 1) as i64) ^ -((raw & 1) as i64))
 }
 
 /// Reads one raw byte, advancing `input` (shared by the wire codecs for
 /// version/flag bytes).
-pub fn read_u8(input: &mut &[u8]) -> Result<u8, DecodeError> {
+pub(crate) fn read_u8(input: &mut &[u8]) -> Result<u8, DecodeError> {
     let (&byte, rest) = input.split_first().ok_or(DecodeError::UnexpectedEof)?;
     *input = rest;
     Ok(byte)

@@ -18,7 +18,7 @@
 //! notes in §4.2.
 
 pub mod merge;
-pub mod textop;
+mod textop;
 
 pub use merge::{replay_ot, OtMerger, OtStats};
 pub use textop::{compose, transform, Component, TextOp};

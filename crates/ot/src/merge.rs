@@ -107,7 +107,7 @@ impl<'a> OtMerger<'a> {
     /// Transforms the run `x`'s operation into context `target`
     /// (`Events(parents(x)) ⊆ Events(target)` required). Iterative with an
     /// explicit stack; memoised.
-    pub fn xform(&mut self, x: DTRange, target: &Frontier) -> TextOp {
+    pub(crate) fn xform(&mut self, x: DTRange, target: &Frontier) -> TextOp {
         let key = (x, target.clone());
         if let Some(op) = self.memo.get(&key) {
             return op.clone();
@@ -196,7 +196,7 @@ impl<'a> OtMerger<'a> {
     }
 
     /// The accumulated statistics.
-    pub fn stats(&self) -> OtStats {
+    pub(crate) fn stats(&self) -> OtStats {
         let mut s = self.stats;
         s.memo_entries = self.memo.len();
         s

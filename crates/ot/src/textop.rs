@@ -60,11 +60,6 @@ impl TextOp {
         op
     }
 
-    /// Returns `true` for the identity operation.
-    pub fn is_identity(&self) -> bool {
-        self.components.is_empty()
-    }
-
     /// Appends a retain, merging with the tail.
     pub fn retain(&mut self, n: usize) {
         if n == 0 {
@@ -137,7 +132,7 @@ impl TextOp {
 
     /// The memory retained by this operation, in approximate bytes (used by
     /// the evaluation's memory measurements).
-    pub fn approx_bytes(&self) -> usize {
+    pub(crate) fn approx_bytes(&self) -> usize {
         self.components
             .iter()
             .map(|c| {
@@ -178,7 +173,7 @@ impl TextOp {
     /// same-position insertions differently, letting later indexes drift
     /// past the OT document's end. Clamping keeps the replay well-defined
     /// (the costs being benchmarked are unaffected).
-    pub fn apply_clamped_to(&self, doc: &mut Rope) {
+    pub(crate) fn apply_clamped_to(&self, doc: &mut Rope) {
         let mut pos = 0;
         for c in &self.components {
             let len = doc.len_chars();

@@ -122,13 +122,6 @@ impl CharWidthIndex {
     pub fn byte_range(&self, chars: std::ops::Range<usize>) -> std::ops::Range<usize> {
         self.byte_of_char(chars.start)..self.byte_of_char(chars.end)
     }
-
-    /// Removes all runs.
-    pub fn clear(&mut self) {
-        self.runs.clear();
-        self.len_chars = 0;
-        self.len_bytes = 0;
-    }
 }
 
 #[cfg(test)]

@@ -29,25 +29,6 @@ pub use range::DTRange;
 pub use rlevec::{KVPair, RleVec};
 pub use traits::{HasLength, HasRleKey, MergableSpan, RleRun, SplitableSpan};
 
-/// Splits `span` at `at`, returning the two halves `([0, at), [at, len))`.
-///
-/// This is a convenience wrapper around [`SplitableSpan::truncate`] for
-/// callers that want both halves by value.
-pub fn split_span<S: SplitableSpan + HasLength>(mut span: S, at: usize) -> (S, S) {
-    let rem = span.truncate(at);
-    (span, rem)
-}
-
-/// Appends `b` to `a` if the two spans merge, returning `b` back otherwise.
-pub fn try_append<S: MergableSpan>(a: &mut S, b: S) -> Option<S> {
-    if a.can_append(&b) {
-        a.append(b);
-        None
-    } else {
-        Some(b)
-    }
-}
-
 /// Merges an iterator of spans into a vector, run-length encoding adjacent
 /// mergeable items.
 ///

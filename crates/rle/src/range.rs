@@ -35,7 +35,7 @@ impl DTRange {
     }
 
     /// Creates a range covering exactly one value.
-    pub const fn single(value: usize) -> Self {
+    pub(crate) const fn single(value: usize) -> Self {
         Self {
             start: value,
             end: value + 1,
@@ -75,23 +75,9 @@ impl DTRange {
         }
     }
 
-    /// Returns `true` if the two ranges share at least one value.
-    pub fn overlaps(&self, other: &DTRange) -> bool {
-        self.intersect(other).is_some()
-    }
-
     /// Iterates the values in the range, in ascending order.
     pub fn iter(&self) -> Range<usize> {
         self.start..self.end
-    }
-
-    /// Returns this range shifted down so that `new_start` replaces `start`.
-    pub fn with_start(&self, new_start: usize) -> Self {
-        debug_assert!(new_start <= self.end);
-        Self {
-            start: new_start,
-            end: self.end,
-        }
     }
 
     /// Returns the sub-range starting `offset` items in.

@@ -52,14 +52,6 @@ impl<V: MergableSpan + HasLength> MergableSpan for KVPair<V> {
     }
 }
 
-// `HasRleKey` for pairs whose value has no key of its own.
-impl<V> KVPair<V> {
-    /// The key where this pair starts.
-    pub fn key(&self) -> usize {
-        self.0
-    }
-}
-
 /// An append-optimised vector of spans, run-length encoding on push.
 ///
 /// Spans are kept sorted by their RLE key (callers append in key order).
@@ -108,11 +100,6 @@ impl<T> RleVec<T> {
     /// Iterates over the stored entries.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.0.iter()
-    }
-
-    /// The final entry, if any.
-    pub fn last(&self) -> Option<&T> {
-        self.0.last()
     }
 }
 

@@ -27,12 +27,11 @@ use std::fmt;
 /// larger insertions are split.
 const MAX_CHUNK_CHARS: usize = 64;
 
-/// A bounded chunk of text with cached character and newline counts.
+/// A bounded chunk of text with its cached character count.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct Chunk {
     text: String,
     chars: usize,
-    newlines: usize,
 }
 
 impl Chunk {
@@ -40,7 +39,6 @@ impl Chunk {
         Chunk {
             text: text.to_string(),
             chars: text.chars().count(),
-            newlines: text.bytes().filter(|&b| b == b'\n').count(),
         }
     }
 
@@ -68,11 +66,9 @@ impl SplitableSpan for Chunk {
         let tail = self.text.split_off(byte);
         let rem = Chunk {
             chars: self.chars - at,
-            newlines: tail.bytes().filter(|&b| b == b'\n').count(),
             text: tail,
         };
         self.chars = at;
-        self.newlines -= rem.newlines;
         rem
     }
 }
@@ -85,7 +81,6 @@ impl MergableSpan for Chunk {
     fn append(&mut self, other: Self) {
         self.text.push_str(&other.text);
         self.chars += other.chars;
-        self.newlines += other.newlines;
     }
 }
 
@@ -195,12 +190,10 @@ impl Rope {
         if entries[entry_idx].chars + n_chars > MAX_CHUNK_CHARS {
             return false;
         }
-        let new_newlines = text.bytes().filter(|&b| b == b'\n').count();
         self.tree.update_entry(cursor.leaf, entry_idx, |c| {
             let byte = c.byte_of_char(offset);
             c.text.insert_str(byte, text);
             c.chars += n_chars;
-            c.newlines += new_newlines;
         });
         true
     }
@@ -241,7 +234,6 @@ impl Rope {
         self.tree.update_entry(cursor.leaf, cursor.entry_idx, |c| {
             let b0 = c.byte_of_char(cursor.offset);
             let b1 = c.byte_of_char(cursor.offset + len);
-            c.newlines -= c.text[b0..b1].bytes().filter(|&b| b == b'\n').count();
             c.text.replace_range(b0..b1, "");
             c.chars -= len;
         });
@@ -277,122 +269,6 @@ impl Rope {
     /// Total bytes of text (UTF-8).
     pub fn len_bytes(&self) -> usize {
         self.tree.iter().map(|c| c.text.len()).sum()
-    }
-
-    /// The number of lines (one more than the number of `'\n'`s; the empty
-    /// rope has one empty line).
-    pub fn line_count(&self) -> usize {
-        self.tree.iter().map(|c| c.newlines).sum::<usize>() + 1
-    }
-
-    /// Converts a character index into a zero-based `(line, column)` pair.
-    ///
-    /// Each chunk caches its newline count, so this scans chunk headers
-    /// (`O(n / chunk_size)`) and decodes at most one chunk — fine for
-    /// editor-frequency addressing, not for per-character inner loops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pos > self.len_chars()`.
-    pub fn char_to_line_col(&self, pos: usize) -> (usize, usize) {
-        assert!(pos <= self.len_chars, "position out of bounds");
-        let mut line = 0usize;
-        let mut col = 0usize;
-        let mut remaining = pos;
-        for chunk in self.tree.iter() {
-            if remaining >= chunk.chars {
-                remaining -= chunk.chars;
-                if chunk.newlines > 0 {
-                    line += chunk.newlines;
-                    // Column restarts after the chunk's last newline.
-                    let after_last = chunk
-                        .text
-                        .rfind('\n')
-                        .map(|b| chunk.text[b + 1..].chars().count())
-                        .unwrap_or(0);
-                    col = after_last;
-                } else {
-                    col += chunk.chars;
-                }
-                continue;
-            }
-            for ch in chunk.text.chars().take(remaining) {
-                if ch == '\n' {
-                    line += 1;
-                    col = 0;
-                } else {
-                    col += 1;
-                }
-            }
-            return (line, col);
-        }
-        (line, col)
-    }
-
-    /// Converts a zero-based `(line, column)` pair into a character index.
-    ///
-    /// The column is clamped to the line's length (a caret past the end of
-    /// a line lands at the line break), matching editor semantics.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line >= self.line_count()`.
-    pub fn line_col_to_char(&self, line: usize, col: usize) -> usize {
-        assert!(line < self.line_count(), "line out of bounds");
-        let mut pos = 0usize;
-        let mut lines_left = line;
-        for c in self.tree.iter() {
-            // Skip whole chunks that end before the target line starts.
-            if lines_left > c.newlines {
-                lines_left -= c.newlines;
-                pos += c.chars;
-                continue;
-            }
-            // The target line's start is inside (or just after) this chunk.
-            if lines_left > 0 {
-                for ch in c.text.chars() {
-                    pos += 1;
-                    if ch == '\n' {
-                        lines_left -= 1;
-                        if lines_left == 0 {
-                            break;
-                        }
-                    }
-                }
-            }
-            break;
-        }
-        // `pos` is the line start; advance by at most `col`, stopping at
-        // the line end.
-        let mut advanced = 0usize;
-        for ch in self.chars().skip(pos) {
-            if advanced == col || ch == '\n' {
-                break;
-            }
-            advanced += 1;
-        }
-        pos + advanced
-    }
-
-    /// The text of a zero-based line, without its trailing newline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line >= self.line_count()`.
-    pub fn line_text(&self, line: usize) -> String {
-        let start = self.line_col_to_char(line, 0);
-        self.chars()
-            .skip(start)
-            .take_while(|&c| c != '\n')
-            .collect()
-    }
-
-    /// Writes the whole text into a `String`.
-    pub fn to_string_builder(&self, out: &mut String) {
-        out.reserve(self.len_bytes());
-        for c in self.tree.iter() {
-            out.push_str(&c.text);
-        }
     }
 }
 
@@ -507,114 +383,6 @@ mod tests {
     fn remove_out_of_bounds() {
         let mut r = Rope::from_str("ab");
         r.remove(1, 5);
-    }
-
-    #[test]
-    fn line_counts() {
-        assert_eq!(Rope::new().line_count(), 1);
-        assert_eq!(Rope::from_str("no newline").line_count(), 1);
-        assert_eq!(Rope::from_str("a\nb\nc").line_count(), 3);
-        assert_eq!(Rope::from_str("trailing\n").line_count(), 2);
-    }
-
-    #[test]
-    fn char_to_line_col_basics() {
-        let r = Rope::from_str("ab\ncde\n\nf");
-        assert_eq!(r.char_to_line_col(0), (0, 0));
-        assert_eq!(r.char_to_line_col(2), (0, 2)); // on the newline
-        assert_eq!(r.char_to_line_col(3), (1, 0)); // 'c'
-        assert_eq!(r.char_to_line_col(6), (1, 3));
-        assert_eq!(r.char_to_line_col(7), (2, 0)); // empty line
-        assert_eq!(r.char_to_line_col(8), (3, 0)); // 'f'
-        assert_eq!(r.char_to_line_col(9), (3, 1)); // end of document
-    }
-
-    #[test]
-    fn line_col_to_char_basics() {
-        let r = Rope::from_str("ab\ncde\n\nf");
-        assert_eq!(r.line_col_to_char(0, 0), 0);
-        assert_eq!(r.line_col_to_char(1, 0), 3);
-        assert_eq!(r.line_col_to_char(1, 2), 5);
-        assert_eq!(r.line_col_to_char(2, 0), 7);
-        assert_eq!(r.line_col_to_char(3, 1), 9);
-        // Columns clamp to the line end.
-        assert_eq!(r.line_col_to_char(0, 99), 2);
-        assert_eq!(r.line_col_to_char(2, 99), 7);
-    }
-
-    #[test]
-    fn line_text_extraction() {
-        let r = Rope::from_str("first\nsecond line\n\nfourth");
-        assert_eq!(r.line_text(0), "first");
-        assert_eq!(r.line_text(1), "second line");
-        assert_eq!(r.line_text(2), "");
-        assert_eq!(r.line_text(3), "fourth");
-    }
-
-    #[test]
-    fn line_queries_across_chunk_boundaries() {
-        // Force many chunks with newlines scattered across them.
-        let mut text = String::new();
-        for i in 0..200 {
-            text.push_str(&format!("line number {i} with some padding\n"));
-        }
-        let r = Rope::from_str(&text);
-        assert_eq!(r.line_count(), 201);
-        for line in [0usize, 1, 50, 123, 199] {
-            let start = r.line_col_to_char(line, 0);
-            assert_eq!(r.char_to_line_col(start), (line, 0), "line {line}");
-            assert_eq!(
-                r.line_text(line),
-                format!("line number {line} with some padding")
-            );
-        }
-    }
-
-    /// Model test: line/col round-trips against a straightforward string
-    /// implementation, across random edits.
-    #[test]
-    fn line_col_model() {
-        let mut rope = Rope::new();
-        let mut model = String::new();
-        let mut seed = 0xfeed_f00d_u64;
-        let mut rand = move |bound: usize| {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            (seed as usize) % bound.max(1)
-        };
-        for _ in 0..200 {
-            let chars: Vec<char> = model.chars().collect();
-            let pos = rand(chars.len() + 1);
-            let text = match rand(4) {
-                0 => "\n".to_string(),
-                1 => "ab\ncd".to_string(),
-                _ => "xyz".to_string(),
-            };
-            rope.insert(pos, &text);
-            let byte = chars[..pos].iter().map(|c| c.len_utf8()).sum::<usize>();
-            model.insert_str(byte, &text);
-
-            // Check every prefix position against the model.
-            let model_chars: Vec<char> = model.chars().collect();
-            let probe = rand(model_chars.len() + 1);
-            let mut line = 0;
-            let mut col = 0;
-            for &c in &model_chars[..probe] {
-                if c == '\n' {
-                    line += 1;
-                    col = 0;
-                } else {
-                    col += 1;
-                }
-            }
-            assert_eq!(rope.char_to_line_col(probe), (line, col));
-            assert_eq!(rope.line_col_to_char(line, col), probe);
-        }
-        assert_eq!(
-            rope.line_count(),
-            model.bytes().filter(|&b| b == b'\n').count() + 1
-        );
     }
 
     /// Model test against String with char-based ops.

@@ -13,7 +13,7 @@ use eg_trace::FleetOp;
 
 /// What applying one [`FleetOp`] did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FleetOutcome {
+pub(crate) enum FleetOutcome {
     /// An insert was merged into the target document.
     Insert,
     /// A delete was merged into the target document.
@@ -30,13 +30,13 @@ pub enum FleetOutcome {
 /// two hosts replaying fleets against the same documents must not collide
 /// on `(agent, seq)` pairs when they later anti-entropy with each other.
 #[derive(Debug)]
-pub struct SessionNames {
+pub(crate) struct SessionNames {
     prefix: String,
     names: Vec<String>,
 }
 
 impl SessionNames {
-    pub fn new(host: &str) -> Self {
+    pub(crate) fn new(host: &str) -> Self {
         SessionNames {
             prefix: host.to_owned(),
             names: Vec::new(),
@@ -44,7 +44,7 @@ impl SessionNames {
     }
 
     /// The agent name for `session`, formatted at most once per session.
-    pub fn get(&mut self, session: u32) -> &str {
+    pub(crate) fn get(&mut self, session: u32) -> &str {
         let i = session as usize;
         if i >= self.names.len() {
             self.names.resize_with(i + 1, String::new);
@@ -63,7 +63,7 @@ impl SessionNames {
 /// modulo `len + 1`, delete ranges clamped to what exists — so a script
 /// is applicable to any replica state and the reduction is a pure
 /// function of the per-document history.
-pub fn apply_fleet_op(
+pub(crate) fn apply_fleet_op(
     replica: &mut Replica,
     names: &mut SessionNames,
     op: &FleetOp,

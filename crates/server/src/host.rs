@@ -101,10 +101,6 @@ impl ServerHost {
         }
     }
 
-    pub fn workers(&self) -> usize {
-        self.senders.len()
-    }
-
     pub fn name(&self) -> &str {
         &self.config.name
     }
@@ -179,7 +175,7 @@ impl ServerHost {
     }
 
     /// Harvests and resets all per-worker load reports, merged into one.
-    pub fn harvest(&self) -> LoadReport {
+    pub(crate) fn harvest(&self) -> LoadReport {
         let (tx, rx) = mpsc::channel();
         for w in 0..self.senders.len() {
             self.send(w, Job::Harvest(tx.clone()));
@@ -251,7 +247,7 @@ impl ServerHost {
     /// workers are asked, and only for those documents, so what a
     /// keystroke costs does not grow with what else is resident. Unknown
     /// and empty documents are left out.
-    pub fn digest_of(&self, docs: &[DocId]) -> Vec<(DocId, Vec<RemoteId>)> {
+    pub(crate) fn digest_of(&self, docs: &[DocId]) -> Vec<(DocId, Vec<RemoteId>)> {
         self.digests(Some(docs))
     }
 
@@ -305,7 +301,10 @@ impl ServerHost {
     /// [`Self::bundles_for`] restricted to the documents `peer` names:
     /// only their owning workers are asked. For a caller that already
     /// knows which documents the peer is short of.
-    pub fn bundles_for_listed(&self, peer: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, EventBundle)> {
+    pub(crate) fn bundles_for_listed(
+        &self,
+        peer: &[(DocId, Vec<RemoteId>)],
+    ) -> Vec<(DocId, EventBundle)> {
         self.extract(peer, true)
     }
 

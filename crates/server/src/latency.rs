@@ -58,7 +58,7 @@ fn bucket_value(index: usize) -> u64 {
 }
 
 impl LatencyHistogram {
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         LatencyHistogram {
             buckets: Box::new([0; BUCKETS]),
             count: 0,
@@ -69,7 +69,7 @@ impl LatencyHistogram {
 
     /// Records one sample. O(1), allocation-free.
     #[inline]
-    pub fn record(&mut self, nanos: u64) {
+    pub(crate) fn record(&mut self, nanos: u64) {
         self.buckets[bucket_index(nanos)] += 1;
         self.count += 1;
         self.sum += nanos as u128;
@@ -78,13 +78,6 @@ impl LatencyHistogram {
 
     pub fn count(&self) -> u64 {
         self.count
-    }
-
-    pub fn mean_nanos(&self) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        self.sum as f64 / self.count as f64
     }
 
     pub fn max_nanos(&self) -> u64 {
@@ -109,16 +102,10 @@ impl LatencyHistogram {
         self.max
     }
 
-    /// [`Self::percentile_nanos`] in seconds, for the canonical `_s`
-    /// bench-JSON fields.
-    pub fn percentile_secs(&self, q: f64) -> f64 {
-        self.percentile_nanos(q) as f64 * 1e-9
-    }
-
     /// Folds another histogram in; merging is exact (same bucket edges
     /// everywhere), which is what lets per-worker histograms roll up into
     /// one fleet-wide distribution.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
+    pub(crate) fn merge(&mut self, other: &LatencyHistogram) {
         for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *a += b;
         }

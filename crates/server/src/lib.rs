@@ -18,8 +18,8 @@
 //! * [`fleet`] — the one shared interpreter for `eg-trace` fleet scripts,
 //!   used identically by workers and by the single-threaded reference
 //!   replay so parallel runs are byte-checkable against sequential ones;
-//! * [`latency`] — mergeable log-bucketed histograms for per-op-class
-//!   p50/p99/p999 reporting in the `server_load` bench.
+//! * [`latency`] — mergeable log-bucketed histograms of per-op-class
+//!   merge latency, carried in each worker's [`LoadReport`].
 //!
 //! Determinism: a fleet script is submitted by one thread, each edit is
 //! routed to its document's owner in script order, mpsc channels are
@@ -36,8 +36,7 @@ pub mod shard;
 
 pub(crate) mod worker;
 
-pub use fleet::{apply_fleet_op, replay_fleet_sequential, FleetOutcome, SessionNames};
+pub use fleet::replay_fleet_sequential;
 pub use host::{ServerConfig, ServerHost};
 pub use latency::LatencyHistogram;
-pub use shard::{mix64, shard_for};
 pub use worker::{LoadReport, PersistStats};

@@ -20,7 +20,7 @@ use eg_sync::DocId;
 /// Full-avalanche 64-bit mix (the splitmix64 finalizer). Bijective, so
 /// distinct documents never collide before the modulo.
 #[inline]
-pub fn mix64(mut x: u64) -> u64 {
+pub(crate) fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -33,7 +33,7 @@ pub fn mix64(mut x: u64) -> u64 {
 /// changing the worker count re-shards everything, which is why
 /// [`crate::ServerHost`] fixes the pool size at construction.
 #[inline]
-pub fn shard_for(doc: DocId, workers: usize) -> usize {
+pub(crate) fn shard_for(doc: DocId, workers: usize) -> usize {
     debug_assert!(workers > 0);
     (mix64(doc.0) % workers as u64) as usize
 }

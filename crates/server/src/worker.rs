@@ -51,7 +51,7 @@ impl LoadReport {
         self.inserts + self.deletes
     }
 
-    pub fn merge(&mut self, other: &LoadReport) {
+    pub(crate) fn merge(&mut self, other: &LoadReport) {
         self.inserts += other.inserts;
         self.deletes += other.deletes;
         self.skipped += other.skipped;
@@ -94,7 +94,7 @@ pub struct PersistStats {
 }
 
 impl PersistStats {
-    pub fn merge(&mut self, other: &PersistStats) {
+    pub(crate) fn merge(&mut self, other: &PersistStats) {
         self.docs_loaded += other.docs_loaded;
         self.docs_cached += other.docs_cached;
         self.store_bytes += other.store_bytes;

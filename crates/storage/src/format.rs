@@ -294,7 +294,7 @@ fn push_checkpoint<'a>(
 /// the store renames over the old file. Byte-identical to
 /// [`file_header`] + [`push_frame`] of [`encode_checkpoint`]. `None` if
 /// the payload outgrows the frame's `u32` length field.
-pub fn checkpoint_file<'a>(
+pub(crate) fn checkpoint_file<'a>(
     version: &[RemoteId],
     content_len: usize,
     content: impl Iterator<Item = &'a str>,

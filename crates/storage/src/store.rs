@@ -326,11 +326,6 @@ impl DocStore {
         ))
     }
 
-    /// The segment file's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The oplog version already committed to disk.
     pub fn persisted_version(&self) -> &Frontier {
         &self.persisted

@@ -34,7 +34,7 @@ pub struct PartitionWindow {
 
 impl PartitionWindow {
     /// Returns `true` if a `src → dst` frame at `now` is severed.
-    pub fn blocks(&self, now: Tick, src: NodeId, dst: NodeId) -> bool {
+    pub(crate) fn blocks(&self, now: Tick, src: NodeId, dst: NodeId) -> bool {
         if now < self.from || now >= self.until {
             return false;
         }

@@ -29,7 +29,7 @@ pub const FRAME_HEADER_LEN: usize = 4;
 pub const MAX_FRAME_LEN: usize = 16 * 1024 * 1024;
 
 /// Upper bound on a replica name in a hello frame.
-pub const MAX_NAME_LEN: usize = 256;
+pub(crate) const MAX_NAME_LEN: usize = 256;
 
 /// Protocol version spoken by this build. Bumped on any wire change;
 /// peers with a different version are refused at handshake.
@@ -40,7 +40,7 @@ pub const TAG_HELLO: u8 = 1;
 /// Frame tag: [`WireFrame::Ping`].
 pub const TAG_PING: u8 = 2;
 /// Frame tag: [`WireFrame::Pong`].
-pub const TAG_PONG: u8 = 3;
+pub(crate) const TAG_PONG: u8 = 3;
 /// Frame tag: [`WireFrame::Sync`] (first body byte of a sync frame).
 pub const TAG_SYNC: u8 = 4;
 /// Frame tag: [`WireFrame::Mark`].
@@ -105,7 +105,7 @@ pub struct FrameTally {
 
 impl FrameTally {
     /// Counts one sync frame, given its body (tag + encoded message).
-    pub fn note(&mut self, body: &[u8]) {
+    pub(crate) fn note(&mut self, body: &[u8]) {
         let mut crc = [0u8; 4];
         if let Some(tail) = body.len().checked_sub(4).and_then(|at| body.get(at..)) {
             crc.copy_from_slice(tail);
@@ -430,11 +430,6 @@ pub fn read_frame(
     }
 }
 
-/// Blocking write of one frame to `w`.
-pub fn write_frame(w: &mut impl std::io::Write, frame: &WireFrame) -> std::io::Result<()> {
-    w.write_all(&frame.encode())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -572,7 +567,7 @@ mod tests {
         let frames = sample_frames();
         let mut wire = Vec::new();
         for f in &frames {
-            write_frame(&mut wire, f).unwrap();
+            wire.extend_from_slice(&f.encode());
         }
         let mut cursor = std::io::Cursor::new(wire);
         let mut decoder = FrameDecoder::new();

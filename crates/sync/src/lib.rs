@@ -72,9 +72,7 @@ pub use faulty::{FaultSpec, FaultStats, FaultyTransport, PartitionWindow};
 pub use frame::{FrameDecoder, FrameError, FrameTally, WireFrame, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use link::{settle, SyncHost, SyncLink};
 pub use message::Message;
-pub use network::{NetStats, NetworkSim, SimBuilder, SimConfig};
+pub use network::{NetStats, NetworkSim, SimBuilder};
 pub use replica::{DocId, ReceiveOutcome, Replica, ReplicaStats};
-pub use topology::{Mesh, Star, Topology};
-pub use transport::{
-    Delivery, InMemoryTransport, LinkConfig, NodeId, SendOutcome, Tick, Transport,
-};
+pub use topology::{Star, Topology};
+pub use transport::{Delivery, InMemoryTransport, LinkConfig, SendOutcome, Tick, Transport};

@@ -51,7 +51,7 @@ fn raise(vector: &mut BTreeMap<String, usize>, agent: &str, seq: usize) -> bool 
 /// The two monotone views of one link; see the module docs. The default
 /// view has said and heard nothing.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct LinkView {
+pub(crate) struct LinkView {
     told: Vectors,
     heard: Vectors,
     /// The documents in which `told` may exceed `heard`. Only
@@ -62,14 +62,14 @@ pub struct LinkView {
 
 impl LinkView {
     /// Forgets everything: the next [`LinkView::tell`] reports in full.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         *self = Self::default();
     }
 
     /// The digest to send for `ours` (current version vectors of some
     /// documents): the entries the peer has not been told yet, which are
     /// recorded as told. Documents with nothing new are left out.
-    pub fn tell(&mut self, ours: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, Vec<RemoteId>)> {
+    pub(crate) fn tell(&mut self, ours: &[(DocId, Vec<RemoteId>)]) -> Vec<(DocId, Vec<RemoteId>)> {
         let mut delta = Vec::new();
         for (doc, vector) in ours {
             let told = self.told.entry(*doc).or_default();
@@ -87,7 +87,7 @@ impl LinkView {
     }
 
     /// Takes in a digest from the peer, full or delta alike.
-    pub fn hear(&mut self, theirs: &[(DocId, Vec<RemoteId>)]) {
+    pub(crate) fn hear(&mut self, theirs: &[(DocId, Vec<RemoteId>)]) {
         for (doc, entries) in theirs {
             let heard = self.heard.entry(*doc).or_default();
             for id in entries {
@@ -98,7 +98,7 @@ impl LinkView {
 
     /// Records a bundle batch sent to or received from the peer: both
     /// ends hold its runs from here on.
-    pub fn crossed(&mut self, batch: &[(DocId, EventBundle)]) {
+    pub(crate) fn crossed(&mut self, batch: &[(DocId, EventBundle)]) {
         for (doc, bundle) in batch {
             for run in &bundle.runs {
                 let last = run
@@ -115,7 +115,7 @@ impl LinkView {
     /// not hold, each with the version vector the peer is known to have —
     /// the `have` side of a bundle extraction. Empty when the peer lacks
     /// nothing it knows of.
-    pub fn behind(&mut self) -> Vec<(DocId, Vec<RemoteId>)> {
+    pub(crate) fn behind(&mut self) -> Vec<(DocId, Vec<RemoteId>)> {
         let nothing = BTreeMap::new();
         let mut lacking = Vec::new();
         self.owed.retain(|doc| {

@@ -49,13 +49,13 @@ impl Message {
 
     /// The encoding of `Message::Bundles(docs.to_vec())` without building
     /// it: a sender chunking a backlog encodes each chunk in place.
-    pub fn encode_bundles(docs: &[(DocId, EventBundle)]) -> Vec<u8> {
+    pub(crate) fn encode_bundles(docs: &[(DocId, EventBundle)]) -> Vec<u8> {
         let raw: Vec<(u64, &EventBundle)> = docs.iter().map(|(d, b)| (d.0, b)).collect();
         encode_bundle_batch(&raw)
     }
 
     /// Deserialises a message, dispatching on the frame magic.
-    pub fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
+    pub(crate) fn decode(bytes: &[u8]) -> Result<Message, DecodeError> {
         match bytes.get(..4) {
             Some(magic) if magic == DIGEST_MAGIC => Ok(Message::Digest(
                 decode_digest(bytes)?

@@ -29,7 +29,7 @@ use crate::transport::{
 
 /// Engine configuration (everything except the topology and the seed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimConfig {
+pub(crate) struct SimConfig {
     /// Link behaviour of the in-memory transport.
     pub link: LinkConfig,
     /// Ticks between mark rounds, at least 1: every `mark_every` ticks

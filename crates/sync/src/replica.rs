@@ -211,7 +211,7 @@ impl Replica {
     /// # Panics
     ///
     /// Panics if the range is out of bounds or empty.
-    pub fn delete(&mut self, doc: DocId, pos: usize, len: usize) -> EventBundle {
+    pub(crate) fn delete(&mut self, doc: DocId, pos: usize, len: usize) -> EventBundle {
         let Self { name, docs, .. } = self;
         let d = docs.entry(doc).or_insert_with(|| DocState::new(name));
         assert!(pos + len <= d.branch.len_chars(), "delete out of bounds");
@@ -338,11 +338,6 @@ impl Replica {
     /// documents.
     pub fn pending_len(&self) -> usize {
         self.docs.values().map(|d| d.pending.len()).sum()
-    }
-
-    /// The number of bundles waiting in `doc`'s causal buffer.
-    pub fn pending_len_doc(&self, doc: DocId) -> usize {
-        self.doc(doc).map_or(0, |d| d.pending.len())
     }
 
     /// Borrows `doc`'s oplog, branch and walker tracker, e.g. for a
@@ -487,9 +482,9 @@ mod tests {
         for late in [&fourth, &third, &second] {
             assert_eq!(b.receive(doc, late), ReceiveOutcome::Buffered);
         }
-        assert_eq!(b.pending_len_doc(doc), 3);
+        assert_eq!(b.pending_len(), 3);
         assert_eq!(b.receive(doc, &first), ReceiveOutcome::Applied(18));
-        assert_eq!(b.pending_len_doc(doc), 0);
+        assert_eq!(b.pending_len(), 0);
         assert_eq!(b.text(doc), "one two three four");
         assert!(a.converged_with(&b));
         assert_eq!(b.stats().buffered, 3);

@@ -89,7 +89,7 @@ impl Groups {
 /// Each node pushes its own edits directly to all peers, so nothing is
 /// relayed on receive.
 #[derive(Debug, Clone)]
-pub struct Mesh {
+pub(crate) struct Mesh {
     groups: Groups,
 }
 

@@ -18,7 +18,7 @@ use rand::{Rng, SeedableRng};
 use crate::frame::{FRAME_HEADER_LEN, TAG_SYNC};
 
 /// Index of a node in the sync engine (position in the replica vector).
-pub type NodeId = usize;
+pub(crate) type NodeId = usize;
 
 /// Simulated time, in integer ticks.
 pub type Tick = u64;

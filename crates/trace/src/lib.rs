@@ -29,7 +29,7 @@ pub mod stats;
 pub mod workload;
 
 pub use gen::generate;
-pub use spec::{builtin_specs, spec_by_name, TraceKind, TraceSpec};
+pub use spec::{builtin_specs, TraceKind, TraceSpec};
 pub use stats::{trace_stats, TraceStats};
 pub use workload::{
     apply_sync_workload, fleet_workload, sync_workload, FleetOp, FleetSpec, SyncOp,

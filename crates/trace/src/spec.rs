@@ -136,13 +136,6 @@ pub fn builtin_specs(scale: f64) -> Vec<TraceSpec> {
     ]
 }
 
-/// Looks up a builtin spec by name (case-insensitive).
-pub fn spec_by_name(name: &str, scale: f64) -> Option<TraceSpec> {
-    builtin_specs(scale)
-        .into_iter()
-        .find(|s| s.name.eq_ignore_ascii_case(name))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,8 +145,6 @@ mod tests {
         let specs = builtin_specs(1.0);
         assert_eq!(specs.len(), 7);
         assert_eq!(specs[0].target_events, 779_000);
-        assert!(spec_by_name("a2", 1.0).is_some());
-        assert!(spec_by_name("zz", 1.0).is_none());
     }
 
     #[test]

@@ -133,7 +133,7 @@ pub fn sync_workload(spec: &SyncWorkloadSpec) -> Vec<SyncOp> {
 
 /// Applies one script step to a sync engine, clamping position hints to
 /// the editing node's live view.
-pub fn apply_sync_op(net: &mut NetworkSim, op: &SyncOp) {
+pub(crate) fn apply_sync_op(net: &mut NetworkSim, op: &SyncOp) {
     match op {
         SyncOp::Insert {
             node,

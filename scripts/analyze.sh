@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
-# Workspace invariant gate: runs the three eg-analyze passes
-# (panic-freedom, allocation discipline, unsafe audit) against the
-# committed analyze.toml / analyze-allowlist.toml / unsafe_inventory.txt.
+# Workspace invariant gate: runs the eg-analyze passes (panic-freedom,
+# allocation discipline, unsafe audit, API inventory) against the
+# committed analyze.toml / analyze-allowlist.toml / unsafe_inventory.txt /
+# api_inventory.txt.
 #
 # Usage:
 #   ./scripts/analyze.sh                 # the CI gate (exit 1 on findings)
-#   ./scripts/analyze.sh --bless         # also refresh unsafe_inventory.txt
+#   ./scripts/analyze.sh --bless         # also refresh both inventories
 #                                        # and the fixture goldens
 set -euo pipefail
 cd "$(dirname "$0")/.."

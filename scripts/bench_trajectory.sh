@@ -1,86 +1,26 @@
 #!/usr/bin/env bash
-# Bench-trajectory capture: run the paper-figure harness binaries at a
-# fixed scale, store their JSON outputs under bench-results/, and diff
-# the fresh capture against the previous one, failing on regressions
-# (ROADMAP "bench trajectory capture").
+# Regenerates the committed paper-figure captures: runs the table1 and
+# fig8–fig10 harness binaries at a fixed scale and writes their JSON under
+# bench-results/.
 #
 # Usage: ./scripts/bench_trajectory.sh            # default EG_SCALE=0.02
 #        EG_SCALE=0.1 ./scripts/bench_trajectory.sh
-#        EG_DIFF_THRESHOLD=0.75 ./scripts/bench_trajectory.sh
-#        EG_SKIP_DIFF=1 ./scripts/bench_trajectory.sh   # capture only
-#        EG_DIFF_ADVISORY_TIME=1 ./scripts/bench_trajectory.sh
-#          (time regressions print but don't fail — for CI, where the
-#           baseline was captured on a different machine class; byte
-#           metrics still enforce)
+#
+# table1.json holds only deterministic columns and is checked in tier-1
+# (crates/bench/tests/table1_stats.rs); the fig captures are timings and
+# memory of the machine that ran them.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SCALE="${EG_SCALE:-0.02}"
-# Generous default: timings on shared CI runners jitter; the diff exists
-# to catch step-change regressions, not percent-level noise.
-THRESHOLD="${EG_DIFF_THRESHOLD:-0.75}"
 OUT_DIR="bench-results"
-PREV_DIR="$OUT_DIR/prev"
 mkdir -p "$OUT_DIR"
 
-# Keep the previous capture for the cross-run diff.
-if ls "$OUT_DIR"/*.json >/dev/null 2>&1; then
-    rm -rf "$PREV_DIR"
-    mkdir -p "$PREV_DIR"
-    cp "$OUT_DIR"/*.json "$PREV_DIR/"
-fi
-
-echo "== bench trajectory @ EG_SCALE=$SCALE =="
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin table1 -- \
-    --json "$OUT_DIR/table1.json"
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin fig8_timings -- \
-    --json "$OUT_DIR/fig8.json"
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin fig9_opts -- \
-    --json "$OUT_DIR/fig9.json"
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin fig10_memusage -- \
-    --json "$OUT_DIR/fig10.json"
-# Worker-pool sweep. EG_WORKERS here must match the committed capture:
-# bench_diff refuses to compare sweeps over different worker counts.
-EG_SCALE="$SCALE" EG_WORKERS="${EG_WORKERS:-1,2,4,8}" \
-    cargo run --release -q -p eg-bench --bin server_load -- \
-    --json "$OUT_DIR/server_load.json"
-# Segment-store open: cold replay vs checkpointed cached load. The
-# speedup_x columns are same-machine ratios, enforced even when absolute
-# timings are advisory.
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin doc_load -- \
-    --json "$OUT_DIR/doc_load.json"
-# Daemon-mode sync over a Unix socket through the fault proxy at
-# 0%/1%/5% loss. Latency-bound by the sync interval, not throughput
-# (see bench-results/README.md); wire-byte counters are informational.
-# (The daemons log connection teardown to stderr during shutdown;
-# that noise is expected.)
-EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin daemon_sync -- \
-    --json "$OUT_DIR/daemon_sync.json"
-
-echo "== captured =="
-ls -l "$OUT_DIR"/*.json
-
-if [[ "${EG_SKIP_DIFF:-0}" != "1" && -d "$PREV_DIR" ]]; then
-    DIFF_FLAGS=()
-    if [[ "${EG_DIFF_ADVISORY_TIME:-0}" == "1" ]]; then
-        DIFF_FLAGS+=(--advisory-time)
-    fi
-    echo "== cross-run diff (threshold +$(awk "BEGIN{print $THRESHOLD*100}")%) =="
-    # ${arr[@]+...} guards the empty-array expansion: under `set -u`,
-    # bash < 4.4 treats a bare "${DIFF_FLAGS[@]}" as unbound.
-    cargo run --release -q -p eg-bench --bin bench_diff -- \
-        --baseline "$PREV_DIR" --current "$OUT_DIR" --threshold "$THRESHOLD" \
-        ${DIFF_FLAGS[@]+"${DIFF_FLAGS[@]}"}
-fi
-
-# Trend view: the trajectory of every checked metric across the frozen
-# per-PR baselines plus this capture (informational; never fails).
-TREND_DIRS=()
-for d in "$OUT_DIR"/pr*_baseline; do
-    [[ -d "$d" ]] && TREND_DIRS+=("$d")
+echo "== paper figures @ EG_SCALE=$SCALE =="
+for pair in table1:table1 fig8_timings:fig8 fig9_opts:fig9 fig10_memusage:fig10; do
+    bin="${pair%%:*}"
+    out="${pair##*:}"
+    EG_SCALE="$SCALE" cargo run --release -q -p eg-bench --bin "$bin" -- \
+        --json "$OUT_DIR/$out.json"
 done
-if (( ${#TREND_DIRS[@]} >= 1 )); then
-    echo "== trend across ${#TREND_DIRS[@]} frozen baseline(s) + current =="
-    cargo run --release -q -p eg-bench --bin bench_diff -- \
-        --trend "${TREND_DIRS[@]}" "$OUT_DIR"
-fi
+ls -l "$OUT_DIR"/*.json
