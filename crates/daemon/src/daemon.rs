@@ -69,16 +69,13 @@ pub struct DaemonConfig {
     /// tally of this link's sync frames, checks it against what it read,
     /// and answers with whatever this daemon still lacks.
     pub sync_interval: Duration,
-    /// Heartbeat send interval (per session).
-    pub heartbeat_interval: Duration,
-    /// Half-open detection: drop a session silent for this long.
-    pub heartbeat_timeout: Duration,
+    /// Per-connection settings: heartbeats, half-open detection and the
+    /// outbox budget.
+    pub session: SessionConfig,
     /// First reconnect delay.
     pub backoff_base: Duration,
     /// Reconnect delay cap.
     pub backoff_cap: Duration,
-    /// Per-peer outbox budget in bytes (shed-and-reset past it).
-    pub outbox_cap_bytes: usize,
     /// Seed for deterministic backoff jitter.
     pub seed: u64,
 }
@@ -92,11 +89,9 @@ impl Default for DaemonConfig {
             workers: 2,
             persist_dir: None,
             sync_interval: Duration::from_millis(200),
-            heartbeat_interval: Duration::from_millis(500),
-            heartbeat_timeout: Duration::from_secs(3),
+            session: SessionConfig::default(),
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            outbox_cap_bytes: 8 * 1024 * 1024,
             seed: 1,
         }
     }
@@ -238,14 +233,6 @@ impl Daemon {
         Ok(DaemonHandle { ctrl: tx, thread })
     }
 
-    fn session_config(&self) -> SessionConfig {
-        SessionConfig {
-            heartbeat_interval: self.config.heartbeat_interval,
-            heartbeat_timeout: self.config.heartbeat_timeout,
-            outbox_cap_bytes: self.config.outbox_cap_bytes,
-        }
-    }
-
     fn add_conn(
         &mut self,
         now: Instant,
@@ -255,7 +242,7 @@ impl Daemon {
         stream.set_nonblocking(true)?;
         let conn = Conn {
             stream,
-            session: PeerSession::connect(now, &self.config.name, self.session_config()),
+            session: PeerSession::connect(now, &self.config.name, self.config.session),
             decoder: FrameDecoder::new(),
             write_cur: Vec::new(),
             write_pos: 0,
@@ -839,8 +826,11 @@ mod tests {
         let sock = dir.join("a.sock");
         let mut daemon = Daemon::new(DaemonConfig {
             sync_interval: Duration::from_secs(3600),
-            heartbeat_interval: Duration::from_secs(3600),
-            heartbeat_timeout,
+            session: SessionConfig {
+                heartbeat_interval: Duration::from_secs(3600),
+                heartbeat_timeout,
+                ..SessionConfig::default()
+            },
             ..fast("alpha", &sock, vec![])
         })
         .unwrap();

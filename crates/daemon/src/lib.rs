@@ -17,13 +17,15 @@
 //!   deterministic jitter, so reconnect storms spread out but replays
 //!   stay exact.
 //! * [`FaultProxy`] — socket-level fault injection (drop, duplicate,
-//!   delay, truncate-mid-frame, partition on command) proving the rest
-//!   of the list: the tier-1 suite converges two OS processes through
-//!   every seeded fault schedule and across a SIGKILL restart.
+//!   delay, corrupt as half a frame then a cut link, partition on
+//!   command), each frame's fate drawn from an [`eg_sync::FaultSpec`] by
+//!   the same [`eg_sync::FaultSchedule`] the simulator uses. It proves
+//!   the rest of the list: the tier-1 suite converges two OS processes
+//!   through every seeded fault schedule and across a SIGKILL restart.
 //!
-//! The protocol, the wire format and in-process fault injection live in
+//! The protocol, the wire format and the fault schedule live in
 //! `eg-sync` ([`eg_sync::SyncLink`], [`eg_sync::frame`],
-//! [`eg_sync::FaultyTransport`]); this crate owns the sockets, the event
+//! [`eg_sync::FaultSchedule`]); this crate owns the sockets, the event
 //! loop, and the retry policy.
 
 mod backoff;
@@ -35,4 +37,4 @@ mod proxy;
 pub use control::{parse_cmd, ControlCmd, ControlMsg};
 pub use daemon::{Daemon, DaemonConfig, DaemonHandle};
 pub use peer::{PeerOutbox, PeerSession, SessionConfig, SessionError, SessionState, SessionStats};
-pub use proxy::{FaultProxy, ProxyFaults, ProxyStats};
+pub use proxy::FaultProxy;

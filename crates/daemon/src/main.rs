@@ -62,9 +62,11 @@ fn parse_args(args: &[String]) -> Result<DaemonConfig, String> {
             }
             "--sync-ms" => cfg.sync_interval = ms(&grab("--sync-ms")?, "--sync-ms")?,
             "--heartbeat-ms" => {
-                cfg.heartbeat_interval = ms(&grab("--heartbeat-ms")?, "--heartbeat-ms")?
+                cfg.session.heartbeat_interval = ms(&grab("--heartbeat-ms")?, "--heartbeat-ms")?
             }
-            "--timeout-ms" => cfg.heartbeat_timeout = ms(&grab("--timeout-ms")?, "--timeout-ms")?,
+            "--timeout-ms" => {
+                cfg.session.heartbeat_timeout = ms(&grab("--timeout-ms")?, "--timeout-ms")?
+            }
             "--backoff-base-ms" => {
                 cfg.backoff_base = ms(&grab("--backoff-base-ms")?, "--backoff-base-ms")?
             }

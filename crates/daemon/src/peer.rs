@@ -78,7 +78,7 @@ impl std::fmt::Display for SessionError {
 }
 
 /// Session tuning knobs (all deterministic; no randomness here).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
     /// Send a Ping when nothing has been sent for this long.
     pub heartbeat_interval: Duration,

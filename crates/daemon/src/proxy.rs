@@ -1,109 +1,63 @@
 //! [`FaultProxy`]: socket-level fault injection between two daemons.
 //!
-//! The in-process [`eg_sync::FaultyTransport`] exercises the replica
-//! layer; this proxy exercises the real thing — byte streams over Unix
-//! sockets. It listens on one path, forwards to an upstream path, and
-//! injects faults *frame-aware* (it reframes the stream with the same
-//! [`FrameDecoder`] the daemons use), on a deterministic SplitMix64
-//! schedule:
+//! The simulator's transport exercises the replica layer in process;
+//! this proxy exercises the real thing — byte streams over Unix sockets.
+//! It listens on one path, forwards to an upstream path, and injects
+//! faults *frame-aware* (it reframes the stream with the same
+//! [`FrameDecoder`] the daemons use). Each frame's fate comes from the
+//! one seeded [`eg_sync::FaultSchedule`], drawn from an
+//! [`eg_sync::FaultSpec`] exactly as the simulator draws it, and is
+//! carried out on the stream:
 //!
 //! | fault     | wire effect                                          |
 //! |-----------|------------------------------------------------------|
 //! | drop      | a whole frame vanishes                               |
 //! | duplicate | a frame is delivered twice                           |
-//! | delay     | a frame stalls up to `max_delay`; the pump sleeps in |
-//! |           | line, so later frames wait behind it (no reordering) |
-//! | truncate  | half a frame is written, then the link is cut        |
+//! | delay     | the pump sleeps up to `max_extra_delay` ms in line,  |
+//! |           | so later frames wait behind it (no reordering)       |
+//! | corrupt   | half a frame is written, then the link is cut        |
 //! | partition | both directions blackholed; new dials die instantly  |
 //!
 //! Only sync frames are fault targets — the link contract
-//! `eg_sync::SyncLink` is written against, which `eg_sync::FaultyTransport`
-//! keeps in process too. Hello/Ping/Pong pass untouched so the fault
-//! pressure lands on sync traffic rather than on the handshake — a
-//! schedule that only ever killed handshakes would test the backoff
-//! ladder and nothing else — and so do Mark/Reset: they are how the link
-//! notices that a sync frame was dropped or repeated, and a proxy that
-//! ate the audit as well would only be testing the heartbeat timeout.
-//! Truncation still severs the link mid-frame, which is exactly the
-//! half-open / torn-stream case the decoder and reconnect path must
-//! survive.
+//! `eg_sync::SyncLink` is written against, which the simulator keeps
+//! too. Hello/Ping/Pong pass untouched so the fault pressure lands on
+//! sync traffic rather than on the handshake — a schedule that only ever
+//! killed handshakes would test the backoff ladder and nothing else —
+//! and so do Mark/Reset: they are how the link notices that a sync frame
+//! was dropped or repeated, and a proxy that ate the audit as well would
+//! only be testing the heartbeat timeout. A corrupted frame still severs
+//! the link mid-frame, which is exactly the half-open / torn-stream case
+//! the decoder and reconnect path must survive. Partitions are a command
+//! ([`FaultProxy::partition`]); the spec's scheduled windows are a
+//! simulator input and are not consulted here.
 
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use eg_sync::frame::{is_bundle_body, FrameDecoder, TAG_SYNC};
+use eg_sync::frame::{is_bundle_body, FrameDecoder};
+use eg_sync::{FaultSchedule, FaultSpec, FaultStats};
 
 use crate::backoff::splitmix64;
-
-/// Per-frame fault probabilities (parts per thousand) for one proxy.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProxyFaults {
-    /// Chance a sync frame is silently dropped.
-    pub drop_per_mille: u16,
-    /// Chance a sync frame is forwarded twice.
-    pub duplicate_per_mille: u16,
-    /// Chance a sync frame stalls before forwarding.
-    pub delay_per_mille: u16,
-    /// Upper bound of an injected stall.
-    pub max_delay: Duration,
-    /// Chance a sync frame is cut in half and the link severed.
-    pub truncate_per_mille: u16,
-}
-
-impl ProxyFaults {
-    /// A flat schedule: every fault class at `per_mille`, stalls up to
-    /// 20ms.
-    pub fn uniform(per_mille: u16) -> ProxyFaults {
-        ProxyFaults {
-            drop_per_mille: per_mille,
-            duplicate_per_mille: per_mille,
-            delay_per_mille: per_mille,
-            max_delay: Duration::from_millis(20),
-            truncate_per_mille: per_mille / 2,
-        }
-    }
-}
-
-/// Aggregate counters over both directions.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ProxyStats {
-    /// Frames forwarded intact.
-    pub frames_forwarded: u64,
-    /// Frames dropped.
-    pub frames_dropped: u64,
-    /// Frames duplicated.
-    pub frames_duplicated: u64,
-    /// Frames delayed.
-    pub frames_delayed: u64,
-    /// Frames truncated (each also severed its connection).
-    pub frames_truncated: u64,
-    /// Application bytes forwarded (sum of both directions).
-    pub bytes_forwarded: u64,
-    /// Subset of `bytes_forwarded` carrying event-bundle batches — the
-    /// actual event transfer, as opposed to digest/heartbeat chatter.
-    /// The reconnect byte-accounting test keys off this.
-    pub bundle_bytes_forwarded: u64,
-    /// Connections refused or severed by an active partition.
-    pub partition_kills: u64,
-}
 
 #[derive(Default)]
 struct Shared {
     partitioned: AtomicBool,
     shutdown: AtomicBool,
-    frames_forwarded: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_duplicated: AtomicU64,
-    frames_delayed: AtomicU64,
-    frames_truncated: AtomicU64,
-    bytes_forwarded: AtomicU64,
+    faults: Mutex<FaultStats>,
     bundle_bytes_forwarded: AtomicU64,
-    partition_kills: AtomicU64,
+}
+
+impl Shared {
+    /// The fault counters. Every update is one increment, so the counts
+    /// a panicked pump left behind are still valid.
+    fn faults(&self) -> std::sync::MutexGuard<'_, FaultStats> {
+        self.faults.lock().unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 /// A running fault proxy; dropping it (or calling
@@ -115,11 +69,12 @@ pub struct FaultProxy {
 
 impl FaultProxy {
     /// Listens on `listen`, forwarding each connection to `upstream`
-    /// with the fault schedule seeded by `seed`.
+    /// with faults drawn from `faults`; each direction of each
+    /// connection has its own schedule, seeded from `seed`.
     pub fn spawn(
         listen: PathBuf,
         upstream: PathBuf,
-        faults: ProxyFaults,
+        faults: FaultSpec,
         seed: u64,
     ) -> io::Result<FaultProxy> {
         let _ = std::fs::remove_file(&listen);
@@ -140,32 +95,20 @@ impl FaultProxy {
                                 // Refuse by accept-then-close: the dialer
                                 // sees an instant EOF and re-enters
                                 // backoff.
-                                shared_accept
-                                    .partition_kills
-                                    .fetch_add(1, Ordering::Relaxed);
+                                shared_accept.faults().blocked += 1;
                                 drop(client);
                                 continue;
                             }
-                            match UnixStream::connect(&upstream) {
-                                Ok(server) => {
-                                    let up = pump(
-                                        client.try_clone(),
-                                        server.try_clone(),
-                                        faults,
-                                        splitmix64(seed ^ (conn_seq * 2)),
-                                        Arc::clone(&shared_accept),
-                                    );
-                                    let down = pump(
-                                        server.try_clone(),
-                                        client.try_clone(),
-                                        faults,
-                                        splitmix64(seed ^ (conn_seq * 2 + 1)),
-                                        Arc::clone(&shared_accept),
-                                    );
-                                    pumps.extend(up);
-                                    pumps.extend(down);
-                                }
-                                Err(_) => drop(client),
+                            let Ok(server) = UnixStream::connect(&upstream) else {
+                                continue;
+                            };
+                            for (k, (from, to)) in [(&client, &server), (&server, &client)]
+                                .into_iter()
+                                .enumerate()
+                            {
+                                let seed = splitmix64(seed ^ (conn_seq * 2 + k as u64));
+                                let schedule = FaultSchedule::new(faults.clone(), seed);
+                                pumps.extend(pump(from, to, schedule, Arc::clone(&shared_accept)));
                             }
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -191,18 +134,17 @@ impl FaultProxy {
         self.shared.partitioned.store(on, Ordering::SeqCst);
     }
 
-    /// Snapshot of the fault counters.
-    pub fn stats(&self) -> ProxyStats {
-        ProxyStats {
-            frames_forwarded: self.shared.frames_forwarded.load(Ordering::Relaxed),
-            frames_dropped: self.shared.frames_dropped.load(Ordering::Relaxed),
-            frames_duplicated: self.shared.frames_duplicated.load(Ordering::Relaxed),
-            frames_delayed: self.shared.frames_delayed.load(Ordering::Relaxed),
-            frames_truncated: self.shared.frames_truncated.load(Ordering::Relaxed),
-            bytes_forwarded: self.shared.bytes_forwarded.load(Ordering::Relaxed),
-            bundle_bytes_forwarded: self.shared.bundle_bytes_forwarded.load(Ordering::Relaxed),
-            partition_kills: self.shared.partition_kills.load(Ordering::Relaxed),
-        }
+    /// Injected faults over both directions of every connection;
+    /// `blocked` counts connections a partition refused or severed.
+    pub fn stats(&self) -> FaultStats {
+        *self.shared.faults()
+    }
+
+    /// Bytes of event-bundle frames forwarded whole, over both
+    /// directions: the actual event transfer, as opposed to digest and
+    /// heartbeat chatter.
+    pub fn bundle_bytes_forwarded(&self) -> u64 {
+        self.shared.bundle_bytes_forwarded.load(Ordering::Relaxed)
     }
 
     /// Stops the proxy and joins its threads.
@@ -225,47 +167,72 @@ impl Drop for FaultProxy {
 }
 
 /// Spawns one directional pump thread; returns `None` if cloning the
-/// sockets failed (the connection is simply dropped).
+/// sockets failed (that direction is simply not carried).
 fn pump(
-    from: io::Result<UnixStream>,
-    to: io::Result<UnixStream>,
-    faults: ProxyFaults,
-    seed: u64,
+    from: &UnixStream,
+    to: &UnixStream,
+    schedule: FaultSchedule,
     shared: Arc<Shared>,
 ) -> Option<JoinHandle<()>> {
-    let (from, to) = match (from, to) {
-        (Ok(f), Ok(t)) => (f, t),
-        _ => return None,
-    };
+    let (from, to) = (from.try_clone().ok()?, to.try_clone().ok()?);
     std::thread::Builder::new()
         .name("eg-proxy-pump".to_owned())
-        .spawn(move || pump_main(from, to, faults, seed, shared))
+        .spawn(move || pump_main(from, to, schedule, shared))
         .ok()
+}
+
+/// What the pump does with one frame read from the stream.
+#[derive(Debug, PartialEq, Eq)]
+struct Step<'a> {
+    /// How long to stall before writing, in milliseconds; the frames
+    /// behind wait too.
+    delay_ms: u64,
+    /// The bytes to write, in order.
+    write: Vec<&'a [u8]>,
+    /// Whether to close the link after writing.
+    sever: bool,
+}
+
+/// Asks `schedule` for the fate of `frame` (length prefix included),
+/// counts it in `stats`, and says how to carry it out on a byte stream:
+/// a corrupted frame is written half and severs the link.
+fn step<'a>(schedule: &mut FaultSchedule, stats: &mut FaultStats, frame: &'a [u8]) -> Step<'a> {
+    let fate = schedule.fate(frame);
+    stats.record(&fate);
+    if fate.corrupt.is_some() {
+        return Step {
+            delay_ms: 0,
+            write: vec![&frame[..frame.len() / 2]],
+            sever: true,
+        };
+    }
+    Step {
+        delay_ms: fate.delay,
+        write: vec![frame; fate.copies],
+        sever: false,
+    }
 }
 
 fn pump_main(
     mut from: UnixStream,
     mut to: UnixStream,
-    faults: ProxyFaults,
-    seed: u64,
+    mut schedule: FaultSchedule,
     shared: Arc<Shared>,
 ) {
     let _ = from.set_read_timeout(Some(Duration::from_millis(50)));
     let mut decoder = FrameDecoder::new();
     let mut buf = [0u8; 16 * 1024];
-    let mut rolls = seed;
-    fn roll(state: &mut u64, per_mille: u16) -> bool {
-        *state = splitmix64(*state);
-        per_mille > 0 && (*state % 1000) < u64::from(per_mille)
-    }
+    let sever = |from: &UnixStream, to: &UnixStream| {
+        let _ = to.shutdown(std::net::Shutdown::Both);
+        let _ = from.shutdown(std::net::Shutdown::Both);
+    };
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
         if shared.partitioned.load(Ordering::SeqCst) {
-            shared.partition_kills.fetch_add(1, Ordering::Relaxed);
-            let _ = from.shutdown(std::net::Shutdown::Both);
-            let _ = to.shutdown(std::net::Shutdown::Both);
+            shared.faults().blocked += 1;
+            sever(&from, &to);
             return;
         }
         let n = match from.read(&mut buf) {
@@ -295,61 +262,159 @@ fn pump_main(
                     let mut frame = Vec::with_capacity(4 + body.len());
                     frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
                     frame.extend_from_slice(&body);
-                    // Only sync frames are fault targets; the handshake,
-                    // heartbeats and the mark/reset audit pass clean (see
-                    // module docs).
-                    let is_sync = body.first() == Some(&TAG_SYNC);
-                    if is_sync && roll(&mut rolls, faults.drop_per_mille) {
-                        shared.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
+                    let step = step(&mut schedule, &mut shared.faults(), &frame);
+                    if step.delay_ms > 0 {
+                        std::thread::sleep(Duration::from_millis(step.delay_ms));
                     }
-                    if is_sync && roll(&mut rolls, faults.truncate_per_mille) {
-                        shared.frames_truncated.fetch_add(1, Ordering::Relaxed);
-                        let half = frame.len() / 2;
-                        let _ = to.write_all(&frame[..half]);
-                        let _ = to.shutdown(std::net::Shutdown::Both);
-                        let _ = from.shutdown(std::net::Shutdown::Both);
-                        return;
-                    }
-                    if is_sync && roll(&mut rolls, faults.delay_per_mille) {
-                        shared.frames_delayed.fetch_add(1, Ordering::Relaxed);
-                        let ms = faults.max_delay.as_millis() as u64;
-                        if ms > 0 {
-                            rolls = splitmix64(rolls);
-                            std::thread::sleep(Duration::from_millis(rolls % (ms + 1)));
-                        }
-                    }
-                    let copies = if is_sync && roll(&mut rolls, faults.duplicate_per_mille) {
-                        shared.frames_duplicated.fetch_add(1, Ordering::Relaxed);
-                        2
-                    } else {
-                        1
-                    };
-                    for _ in 0..copies {
-                        if to.write_all(&frame).is_err() {
-                            let _ = from.shutdown(std::net::Shutdown::Both);
+                    for bytes in &step.write {
+                        if to.write_all(bytes).is_err() {
+                            sever(&from, &to);
                             return;
                         }
-                        shared.frames_forwarded.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if step.sever {
+                        sever(&from, &to);
+                        return;
+                    }
+                    if is_bundle_body(&body) {
+                        let bytes = frame.len() * step.write.len();
                         shared
-                            .bytes_forwarded
-                            .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                        if is_bundle_body(&body) {
-                            shared
-                                .bundle_bytes_forwarded
-                                .fetch_add(frame.len() as u64, Ordering::Relaxed);
-                        }
+                            .bundle_bytes_forwarded
+                            .fetch_add(bytes as u64, Ordering::Relaxed);
                     }
                 }
                 Ok(None) => break,
                 Err(_) => {
                     // The stream itself is un-frameable (should not
                     // happen — daemons emit well-formed frames); sever.
-                    let _ = to.shutdown(std::net::Shutdown::Both);
-                    let _ = from.shutdown(std::net::Shutdown::Both);
+                    sever(&from, &to);
                     return;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eg_sync::frame::{frame_sync, FrameTally, WireFrame, PROTOCOL_VERSION};
+    use eg_sync::{InMemoryTransport, LinkConfig};
+
+    /// Every fault class at `per_mille`, delays up to 12.
+    fn spec(per_mille: u16) -> FaultSpec {
+        FaultSpec {
+            drop_per_mille: per_mille,
+            duplicate_per_mille: per_mille,
+            corrupt_per_mille: per_mille,
+            delay_per_mille: per_mille,
+            max_extra_delay: 12,
+            partitions: Vec::new(),
+        }
+    }
+
+    /// A sync frame of `len` payload bytes, each `n`.
+    fn sync(n: u8, len: usize) -> Vec<u8> {
+        frame_sync(&vec![n; len])
+    }
+
+    /// A schedule with only the fault class `set` switches on.
+    fn only(set: impl FnOnce(&mut FaultSpec)) -> FaultSchedule {
+        let mut spec = FaultSpec::default();
+        set(&mut spec);
+        FaultSchedule::new(spec, 9)
+    }
+
+    #[test]
+    fn handshake_heartbeat_and_audit_frames_pass_every_fault() {
+        let mut schedule = FaultSchedule::new(spec(1000), 1);
+        let mut stats = FaultStats::default();
+        let frames = [
+            WireFrame::Hello {
+                proto: PROTOCOL_VERSION,
+                name: "peer".into(),
+            },
+            WireFrame::Ping(7),
+            WireFrame::Pong(7),
+            WireFrame::Mark(FrameTally::default()),
+            WireFrame::Reset { echo: false },
+            WireFrame::Reset { echo: true },
+        ]
+        .map(|f| f.encode());
+        for frame in &frames {
+            let expected = Step {
+                delay_ms: 0,
+                write: vec![&frame[..]],
+                sever: false,
+            };
+            assert_eq!(step(&mut schedule, &mut stats, frame), expected);
+        }
+        assert_eq!(stats, FaultStats::default());
+    }
+
+    #[test]
+    fn duplicated_sync_frame_is_written_twice() {
+        let mut schedule = only(|s| s.duplicate_per_mille = 1000);
+        let mut stats = FaultStats::default();
+        let frame = sync(1, 40);
+        let out = step(&mut schedule, &mut stats, &frame);
+        assert_eq!(out.write, vec![&frame[..], &frame[..]]);
+        assert!(!out.sever);
+        assert_eq!(stats.duplicated, 1);
+    }
+
+    #[test]
+    fn corrupted_sync_frame_is_cut_and_severs_the_link() {
+        let mut schedule = only(|s| s.corrupt_per_mille = 1000);
+        let mut stats = FaultStats::default();
+        let frame = sync(1, 40);
+        let out = step(&mut schedule, &mut stats, &frame);
+        assert_eq!(out.write, vec![&frame[..frame.len() / 2]]);
+        assert!(out.sever);
+        assert_eq!(stats.corrupted, 1);
+    }
+
+    /// The proxy and the simulator's transport draw every decision from
+    /// the same schedule: for one seed, spec and frame sequence, each
+    /// frame is dropped, repeated, held back and corrupted alike.
+    #[test]
+    fn decisions_match_the_simulator_transport() {
+        const GAP: u64 = 100;
+        for seed in [1u64, 2, 3, 42] {
+            let mut schedule = FaultSchedule::new(spec(150), seed);
+            let mut stats = FaultStats::default();
+            let link = LinkConfig {
+                min_delay: 1,
+                max_delay: 1,
+            };
+            let mut sim = InMemoryTransport::new(link, spec(150), seed);
+            for i in 0..300u64 {
+                let frame = match i % 5 {
+                    4 => WireFrame::Mark(FrameTally::default()).encode(),
+                    k => sync(i as u8, 8 + 16 * k as usize),
+                };
+                let sent = i * GAP;
+                sim.send(sent, 0, 1, frame.clone());
+                let mut got = Vec::new();
+                for now in sent..sent + GAP {
+                    got.extend(sim.poll(now).into_iter().map(|d| (now, d.payload)));
+                }
+                let out = step(&mut schedule, &mut stats, &frame);
+                if out.sever {
+                    assert!(!got.is_empty(), "frame {i}");
+                    assert!(got.iter().all(|(_, p)| *p != frame), "frame {i}");
+                    continue;
+                }
+                assert_eq!(got.len(), out.write.len(), "frame {i}");
+                assert!(got.iter().all(|(_, p)| *p == frame), "frame {i}");
+                assert!(out.write.iter().all(|w| *w == frame), "frame {i}");
+                if let Some((at, _)) = got.first() {
+                    assert_eq!(*at, sent + 1 + out.delay_ms, "frame {i}");
+                }
+            }
+            assert_eq!(stats, sim.stats());
+            assert!(stats.dropped > 0 && stats.duplicated > 0);
+            assert!(stats.corrupted > 0 && stats.delayed > 0);
         }
     }
 }

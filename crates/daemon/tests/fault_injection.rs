@@ -1,6 +1,6 @@
 //! Fault-injection suite: two OS processes converge through a proxy
-//! that drops, duplicates, delays, and truncates frames on a seeded
-//! schedule.
+//! that drops, duplicates, delays, and corrupts (half a frame, then a
+//! cut link) sync frames on a seeded schedule.
 //!
 //! The tier-1 sweep pins a handful of seeds; the `#[ignore]` campaign
 //! is the open-ended nightly companion:
@@ -13,7 +13,8 @@
 mod common;
 
 use common::{await_convergence, DaemonOpts, DaemonProc, TempDir};
-use eg_daemon::{FaultProxy, ProxyFaults, ProxyStats};
+use eg_daemon::FaultProxy;
+use eg_sync::{FaultSpec, FaultStats};
 use eg_trace::{fleet_workload, FleetOp, FleetSpec};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
@@ -21,10 +22,23 @@ use std::time::{Duration, Instant};
 const DOCS: u64 = 4;
 const SESSIONS: usize = 4;
 
+/// A flat schedule: drop, duplicate and delay at `per_mille`, delays up
+/// to 20 ms, and corruption at half that rate.
+fn uniform(per_mille: u16) -> FaultSpec {
+    FaultSpec {
+        drop_per_mille: per_mille,
+        duplicate_per_mille: per_mille,
+        delay_per_mille: per_mille,
+        max_extra_delay: 20,
+        corrupt_per_mille: per_mille / 2,
+        partitions: Vec::new(),
+    }
+}
+
 /// Runs one faulted convergence round: alpha listens, the proxy
 /// mangles, beta dials through it, both run seeded workloads, and the
 /// pair must converge. Returns the proxy's fault counters.
-fn faulted_round(seed: u64, faults: ProxyFaults, edits: u64, deadline: Duration) -> ProxyStats {
+fn faulted_round(seed: u64, faults: FaultSpec, edits: u64, deadline: Duration) -> FaultStats {
     let tmp = TempDir::new(&format!("fault-{seed}"));
     let sock_a = tmp.path("a.sock");
     let sock_b = tmp.path("b.sock");
@@ -68,13 +82,10 @@ fn faulted_round(seed: u64, faults: ProxyFaults, edits: u64, deadline: Duration)
 
 #[test]
 fn seeded_fault_schedules_all_converge() {
-    let mut injected = 0u64;
+    let mut injected = 0usize;
     for seed in [3u64, 17, 29] {
-        let stats = faulted_round(seed, ProxyFaults::uniform(60), 150, Duration::from_secs(60));
-        injected += stats.frames_dropped
-            + stats.frames_duplicated
-            + stats.frames_delayed
-            + stats.frames_truncated;
+        let stats = faulted_round(seed, uniform(60), 150, Duration::from_secs(60));
+        injected += stats.dropped + stats.duplicated + stats.delayed + stats.corrupted;
     }
     // The sweep must actually have hurt: convergence through a proxy
     // that never fired a fault proves nothing.
@@ -98,20 +109,8 @@ fn randomized_fault_campaign() {
         let seed = base_seed.wrapping_add(round.wrapping_mul(0x9E37_79B9_7F4A_7C15));
         // Log the seed *before* the round so a failure is replayable.
         eprintln!("fault campaign round {round}: seed {seed}");
-        let stats = faulted_round(
-            seed,
-            ProxyFaults::uniform(100),
-            250,
-            Duration::from_secs(120),
-        );
-        eprintln!(
-            "  converged: fwd={} drop={} dup={} delay={} trunc={}",
-            stats.frames_forwarded,
-            stats.frames_dropped,
-            stats.frames_duplicated,
-            stats.frames_delayed,
-            stats.frames_truncated
-        );
+        let stats = faulted_round(seed, uniform(100), 250, Duration::from_secs(120));
+        eprintln!("  converged: {stats:?}");
         round += 1;
     }
     eprintln!("fault campaign: {round} rounds survived (base seed {base_seed})");

@@ -5,7 +5,8 @@
 mod common;
 
 use common::{await_convergence, DaemonOpts, DaemonProc, TempDir};
-use eg_daemon::{FaultProxy, ProxyFaults};
+use eg_daemon::FaultProxy;
+use eg_sync::FaultSpec;
 use std::time::Duration;
 
 #[test]
@@ -18,7 +19,7 @@ fn heal_after_partition_resumes_from_frontier() {
     let mut a = DaemonProc::spawn(&DaemonOpts::new("alpha", sock_a.clone()));
     // A clean proxy (no random faults) between beta and alpha, so every
     // application byte on the link is counted.
-    let proxy = FaultProxy::spawn(sock_proxy.clone(), sock_a, ProxyFaults::default(), 0xACC7)
+    let proxy = FaultProxy::spawn(sock_proxy.clone(), sock_a, FaultSpec::default(), 0xACC7)
         .expect("spawn proxy");
     let mut b = DaemonProc::spawn(&DaemonOpts::new("beta", sock_b).peer(&sock_proxy));
 
@@ -30,7 +31,7 @@ fn heal_after_partition_resumes_from_frontier() {
     // bytes measure actual event transfer.
     a.cmd_ok(r#"{"cmd":"script","docs":4,"sessions":4,"edits":600,"seed":21}"#);
     await_convergence(&mut a, &mut b, 4, Duration::from_secs(30));
-    let phase1_bundle_bytes = proxy.stats().bundle_bytes_forwarded;
+    let phase1_bundle_bytes = proxy.bundle_bytes_forwarded();
     assert!(phase1_bundle_bytes > 0, "no bundles crossed the proxy");
 
     // Partition mid-stream, then a small phase-2 burst lands on alpha
@@ -39,7 +40,7 @@ fn heal_after_partition_resumes_from_frontier() {
     a.cmd_ok(r#"{"cmd":"script","docs":4,"sessions":4,"edits":40,"seed":22}"#);
     std::thread::sleep(Duration::from_millis(400));
     assert!(
-        proxy.stats().partition_kills > 0,
+        proxy.stats().blocked > 0,
         "partition never severed or refused anything"
     );
 
@@ -49,7 +50,7 @@ fn heal_after_partition_resumes_from_frontier() {
     await_convergence(&mut a, &mut b, 4, Duration::from_secs(30));
     assert_eq!(a.full_texts(), b.full_texts());
 
-    let healed_bundle_bytes = proxy.stats().bundle_bytes_forwarded - phase1_bundle_bytes;
+    let healed_bundle_bytes = proxy.bundle_bytes_forwarded() - phase1_bundle_bytes;
     eprintln!("bundle bytes: phase1={phase1_bundle_bytes} healed={healed_bundle_bytes}");
     // Byte accounting: the post-heal transfer carries only the 40-edit
     // phase-2 delta. Re-sending the already-acknowledged phase-1

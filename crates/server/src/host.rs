@@ -11,7 +11,6 @@ use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Instant;
 
 use eg_dag::RemoteId;
 use eg_sync::{DocId, SyncHost};
@@ -59,7 +58,7 @@ pub struct ServerHost {
     senders: Vec<Sender<Job>>,
     handles: Vec<JoinHandle<()>>,
     /// Spent edit-batch vectors coming back from workers for reuse.
-    recycle: Receiver<Vec<(u32, Instant)>>,
+    recycle: Receiver<Vec<u32>>,
 }
 
 impl ServerHost {
@@ -112,23 +111,23 @@ impl ServerHost {
     }
 
     /// A fresh or recycled batch vector.
-    fn grab_items(&self) -> Vec<(u32, Instant)> {
+    fn grab_items(&self) -> Vec<u32> {
         self.recycle
             .try_recv()
             .unwrap_or_else(|_| Vec::with_capacity(self.config.batch))
     }
 
     /// Streams a fleet script into the pool: each edit op is routed to
-    /// its document's owner with a submit timestamp, in script order.
-    /// Per-worker FIFO channels plus per-doc affinity mean every
-    /// document sees its ops exactly in script order — the determinism
-    /// invariant. Non-edit ops (join/leave/ticks) shape the script at
-    /// generation time and are not shipped. Returns the number of edit
-    /// ops submitted; call [`Self::flush`] to wait for them.
+    /// its document's owner, in script order. Per-worker FIFO channels
+    /// plus per-doc affinity mean every document sees its ops exactly in
+    /// script order — the determinism invariant. Non-edit ops
+    /// (join/leave/ticks) shape the script at generation time and are not
+    /// shipped. Returns the number of edit ops submitted; call
+    /// [`Self::flush`] to wait for them.
     pub fn submit_script(&self, script: &Arc<[FleetOp]>) -> usize {
         assert!(script.len() <= u32::MAX as usize, "script too long");
         let nw = self.senders.len();
-        let mut pending: Vec<Vec<(u32, Instant)>> = (0..nw).map(|_| self.grab_items()).collect();
+        let mut pending: Vec<Vec<u32>> = (0..nw).map(|_| self.grab_items()).collect();
         let mut submitted = 0usize;
         for (idx, op) in script.iter().enumerate() {
             let doc = match op {
@@ -136,7 +135,7 @@ impl ServerHost {
                 FleetOp::Join { .. } | FleetOp::Leave { .. } | FleetOp::Ticks(_) => continue,
             };
             let w = shard_for(DocId(doc), nw);
-            pending[w].push((idx as u32, Instant::now()));
+            pending[w].push(idx as u32);
             submitted += 1;
             if pending[w].len() >= self.config.batch {
                 let items = std::mem::replace(&mut pending[w], self.grab_items());
@@ -469,8 +468,6 @@ mod tests {
             .filter(|op| matches!(op, FleetOp::Insert { .. } | FleetOp::Delete { .. }))
             .count() as u64;
         assert_eq!(report.edits() + report.skipped, edit_ops);
-        assert_eq!(report.insert_latency.count(), report.inserts);
-        assert_eq!(report.delete_latency.count(), report.deletes);
         // Harvest resets: a second harvest is empty.
         assert_eq!(host.harvest().edits(), 0);
     }

@@ -17,9 +17,7 @@
 //!   host↔host sync over real frames;
 //! * [`fleet`] — the one shared interpreter for `eg-trace` fleet scripts,
 //!   used identically by workers and by the single-threaded reference
-//!   replay so parallel runs are byte-checkable against sequential ones;
-//! * [`latency`] — mergeable log-bucketed histograms of per-op-class
-//!   merge latency, carried in each worker's [`LoadReport`].
+//!   replay so parallel runs are byte-checkable against sequential ones.
 //!
 //! Determinism: a fleet script is submitted by one thread, each edit is
 //! routed to its document's owner in script order, mpsc channels are
@@ -31,12 +29,10 @@
 
 pub mod fleet;
 pub mod host;
-pub mod latency;
 pub mod shard;
 
 pub(crate) mod worker;
 
 pub use fleet::replay_fleet_sequential;
 pub use host::{ServerConfig, ServerHost};
-pub use latency::LatencyHistogram;
 pub use worker::{LoadReport, PersistStats};

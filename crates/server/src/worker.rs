@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
-use std::time::Instant;
 
 use eg_dag::RemoteId;
 use eg_storage::DocStore;
@@ -22,27 +21,23 @@ use eg_trace::FleetOp;
 use egwalker::EventBundle;
 
 use crate::fleet::{apply_fleet_op, FleetOutcome, SessionNames};
-use crate::latency::LatencyHistogram;
 use crate::shard::shard_for;
 
-/// A batch of edit submissions: indices into a shared script plus the
-/// submit timestamp for end-to-end (queue + merge) latency. The `items`
-/// vector is recycled back to the host after processing.
+/// A batch of edit submissions: indices into a shared script. The
+/// `items` vector is recycled back to the host after processing.
 pub(crate) struct EditBatch {
     pub script: Arc<[FleetOp]>,
-    pub items: Vec<(u32, Instant)>,
+    pub items: Vec<u32>,
 }
 
-/// Merge/latency counters one worker accumulates between harvests, and
-/// the host's roll-up of all of them (histograms merge exactly).
+/// Merge counters one worker accumulates between harvests, and the
+/// host's roll-up of all of them.
 #[derive(Debug, Clone, Default)]
 pub struct LoadReport {
     pub inserts: u64,
     pub deletes: u64,
     /// Edit ops that reduced to nothing (delete on an empty document).
     pub skipped: u64,
-    pub insert_latency: LatencyHistogram,
-    pub delete_latency: LatencyHistogram,
 }
 
 impl LoadReport {
@@ -55,8 +50,6 @@ impl LoadReport {
         self.inserts += other.inserts;
         self.deletes += other.deletes;
         self.skipped += other.skipped;
-        self.insert_latency.merge(&other.insert_latency);
-        self.delete_latency.merge(&other.delete_latency);
     }
 }
 
@@ -263,11 +256,7 @@ pub(crate) enum Job {
 }
 
 /// The worker main loop. Exits when the host drops all job senders.
-pub(crate) fn worker_main(
-    ctx: WorkerCtx,
-    jobs: Receiver<Job>,
-    recycle: Sender<Vec<(u32, Instant)>>,
-) {
+pub(crate) fn worker_main(ctx: WorkerCtx, jobs: Receiver<Job>, recycle: Sender<Vec<u32>>) {
     let mut replica = Replica::new(&ctx.host_name);
     let mut names = SessionNames::new(&ctx.host_name);
     let mut report = LoadReport::default();
@@ -280,7 +269,7 @@ pub(crate) fn worker_main(
     while let Ok(job) = jobs.recv() {
         match job {
             Job::Edits(batch) => {
-                for &(idx, submitted) in &batch.items {
+                for &idx in &batch.items {
                     let op = &batch.script[idx as usize];
                     if persist.is_some() {
                         if let FleetOp::Insert { doc, .. } | FleetOp::Delete { doc, .. } = op {
@@ -290,17 +279,9 @@ pub(crate) fn worker_main(
                             }
                         }
                     }
-                    let outcome = apply_fleet_op(&mut replica, &mut names, op);
-                    let nanos = submitted.elapsed().as_nanos() as u64;
-                    match outcome {
-                        FleetOutcome::Insert => {
-                            report.inserts += 1;
-                            report.insert_latency.record(nanos);
-                        }
-                        FleetOutcome::Delete => {
-                            report.deletes += 1;
-                            report.delete_latency.record(nanos);
-                        }
+                    match apply_fleet_op(&mut replica, &mut names, op) {
+                        FleetOutcome::Insert => report.inserts += 1,
+                        FleetOutcome::Delete => report.deletes += 1,
                         FleetOutcome::Skipped => report.skipped += 1,
                         FleetOutcome::NonEdit => {}
                     }

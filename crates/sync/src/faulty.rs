@@ -1,24 +1,31 @@
-//! [`FaultyTransport`]: seeded fault injection behind the [`Transport`]
-//! seam.
+//! The one fault schedule: seeded per-frame fault decisions that both
+//! fault injectors ask.
 //!
-//! Wraps any inner transport and, on a deterministic schedule derived
-//! from the construction seed, drops, duplicates, corrupts (bit-flips
-//! or truncates mid-frame) and delays sync frames, and blocks them
-//! across scheduled partition windows. Every replica-facing robustness
-//! claim — "convergence holds under every seeded fault schedule" — is
-//! a [`crate::NetworkSim`] run over this wrapper; the socket-level
-//! twin (the daemon's fault proxy) injects the same fault classes into
-//! real byte streams.
+//! A [`FaultSpec`] says how often each fault class strikes; a
+//! [`FaultSchedule`] draws, from a seeded RNG, the [`Fate`] of each frame
+//! handed to it: dropped, duplicated, corrupted, or delayed. The
+//! simulator's [`crate::InMemoryTransport`] carries out a fate in
+//! simulated ticks; the daemon's fault proxy carries out the same fate on
+//! a real byte stream, in milliseconds, and realises a corruption as half
+//! the frame followed by a severed link. Scheduled
+//! [`PartitionWindow`]s are a simulator input; the proxy partitions on
+//! command. Both count what they injected in one [`FaultStats`].
 //!
 //! Both keep the link contract [`crate::SyncLink`] relies on: only sync
 //! frames are fault targets, so a `Mark` or `Reset` always arrives, and
 //! a delayed frame holds back the frames behind it on its link rather
-//! than being overtaken by them (it is handed to the inner transport as
-//! if sent later).
+//! than being overtaken by them.
 
-use crate::transport::{is_sync_frame, Delivery, NodeId, SendOutcome, Tick, Transport};
+use crate::frame::{FRAME_HEADER_LEN, TAG_SYNC};
+use crate::transport::{NodeId, Tick};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Whether an encoded frame (length prefix included) is a sync frame:
+/// the only kind a fault may strike.
+pub(crate) fn is_sync_frame(frame: &[u8]) -> bool {
+    frame.get(FRAME_HEADER_LEN) == Some(&TAG_SYNC)
+}
 
 /// One scheduled partition: sync frames crossing the `side_a` boundary
 /// are blocked while `from <= now < until`.
@@ -34,7 +41,7 @@ pub struct PartitionWindow {
 
 impl PartitionWindow {
     /// Returns `true` if a `src → dst` frame at `now` is severed.
-    pub(crate) fn blocks(&self, now: Tick, src: NodeId, dst: NodeId) -> bool {
+    fn blocks(&self, now: Tick, src: NodeId, dst: NodeId) -> bool {
         if now < self.from || now >= self.until {
             return false;
         }
@@ -50,16 +57,17 @@ pub struct FaultSpec {
     pub drop_per_mille: u16,
     /// Probability of delivering a frame twice.
     pub duplicate_per_mille: u16,
-    /// Probability of corrupting the payload (a bit flip or a mid-frame
-    /// truncation, chosen pseudo-randomly); receivers must reject the
-    /// mangled frame, and the next mark resets the link.
+    /// Probability of corrupting a frame: a bit flip or a mid-frame
+    /// truncation in the simulator, half the frame and a severed link at
+    /// the proxy. Receivers must reject the mangled frame, and the next
+    /// mark resets the link.
     pub corrupt_per_mille: u16,
-    /// Probability of holding a frame (and those behind it) back for
-    /// extra ticks.
+    /// Probability of holding a frame (and those behind it) back.
     pub delay_per_mille: u16,
-    /// Maximum extra delay, in ticks (inclusive; minimum is 1).
+    /// Maximum extra delay (inclusive; minimum is 1): ticks in the
+    /// simulator, milliseconds at the proxy.
     pub max_extra_delay: u64,
-    /// Scheduled partition windows.
+    /// Scheduled partition windows (simulator only).
     pub partitions: Vec<PartitionWindow>,
 }
 
@@ -101,6 +109,51 @@ impl FaultSpec {
     }
 }
 
+/// How the simulator mangles a corrupted frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Corruption {
+    /// Flip bit `bit` of byte `at`.
+    Flip { at: usize, bit: u8 },
+    /// Keep only the first `at` bytes.
+    Truncate { at: usize },
+}
+
+impl Corruption {
+    /// Mangles `frame` in place.
+    pub(crate) fn apply(self, frame: &mut Vec<u8>) {
+        match self {
+            Corruption::Flip { at, bit } => {
+                if let Some(b) = frame.get_mut(at) {
+                    *b ^= 1 << bit;
+                }
+            }
+            Corruption::Truncate { at } => frame.truncate(at),
+        }
+    }
+}
+
+/// What the schedule decided for one frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fate {
+    /// How many times the frame is delivered: 0 (dropped), 1, or 2
+    /// (duplicated).
+    pub copies: usize,
+    /// How long the frame, and those behind it, are held back: 0 unless
+    /// delayed.
+    pub delay: u64,
+    /// Set when the frame is corrupted.
+    pub corrupt: Option<Corruption>,
+}
+
+impl Fate {
+    /// A frame no fault struck.
+    const CLEAN: Fate = Fate {
+        copies: 1,
+        delay: 0,
+        corrupt: None,
+    };
+}
+
 /// Counters of injected faults, for assertions that a schedule really
 /// exercised its fault classes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -109,95 +162,85 @@ pub struct FaultStats {
     pub dropped: usize,
     /// Frames delivered twice.
     pub duplicated: usize,
-    /// Frames with a corrupted payload let through.
+    /// Frames corrupted.
     pub corrupted: usize,
-    /// Frames held back for extra ticks.
+    /// Frames held back.
     pub delayed: usize,
-    /// Frames blocked by a partition window.
+    /// Cut by a partition: frames in the simulator, connections refused
+    /// or severed at the proxy.
     pub blocked: usize,
 }
 
-/// A [`Transport`] decorator injecting seeded faults; see the module
-/// docs. Deterministic: identical seed + schedule + send sequence ⇒
-/// identical behaviour.
-#[derive(Debug)]
-pub struct FaultyTransport<T: Transport> {
-    inner: T,
-    spec: FaultSpec,
-    rng: StdRng,
-    stats: FaultStats,
+impl FaultStats {
+    /// Counts the faults in `fate`.
+    pub fn record(&mut self, fate: &Fate) {
+        self.dropped += usize::from(fate.copies == 0);
+        self.duplicated += usize::from(fate.copies > 1);
+        self.corrupted += usize::from(fate.corrupt.is_some());
+        self.delayed += usize::from(fate.delay > 0);
+    }
 }
 
-impl<T: Transport> FaultyTransport<T> {
-    /// Wraps `inner` with the fault schedule `spec`.
-    pub fn new(inner: T, spec: FaultSpec, seed: u64) -> Self {
-        FaultyTransport {
-            inner,
+/// A [`FaultSpec`] plus the seeded RNG that draws from it; see the module
+/// docs. Deterministic: the same spec, seed and frame sequence give the
+/// same fates.
+#[derive(Debug)]
+pub struct FaultSchedule {
+    spec: FaultSpec,
+    rng: StdRng,
+}
+
+impl FaultSchedule {
+    /// A schedule drawing from `spec`, seeded by `seed`.
+    pub fn new(spec: FaultSpec, seed: u64) -> Self {
+        FaultSchedule {
             spec,
             rng: StdRng::seed_from_u64(seed ^ 0xBAD_F00D),
-            stats: FaultStats::default(),
         }
     }
 
-    /// Injected-fault counters.
-    pub fn stats(&self) -> FaultStats {
-        self.stats
+    /// Whether a scheduled partition window blocks `frame` from `src` to
+    /// `dst` at `now`.
+    pub(crate) fn blocks(&self, now: Tick, src: NodeId, dst: NodeId, frame: &[u8]) -> bool {
+        is_sync_frame(frame) && self.spec.partitions.iter().any(|w| w.blocks(now, src, dst))
     }
 
     fn roll(&mut self, per_mille: u16) -> bool {
         per_mille > 0 && self.rng.gen_range(0..1000u32) < u32::from(per_mille)
     }
 
-    /// Mangles a payload: either flips one bit or truncates mid-frame.
-    fn corrupt(&mut self, payload: &mut Vec<u8>) {
-        if payload.is_empty() {
-            return;
-        }
-        if self.rng.gen_range(0..2u32) == 0 {
-            let i = self.rng.gen_range(0..payload.len());
-            payload[i] ^= 1 << self.rng.gen_range(0..8u32);
-        } else {
-            let cut = self.rng.gen_range(0..payload.len());
-            payload.truncate(cut);
-        }
-    }
-}
-
-impl<T: Transport> Transport for FaultyTransport<T> {
-    fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, mut payload: Vec<u8>) -> SendOutcome {
-        if !is_sync_frame(&payload) {
-            return self.inner.send(now, src, dst, payload);
-        }
-        if self.spec.partitions.iter().any(|w| w.blocks(now, src, dst)) {
-            self.stats.blocked += 1;
-            return SendOutcome::Dropped;
+    /// Draws the fate of `frame`, the next frame on the link. Only sync
+    /// frames are struck; every other frame passes clean without a draw.
+    pub fn fate(&mut self, frame: &[u8]) -> Fate {
+        if !is_sync_frame(frame) {
+            return Fate::CLEAN;
         }
         if self.roll(self.spec.drop_per_mille) {
-            self.stats.dropped += 1;
-            return SendOutcome::Dropped;
+            return Fate {
+                copies: 0,
+                ..Fate::CLEAN
+            };
         }
+        let mut fate = Fate::CLEAN;
         if self.roll(self.spec.corrupt_per_mille) {
-            self.stats.corrupted += 1;
-            self.corrupt(&mut payload);
+            let flip = self.rng.gen_range(0..2u32) == 0;
+            let at = self.rng.gen_range(0..frame.len());
+            fate.corrupt = Some(if flip {
+                Corruption::Flip {
+                    at,
+                    bit: self.rng.gen_range(0..8u32) as u8,
+                }
+            } else {
+                Corruption::Truncate { at }
+            });
         }
-        let mut at = now;
         if self.roll(self.spec.delay_per_mille) {
-            self.stats.delayed += 1;
-            at += 1 + self.rng.gen_range(0..self.spec.max_extra_delay.max(1));
+            fate.delay = 1 + self.rng.gen_range(0..self.spec.max_extra_delay.max(1));
         }
         if self.roll(self.spec.duplicate_per_mille) {
-            self.stats.duplicated += 1;
-            let _ = self.inner.send(at, src, dst, payload.clone());
+            fate.copies = 2;
         }
-        self.inner.send(at, src, dst, payload)
-    }
-
-    fn poll(&mut self, now: Tick) -> Vec<Delivery> {
-        self.inner.poll(now)
-    }
-
-    fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize {
-        self.inner.cut(sever)
+        fate
     }
 }
 
@@ -211,15 +254,12 @@ mod tests {
         crate::frame::frame_sync(&[n, 1, 2, 3, 4, 5, 6, 7])
     }
 
-    fn inner() -> InMemoryTransport {
-        InMemoryTransport::new(
-            LinkConfig {
-                min_delay: 1,
-                max_delay: 1,
-                drop_per_mille: 0,
-            },
-            3,
-        )
+    fn transport(spec: FaultSpec, seed: u64) -> InMemoryTransport {
+        let link = LinkConfig {
+            min_delay: 1,
+            max_delay: 1,
+        };
+        InMemoryTransport::new(link, spec, seed)
     }
 
     #[test]
@@ -232,14 +272,20 @@ mod tests {
             }],
             ..FaultSpec::default()
         };
-        let mut t = FaultyTransport::new(inner(), spec, 1);
-        assert_eq!(t.send(6, 0, 1, sync(1)), SendOutcome::Dropped);
-        assert_eq!(t.send(6, 1, 2, sync(2)), SendOutcome::Queued);
-        assert_eq!(t.send(12, 0, 1, sync(3)), SendOutcome::Queued);
+        let mut t = transport(spec, 1);
+        t.send(6, 0, 1, sync(1));
         assert_eq!(t.stats().blocked, 1);
+        t.send(6, 1, 2, sync(2));
         // The audit frames cross the window untouched.
         let mark = crate::frame::WireFrame::Reset { echo: false }.encode();
-        assert_eq!(t.send(6, 0, 1, mark), SendOutcome::Queued);
+        t.send(6, 0, 1, mark.clone());
+        t.send(12, 0, 1, sync(3));
+        assert_eq!(t.stats().blocked, 1);
+        let got: Vec<Vec<u8>> = (0..20)
+            .flat_map(|now| t.poll(now))
+            .map(|d| d.payload)
+            .collect();
+        assert_eq!(got, vec![sync(2), mark, sync(3)]);
     }
 
     #[test]
@@ -248,7 +294,7 @@ mod tests {
             duplicate_per_mille: 1000,
             ..FaultSpec::default()
         };
-        let mut t = FaultyTransport::new(inner(), spec, 2);
+        let mut t = transport(spec, 2);
         t.send(0, 0, 1, sync(9));
         let got = t.poll(1);
         assert_eq!(got.len(), 2);
@@ -262,7 +308,7 @@ mod tests {
             max_extra_delay: 3,
             ..FaultSpec::default()
         };
-        let mut t = FaultyTransport::new(inner(), spec, 7);
+        let mut t = transport(spec, 7);
         t.send(0, 0, 1, sync(5));
         assert!(t.poll(1).is_empty(), "held back");
         let mut delivered = 0;
@@ -279,7 +325,7 @@ mod tests {
             corrupt_per_mille: 1000,
             ..FaultSpec::default()
         };
-        let mut t = FaultyTransport::new(inner(), spec, 11);
+        let mut t = transport(spec, 11);
         let original = sync(1);
         t.send(0, 0, 1, original.clone());
         let got = t.poll(1);
@@ -292,21 +338,34 @@ mod tests {
     fn deterministic_per_seed() {
         let run = |seed| {
             let spec = FaultSpec::random(seed, 4, 100);
-            let mut t = FaultyTransport::new(inner(), spec, seed);
+            let mut t = transport(spec, seed);
             let mut log = Vec::new();
             for i in 0..200u64 {
-                let out = t.send(
-                    i / 4,
-                    (i % 4) as usize,
-                    ((i + 1) % 4) as usize,
-                    sync(i as u8),
-                );
-                log.push(out == SendOutcome::Dropped);
+                let (src, dst) = ((i % 4) as usize, ((i + 1) % 4) as usize);
+                t.send(i / 4, src, dst, sync(i as u8));
+                log.push(t.stats());
             }
-            (log, t.stats())
+            log
         };
         assert_eq!(run(42), run(42));
-        assert_ne!(run(42).1, run(43).1);
+        assert_ne!(run(42).last(), run(43).last());
+    }
+
+    /// Only sync frames draw from the schedule, so the proxy, which also
+    /// carries handshakes and heartbeats, decides each sync frame as the
+    /// simulator does.
+    #[test]
+    fn other_frames_draw_nothing() {
+        let spec = FaultSpec::random(5, 2, 100);
+        let (mut plain, mut mixed) = (
+            FaultSchedule::new(spec.clone(), 5),
+            FaultSchedule::new(spec, 5),
+        );
+        let ping = crate::frame::WireFrame::Ping(1).encode();
+        for i in 0..100 {
+            assert_eq!(mixed.fate(&ping), Fate::CLEAN);
+            assert_eq!(plain.fate(&sync(i)), mixed.fate(&sync(i)));
+        }
     }
 
     #[test]

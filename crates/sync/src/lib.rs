@@ -19,11 +19,13 @@
 //!   and `eg-server`'s `ServerHost` implement, and queues encoded
 //!   [`frame`]s for a driver to carry.
 //! * Two drivers carry them: the daemon's `PeerSession` over a socket,
-//!   and [`NetworkSim`] over a simulated [`Transport`] ([`InMemoryTransport`],
-//!   optionally wrapped in a seeded [`FaultyTransport`]) and a
-//!   [`Topology`] ([`Mesh`] full-mesh p2p, [`Star`] server relay) that
-//!   says who links to whom and who relays. [`settle`] is the in-process
-//!   minimum: two link ends carried into each other until quiet.
+//!   and [`NetworkSim`] over the simulated [`InMemoryTransport`], in a
+//!   full mesh or a star around node 0 ([`SimBuilder::star`]).
+//!   [`settle`] is the in-process minimum: two link ends carried into
+//!   each other until quiet.
+//! * [`FaultSchedule`] is the one seeded fault schedule: it draws each
+//!   sync frame's [`Fate`] from a [`FaultSpec`], for the simulator's
+//!   transport and for the daemon's fault proxy alike.
 //!
 //! Determinism: every simulated run is a pure function of the seed, the
 //! configuration, and the edit script, which makes convergence failures
@@ -68,11 +70,10 @@ mod replica;
 mod topology;
 mod transport;
 
-pub use faulty::{FaultSpec, FaultStats, FaultyTransport, PartitionWindow};
+pub use faulty::{Corruption, Fate, FaultSchedule, FaultSpec, FaultStats, PartitionWindow};
 pub use frame::{FrameDecoder, FrameError, FrameTally, WireFrame, MAX_FRAME_LEN, PROTOCOL_VERSION};
 pub use link::{settle, SyncHost, SyncLink};
 pub use message::Message;
 pub use network::{NetStats, NetworkSim, SimBuilder};
 pub use replica::{DocId, ReceiveOutcome, Replica, ReplicaStats};
-pub use topology::{Star, Topology};
-pub use transport::{Delivery, InMemoryTransport, LinkConfig, SendOutcome, Tick, Transport};
+pub use transport::{Delivery, InMemoryTransport, LinkConfig, Tick};

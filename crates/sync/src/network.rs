@@ -1,17 +1,19 @@
 //! [`NetworkSim`]: many replicas in one process, one [`SyncLink`] at
-//! each end of every topology link, frames over a simulated
-//! [`Transport`].
+//! each end of every topology link, frames over the simulated
+//! [`InMemoryTransport`].
 //!
 //! The simulator is the second driver of the protocol the daemon speaks
 //! (the first is the daemon's `PeerSession`). It owns what a daemon's
 //! reactor owns, in simulated time: it opens the links, carries every
 //! frame a link queues to the transport and every delivery to the link
 //! at the other end, sends a mark on every link every
-//! [`SimConfig::mark_every`] ticks (the daemon's `sync_interval`), and
-//! lets the [`Topology`]'s relay rule decide which links hear about
-//! events a node gained. A partition is a disconnect: the severed links
-//! are dropped with the frames in flight on them, and healing opens new
-//! ones, each with a complete digest, as a daemon does after a redial.
+//! [`SimBuilder::mark_every`] ticks (the daemon's `sync_interval`), and
+//! lets the topology's relay rule decide which links hear about events a
+//! node gained. Injected faults come from a [`FaultSpec`]
+//! ([`SimBuilder::faults`]). A partition is a disconnect: the severed
+//! links are dropped with the frames in flight on them, and healing opens
+//! new ones, each with a complete digest, as a daemon does after a
+//! redial.
 //!
 //! Determinism: every run is a pure function of the seed, the
 //! configuration and the edit script, which makes convergence failures
@@ -19,33 +21,12 @@
 
 use std::collections::BTreeMap;
 
+use crate::faulty::FaultSpec;
 use crate::frame::{is_bundle_body, FRAME_HEADER_LEN, TAG_RESET};
 use crate::link::SyncLink;
 use crate::replica::{DocId, Replica};
-use crate::topology::{Mesh, Star, Topology};
-use crate::transport::{
-    Delivery, InMemoryTransport, LinkConfig, NodeId, SendOutcome, Tick, Transport,
-};
-
-/// Engine configuration (everything except the topology and the seed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct SimConfig {
-    /// Link behaviour of the in-memory transport.
-    pub link: LinkConfig,
-    /// Ticks between mark rounds, at least 1: every `mark_every` ticks
-    /// each end of every link sends its mark, which is what carries a
-    /// lone edit and what finds a lost frame.
-    pub mark_every: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            link: LinkConfig::default(),
-            mark_every: 4,
-        }
-    }
-}
+use crate::topology::{Shape, Topology};
+use crate::transport::{Delivery, InMemoryTransport, LinkConfig, NodeId, Tick};
 
 /// Counters for the whole simulation.
 ///
@@ -58,11 +39,11 @@ pub struct NetStats {
     pub sent: usize,
     /// Frames delivered to a link end.
     pub delivered: usize,
-    /// Frames lost (lossy link, fault schedule or partition cut).
+    /// Frames lost (dropped by the fault schedule, or cut by a
+    /// partition).
     pub dropped: usize,
-    /// Deliveries that failed to decode (a fault-injecting transport
-    /// corrupted them in flight): skipped, and the next mark resets the
-    /// link.
+    /// Deliveries that failed to decode (the fault schedule corrupted
+    /// them in flight): skipped, and the next mark resets the link.
     pub corrupt_dropped: usize,
     /// `Reset` frames sent: each is one end clearing its view and
     /// reopening with a complete digest.
@@ -83,11 +64,12 @@ pub struct NetStats {
 #[derive(Debug)]
 pub struct NetworkSim {
     replicas: Vec<Replica>,
-    topology: Box<dyn Topology>,
-    transport: Box<dyn Transport>,
+    topology: Topology,
+    transport: InMemoryTransport,
     /// Per node, its end of every link that is up, by peer.
     links: Vec<BTreeMap<NodeId, SyncLink>>,
-    cfg: SimConfig,
+    /// Ticks between mark rounds.
+    mark_every: u64,
     now: Tick,
     stats: NetStats,
     /// A replica or the link graph changed since convergence was last
@@ -99,69 +81,55 @@ pub struct NetworkSim {
 pub struct SimBuilder {
     names: Vec<String>,
     seed: u64,
-    cfg: SimConfig,
-    topology: Option<Box<dyn Topology>>,
-    transport: Option<Box<dyn Transport>>,
+    link: LinkConfig,
+    mark_every: u64,
+    shape: Shape,
+    faults: FaultSpec,
 }
 
 impl SimBuilder {
-    /// Sets the link model of the in-memory transport.
+    /// Sets the delivery delays of the in-memory transport.
     pub fn link(mut self, link: LinkConfig) -> Self {
-        self.cfg.link = link;
+        self.link = link;
         self
     }
 
-    /// Replaces the default [`InMemoryTransport`] with a custom one —
-    /// e.g. a [`crate::FaultyTransport`] wrapping it for seeded fault
-    /// schedules. Overrides [`SimBuilder::link`].
-    pub fn transport(mut self, transport: Box<dyn Transport>) -> Self {
-        self.transport = Some(transport);
+    /// Injects the faults of `spec` into sync frames (none by default).
+    pub fn faults(mut self, spec: FaultSpec) -> Self {
+        self.faults = spec;
         self
     }
 
-    /// Sets the mark cadence (see [`SimConfig::mark_every`]).
+    /// Sets the mark cadence, at least 1 (default 4): every `ticks`
+    /// ticks each end of every link sends its mark, which is what
+    /// carries a lone edit and what finds a lost frame.
     pub fn mark_every(mut self, ticks: u64) -> Self {
-        self.cfg.mark_every = ticks;
+        self.mark_every = ticks;
         self
     }
 
     /// Uses a full-mesh topology (the default).
     pub fn mesh(mut self) -> Self {
-        self.topology = Some(Box::new(Mesh::new(self.names.len())));
+        self.shape = Shape::Mesh;
         self
     }
 
     /// Uses a star topology with node 0 as the hub.
     pub fn star(mut self) -> Self {
-        self.topology = Some(Box::new(Star::new(self.names.len(), 0)));
-        self
-    }
-
-    /// Uses a custom [`Topology`] implementation.
-    pub fn topology(mut self, topology: Box<dyn Topology>) -> Self {
-        assert_eq!(
-            topology.len(),
-            self.names.len(),
-            "topology size must match the replica count"
-        );
-        self.topology = Some(topology);
+        self.shape = Shape::Star;
         self
     }
 
     /// Builds the engine and opens every link.
     pub fn build(self) -> NetworkSim {
-        assert!(self.cfg.mark_every > 0, "mark_every must be at least 1");
+        assert!(self.mark_every > 0, "mark_every must be at least 1");
         let n = self.names.len();
-        let topology = self.topology.unwrap_or_else(|| Box::new(Mesh::new(n)));
-        let transport = self
-            .transport
-            .unwrap_or_else(|| Box::new(InMemoryTransport::new(self.cfg.link, self.seed)));
         let mut sim = NetworkSim {
             replicas: self.names.iter().map(|s| Replica::new(s)).collect(),
-            topology,
-            transport,
+            topology: Topology::new(self.shape, n),
+            transport: InMemoryTransport::new(self.link, self.faults, self.seed),
             links: (0..n).map(|_| BTreeMap::new()).collect(),
-            cfg: self.cfg,
+            mark_every: self.mark_every,
             now: 0,
             stats: NetStats::default(),
             changed: true,
@@ -177,19 +145,16 @@ impl NetworkSim {
         Self::builder(names, seed).build()
     }
 
-    /// [`NetworkSim::new`] with an explicit link model.
-    pub fn with_link(names: &[&str], seed: u64, link: LinkConfig) -> Self {
-        Self::builder(names, seed).link(link).build()
-    }
-
-    /// Starts configuring an engine: topology, link model, mark cadence.
+    /// Starts configuring an engine: topology, link delays, faults, mark
+    /// cadence.
     pub fn builder(names: &[&str], seed: u64) -> SimBuilder {
         SimBuilder {
             names: names.iter().map(|s| s.to_string()).collect(),
             seed,
-            cfg: SimConfig::default(),
-            topology: None,
-            transport: None,
+            link: LinkConfig::default(),
+            mark_every: 4,
+            shape: Shape::Mesh,
+            faults: FaultSpec::default(),
         }
     }
 
@@ -205,7 +170,11 @@ impl NetworkSim {
 
     /// Simulation counters.
     pub fn stats(&self) -> NetStats {
-        self.stats
+        let faults = self.transport.stats();
+        NetStats {
+            dropped: faults.dropped + faults.blocked,
+            ..self.stats
+        }
     }
 
     /// Inserts text in document `doc` at replica `i` and announces it.
@@ -221,21 +190,14 @@ impl NetworkSim {
         self.relay(i, &[doc], None);
     }
 
-    /// Splits the network into partition groups (see
-    /// [`Topology::set_partition`]). Every link crossing a boundary is
-    /// disconnected: both ends are dropped, with the frames in flight on
-    /// it.
+    /// Splits the network into partition groups; unlisted nodes keep
+    /// group 0. Every link crossing a boundary is disconnected: both ends
+    /// are dropped, with the frames in flight on it.
     pub fn partition(&mut self, groups: &[&[NodeId]]) {
         self.topology.set_partition(groups);
-        let Self {
-            topology,
-            transport,
-            links,
-            stats,
-            ..
-        } = self;
-        stats.dropped += transport.cut(&mut |src, dst| !topology.linked(src, dst));
-        for (node, ends) in links.iter_mut().enumerate() {
+        let topology = &self.topology;
+        self.transport.cut(|src, dst| !topology.linked(src, dst));
+        for (node, ends) in self.links.iter_mut().enumerate() {
             ends.retain(|&peer, _| topology.linked(node, peer));
         }
         self.changed = true;
@@ -252,7 +214,7 @@ impl NetworkSim {
     /// then delivers every frame whose delay has elapsed.
     pub fn tick(&mut self) {
         self.now += 1;
-        if self.now % self.cfg.mark_every == 0 {
+        if self.now % self.mark_every == 0 {
             for src in 0..self.links.len() {
                 let peers: Vec<NodeId> = self.links[src].keys().copied().collect();
                 for dst in peers {
@@ -275,7 +237,7 @@ impl NetworkSim {
     pub fn run_until_quiescent(&mut self, max_ticks: u64) -> bool {
         let deadline = self.now + max_ticks;
         loop {
-            if self.changed && self.now % self.cfg.mark_every == 0 {
+            if self.changed && self.now % self.mark_every == 0 {
                 self.changed = false;
                 if self.all_converged() {
                     return true;
@@ -327,8 +289,9 @@ impl NetworkSim {
 
     /// Opens every topology link that is up and not yet open.
     fn connect(&mut self) {
-        for node in 0..self.replicas.len() {
-            for peer in self.topology.links(node) {
+        let n = self.replicas.len();
+        for node in 0..n {
+            for peer in 0..n {
                 if self.topology.linked(node, peer) && !self.links[node].contains_key(&peer) {
                     self.links[node].insert(peer, SyncLink::open(&self.replicas[node]));
                     self.send(node, peer);
@@ -370,9 +333,7 @@ impl NetworkSim {
             if body.first() == Some(&TAG_RESET) {
                 stats.resets += 1;
             }
-            if self.transport.send(self.now, src, dst, frame) == SendOutcome::Dropped {
-                stats.dropped += 1;
-            }
+            self.transport.send(self.now, src, dst, frame);
         }
     }
 
@@ -399,6 +360,23 @@ impl NetworkSim {
 mod tests {
     use super::*;
 
+    /// A mesh whose links take 1..=`max_delay` ticks and lose
+    /// `drop_per_mille` of the sync frames.
+    fn lossy(names: &[&str], seed: u64, max_delay: u64, drop_per_mille: u16) -> NetworkSim {
+        let link = LinkConfig {
+            min_delay: 1,
+            max_delay,
+        };
+        let faults = FaultSpec {
+            drop_per_mille,
+            ..FaultSpec::default()
+        };
+        NetworkSim::builder(names, seed)
+            .link(link)
+            .faults(faults)
+            .build()
+    }
+
     #[test]
     fn lossless_broadcast_converges() {
         let mut net = NetworkSim::new(&["a", "b", "c"], 7);
@@ -415,12 +393,7 @@ mod tests {
 
     #[test]
     fn lossy_network_repaired_by_anti_entropy() {
-        let link = LinkConfig {
-            min_delay: 1,
-            max_delay: 5,
-            drop_per_mille: 400,
-        };
-        let mut net = NetworkSim::with_link(&["a", "b", "c", "d"], 99, link);
+        let mut net = lossy(&["a", "b", "c", "d"], 99, 5, 400);
         for round in 0..20 {
             let who = round % 4;
             let len = net.replica(who).len_chars(DocId::DEFAULT);
@@ -467,12 +440,7 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = |seed| {
-            let link = LinkConfig {
-                min_delay: 1,
-                max_delay: 9,
-                drop_per_mille: 150,
-            };
-            let mut net = NetworkSim::with_link(&["a", "b", "c"], seed, link);
+            let mut net = lossy(&["a", "b", "c"], seed, 9, 150);
             for i in 0..15 {
                 net.edit_insert(i % 3, DocId::DEFAULT, 0, "ab");
                 if i % 4 == 3 {
@@ -487,12 +455,7 @@ mod tests {
 
     #[test]
     fn byte_accounting_splits_digest_and_bundle_traffic() {
-        let link = LinkConfig {
-            min_delay: 1,
-            max_delay: 4,
-            drop_per_mille: 350,
-        };
-        let mut net = NetworkSim::with_link(&["a", "b", "c"], 1234, link);
+        let mut net = lossy(&["a", "b", "c"], 1234, 4, 350);
         for i in 0..20 {
             net.edit_insert(i % 3, DocId::DEFAULT, 0, "abc");
         }

@@ -1,12 +1,11 @@
-//! The [`Transport`] seam: how encoded frames move between nodes.
+//! [`InMemoryTransport`]: how the simulator moves encoded frames between
+//! nodes.
 //!
-//! The simulator never touches a socket or a queue directly — it hands
-//! each frame a link queued to a [`Transport`] and polls deliveries back
-//! out. A transport keeps the link contract [`crate::SyncLink`] relies
-//! on, as a daemon connection does: frames on one directed link arrive
-//! in the order they were sent, and only sync frames (tag
-//! [`TAG_SYNC`]) may be lost. [`InMemoryTransport`] is the deterministic
-//! simulated implementation (seeded per-frame delay and loss); a frame
+//! It keeps the link contract [`crate::SyncLink`] relies on, as a daemon
+//! connection does: frames on one directed link arrive in the order they
+//! were sent, and only sync frames may be lost, repeated, corrupted or
+//! delayed. Each frame takes a seeded random delay from the
+//! [`LinkConfig`], and its faults from the one [`FaultSchedule`]; a frame
 //! held back holds back the frames queued behind it on its link.
 
 use std::cmp::Reverse;
@@ -15,7 +14,7 @@ use std::collections::{BinaryHeap, HashMap};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::frame::{FRAME_HEADER_LEN, TAG_SYNC};
+use crate::faulty::{FaultSchedule, FaultSpec, FaultStats};
 
 /// Index of a node in the sync engine (position in the replica vector).
 pub(crate) type NodeId = usize;
@@ -23,22 +22,13 @@ pub(crate) type NodeId = usize;
 /// Simulated time, in integer ticks.
 pub type Tick = u64;
 
-/// Whether an encoded frame (length prefix included) is a sync frame:
-/// the only kind a transport may lose, repeat, corrupt or delay.
-pub(crate) fn is_sync_frame(frame: &[u8]) -> bool {
-    frame.get(FRAME_HEADER_LEN) == Some(&TAG_SYNC)
-}
-
-/// Behaviour of every link in the simulated network.
+/// Delivery delay of every link in the simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkConfig {
     /// Minimum delivery delay, in ticks.
     pub min_delay: u64,
     /// Maximum delivery delay, in ticks (inclusive).
     pub max_delay: u64,
-    /// Probability of losing a sync frame, in parts per thousand. Marks
-    /// and resets are never lost: the link audit relies on them.
-    pub drop_per_mille: u16,
 }
 
 impl Default for LinkConfig {
@@ -46,12 +36,11 @@ impl Default for LinkConfig {
         LinkConfig {
             min_delay: 1,
             max_delay: 8,
-            drop_per_mille: 0,
         }
     }
 }
 
-/// A frame handed back by [`Transport::poll`].
+/// A frame handed back by [`InMemoryTransport::poll`].
 #[derive(Debug, Clone)]
 pub struct Delivery {
     /// The sending node.
@@ -60,34 +49,6 @@ pub struct Delivery {
     pub dst: NodeId,
     /// The encoded frame.
     pub payload: Vec<u8>,
-}
-
-/// What a transport did with a submitted frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SendOutcome {
-    /// The frame is in flight and will be delivered by a later poll.
-    Queued,
-    /// The frame was lost at send time.
-    Dropped,
-}
-
-/// Point-to-point movement of encoded frames between nodes, first in,
-/// first out on every directed link.
-///
-/// Implementations own delay and loss; the engine owns what to send and
-/// what delivery means. All methods must be deterministic given the
-/// construction seed.
-pub trait Transport: std::fmt::Debug {
-    /// Hands a frame to the network at time `now`.
-    fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, payload: Vec<u8>) -> SendOutcome;
-
-    /// Drains every frame due at or before `now`, in deterministic
-    /// (delivery time, send order) order.
-    fn poll(&mut self, now: Tick) -> Vec<Delivery>;
-
-    /// Drops queued frames for which `sever(src, dst)` returns `true`
-    /// (links cut by a partition), returning how many were lost.
-    fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize;
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -100,14 +61,17 @@ struct InFlight {
     payload: Vec<u8>,
 }
 
-/// A deterministic single-process transport: per-frame seeded random
-/// delay and sync-frame loss, FIFO per directed link. Together with the
-/// link audit it models the paper's reliable-broadcast assumption (§2.1)
-/// over an unreliable network.
+/// A deterministic single-process transport: per-frame seeded delay,
+/// seeded faults and scheduled partitions, FIFO per directed link.
+/// Together with the link audit it models the paper's reliable-broadcast
+/// assumption (§2.1) over an unreliable network. The same link model,
+/// fault spec, seed and send sequence give the same deliveries.
 #[derive(Debug)]
 pub struct InMemoryTransport {
     link: LinkConfig,
     rng: StdRng,
+    faults: FaultSchedule,
+    stats: FaultStats,
     queue: BinaryHeap<Reverse<InFlight>>,
     /// Per directed link, when its last queued frame is due: no frame is
     /// due before the one queued ahead of it.
@@ -116,33 +80,54 @@ pub struct InMemoryTransport {
 }
 
 impl InMemoryTransport {
-    /// Creates a transport with the given link model and RNG seed.
-    pub fn new(link: LinkConfig, seed: u64) -> Self {
+    /// Creates a transport with the given link model, fault spec and RNG
+    /// seed.
+    pub fn new(link: LinkConfig, faults: FaultSpec, seed: u64) -> Self {
         assert!(link.min_delay <= link.max_delay, "invalid delay range");
-        assert!(link.drop_per_mille <= 1000, "invalid drop probability");
         InMemoryTransport {
             link,
             rng: StdRng::seed_from_u64(seed),
+            faults: FaultSchedule::new(faults, seed),
+            stats: FaultStats::default(),
             queue: BinaryHeap::new(),
             tails: HashMap::new(),
             next_seq: 0,
         }
     }
-}
 
-impl Transport for InMemoryTransport {
-    fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, payload: Vec<u8>) -> SendOutcome {
-        if self.link.drop_per_mille > 0
-            && is_sync_frame(&payload)
-            && self.rng.gen_range(0..1000u32) < self.link.drop_per_mille as u32
-        {
-            return SendOutcome::Dropped;
+    /// Injected-fault counters; `blocked` also counts the frames a
+    /// partition cut in flight.
+    pub fn stats(&self) -> FaultStats {
+        self.stats
+    }
+
+    /// Hands a frame to the network at time `now`, as its fate says.
+    pub fn send(&mut self, now: Tick, src: NodeId, dst: NodeId, mut payload: Vec<u8>) {
+        if self.faults.blocks(now, src, dst, &payload) {
+            self.stats.blocked += 1;
+            return;
         }
+        let fate = self.faults.fate(&payload);
+        self.stats.record(&fate);
+        if let Some(corruption) = fate.corrupt {
+            corruption.apply(&mut payload);
+        }
+        let at = now + fate.delay;
+        if fate.copies > 1 {
+            self.queue(at, src, dst, payload.clone());
+        }
+        if fate.copies > 0 {
+            self.queue(at, src, dst, payload);
+        }
+    }
+
+    /// Queues one copy sent at `at`, after a seeded link delay.
+    fn queue(&mut self, at: Tick, src: NodeId, dst: NodeId, payload: Vec<u8>) {
         let delay = self
             .rng
             .gen_range(self.link.min_delay..=self.link.max_delay);
         let tail = self.tails.entry((src, dst)).or_default();
-        *tail = (*tail).max(now + delay);
+        *tail = (*tail).max(at + delay);
         self.queue.push(Reverse(InFlight {
             deliver_at: *tail,
             seq: self.next_seq,
@@ -151,10 +136,11 @@ impl Transport for InMemoryTransport {
             payload,
         }));
         self.next_seq += 1;
-        SendOutcome::Queued
     }
 
-    fn poll(&mut self, now: Tick) -> Vec<Delivery> {
+    /// Drains every frame due at or before `now`, in (delivery time, send
+    /// order) order.
+    pub fn poll(&mut self, now: Tick) -> Vec<Delivery> {
         let mut due = Vec::new();
         while self
             .queue
@@ -172,11 +158,13 @@ impl Transport for InMemoryTransport {
         due
     }
 
-    fn cut(&mut self, sever: &mut dyn FnMut(NodeId, NodeId) -> bool) -> usize {
+    /// Drops queued frames for which `sever(src, dst)` returns `true`
+    /// (links cut by a partition), counting them as blocked.
+    pub(crate) fn cut(&mut self, mut sever: impl FnMut(NodeId, NodeId) -> bool) {
         let before = self.queue.len();
         self.queue.retain(|Reverse(m)| !sever(m.src, m.dst));
         self.tails.retain(|&(src, dst), _| !sever(src, dst));
-        before - self.queue.len()
+        self.stats.blocked += before - self.queue.len();
     }
 }
 
@@ -190,14 +178,25 @@ mod tests {
     }
 
     fn lossless() -> InMemoryTransport {
-        InMemoryTransport::new(
-            LinkConfig {
-                min_delay: 1,
-                max_delay: 4,
-                drop_per_mille: 0,
-            },
-            7,
-        )
+        let link = LinkConfig {
+            min_delay: 1,
+            max_delay: 4,
+        };
+        InMemoryTransport::new(link, FaultSpec::default(), 7)
+    }
+
+    /// A transport with one-tick links losing `drop_per_mille` of the
+    /// sync frames.
+    fn lossy(drop_per_mille: u16, seed: u64) -> InMemoryTransport {
+        let link = LinkConfig {
+            min_delay: 1,
+            max_delay: 1,
+        };
+        let faults = FaultSpec {
+            drop_per_mille,
+            ..FaultSpec::default()
+        };
+        InMemoryTransport::new(link, faults, seed)
     }
 
     #[test]
@@ -214,14 +213,11 @@ mod tests {
 
     #[test]
     fn equal_time_messages_deliver_in_send_order() {
-        let mut t = InMemoryTransport::new(
-            LinkConfig {
-                min_delay: 2,
-                max_delay: 2,
-                drop_per_mille: 0,
-            },
-            1,
-        );
+        let link = LinkConfig {
+            min_delay: 2,
+            max_delay: 2,
+        };
+        let mut t = InMemoryTransport::new(link, FaultSpec::default(), 1);
         for i in 0..10u8 {
             t.send(0, 0, 1, sync(i));
         }
@@ -233,17 +229,11 @@ mod tests {
     #[test]
     fn lossy_link_drops_deterministically() {
         let run = |seed| {
-            let mut t = InMemoryTransport::new(
-                LinkConfig {
-                    min_delay: 1,
-                    max_delay: 1,
-                    drop_per_mille: 500,
-                },
-                seed,
-            );
-            (0..100)
-                .filter(|_| t.send(0, 0, 1, sync(0)) == SendOutcome::Dropped)
-                .count()
+            let mut t = lossy(500, seed);
+            for _ in 0..100 {
+                t.send(0, 0, 1, sync(0));
+            }
+            t.stats().dropped
         };
         assert_eq!(run(42), run(42));
         let dropped = run(42);
@@ -252,17 +242,13 @@ mod tests {
 
     #[test]
     fn only_sync_frames_are_lost() {
-        let mut t = InMemoryTransport::new(
-            LinkConfig {
-                min_delay: 1,
-                max_delay: 1,
-                drop_per_mille: 1000,
-            },
-            5,
-        );
+        let mut t = lossy(1000, 5);
         let mark = crate::frame::WireFrame::Mark(crate::frame::FrameTally::default()).encode();
-        assert_eq!(t.send(0, 0, 1, sync(0)), SendOutcome::Dropped);
-        assert_eq!(t.send(0, 0, 1, mark), SendOutcome::Queued);
+        t.send(0, 0, 1, sync(0));
+        t.send(0, 0, 1, mark.clone());
+        assert_eq!(t.stats().dropped, 1);
+        let got: Vec<Vec<u8>> = t.poll(1).into_iter().map(|d| d.payload).collect();
+        assert_eq!(got, vec![mark]);
     }
 
     #[test]
@@ -271,8 +257,8 @@ mod tests {
         t.send(0, 0, 1, sync(0));
         t.send(0, 1, 2, sync(1));
         t.send(0, 2, 0, sync(2));
-        let lost = t.cut(&mut |src, _| src == 0);
-        assert_eq!(lost, 1);
+        t.cut(|src, _| src == 0);
+        assert_eq!(t.stats().blocked, 1);
         assert_eq!((1..=4).map(|now| t.poll(now).len()).sum::<usize>(), 2);
     }
 }

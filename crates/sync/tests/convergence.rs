@@ -2,7 +2,7 @@
 //! under randomised edit scripts, delivery orders, losses and partitions
 //! (paper §2.1-2.2).
 
-use eg_sync::{DocId, LinkConfig, NetworkSim, ReceiveOutcome, Replica};
+use eg_sync::{DocId, FaultSpec, LinkConfig, NetworkSim, ReceiveOutcome, Replica};
 
 const D: DocId = DocId::DEFAULT;
 use proptest::prelude::*;
@@ -75,8 +75,9 @@ proptest! {
         edits in prop::collection::vec(edit_strategy(4), 1..30),
         drop in 100u16..800,
     ) {
-        let link = LinkConfig { min_delay: 1, max_delay: 10, drop_per_mille: drop };
-        let mut net = NetworkSim::with_link(&["a", "b", "c", "d"], seed, link);
+        let link = LinkConfig { min_delay: 1, max_delay: 10 };
+        let faults = FaultSpec { drop_per_mille: drop, ..FaultSpec::default() };
+        let mut net = NetworkSim::builder(&["a", "b", "c", "d"], seed).link(link).faults(faults).build();
         for edit in &edits {
             apply_edit(&mut net, edit);
         }

@@ -1,20 +1,20 @@
 //! Tier-1 convergence sweeps under in-process fault injection.
 //!
-//! [`FaultyTransport`] wraps the in-memory transport with a seeded
-//! schedule of drops, duplicates, corruption, extra delay, and timed
-//! partitions, all aimed at sync frames. Every schedule here must end in
-//! convergence: the marks find every loss and reset the link, the CRC
+//! The simulator's in-memory transport draws a seeded schedule of drops,
+//! duplicates, corruption, extra delay, and timed partitions from a
+//! [`FaultSpec`], all aimed at sync frames. Every schedule here must end
+//! in convergence: the marks find every loss and reset the link, the CRC
 //! layer turns corruption into ordinary loss, and partitions in
 //! [`FaultSpec::random`] all close before the horizon, after which repair
-//! is guaranteed. Both transports keep the link contract the marks rely
-//! on, which is pinned here too.
+//! is guaranteed. The transport keeps the link contract the marks rely
+//! on, with and without corruption, which is pinned here too.
 
 use std::collections::BTreeMap;
 
 use eg_sync::frame::{frame_sync, FRAME_HEADER_LEN, TAG_RESET, TAG_SYNC};
 use eg_sync::{
-    DocId, FaultSpec, FaultyTransport, FrameTally, InMemoryTransport, LinkConfig, NetworkSim,
-    PartitionWindow, Transport, WireFrame,
+    DocId, FaultSpec, FrameTally, InMemoryTransport, LinkConfig, NetworkSim, PartitionWindow,
+    WireFrame,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,10 +25,7 @@ const D: DocId = DocId::DEFAULT;
 const NAMES: [&str; 4] = ["n0", "n1", "n2", "n3"];
 
 fn faulty_sim(spec: FaultSpec, seed: u64) -> NetworkSim {
-    let inner = InMemoryTransport::new(LinkConfig::default(), seed);
-    NetworkSim::builder(&NAMES, seed)
-        .transport(Box::new(FaultyTransport::new(inner, spec, seed)))
-        .build()
+    NetworkSim::builder(&NAMES, seed).faults(spec).build()
 }
 
 /// A deterministic concurrent edit script touching every node.
@@ -130,7 +127,7 @@ type Traffic = BTreeMap<(usize, usize), (Vec<Vec<u8>>, Vec<Vec<u8>>)>;
 /// three nodes for `ticks` ticks (every fourth one a mark, every ninth a
 /// reset), then drains the transport. Returns, per directed link, what
 /// was sent and what arrived, in order.
-fn exercise(transport: &mut dyn Transport, seed: u64, ticks: u64) -> Traffic {
+fn exercise(transport: &mut InMemoryTransport, seed: u64, ticks: u64) -> Traffic {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut links = Traffic::new();
     let mut index = 0u64;
@@ -173,12 +170,11 @@ proptest! {
     /// delayed — every mark and reset arrives once, intact, in order.
     #[test]
     fn transports_keep_the_link_contract(seed in any::<u64>()) {
-        let link = LinkConfig { min_delay: 1, max_delay: 9, drop_per_mille: 150 };
-        let spec = FaultSpec::random(seed, 3, 80);
+        let link = LinkConfig { min_delay: 1, max_delay: 9 };
+        let spec = FaultSpec { drop_per_mille: 150, ..FaultSpec::random(seed, 3, 80) };
         let fifo = FaultSpec { corrupt_per_mille: 0, ..spec.clone() };
         for (spec, corrupting) in [(fifo, false), (spec, true)] {
-            let inner = InMemoryTransport::new(link, seed);
-            let mut t = FaultyTransport::new(inner, spec, seed);
+            let mut t = InMemoryTransport::new(link, spec, seed);
             for (sent, got) in exercise(&mut t, seed, 80).into_values() {
                 // A mangled sync frame may lose its tag, so the audit
                 // frames are picked out by their exact bytes.

@@ -1,7 +1,7 @@
 //! Convergence across topologies and document shards: star vs mesh,
 //! partition/heal, and the link audit under loss.
 
-use eg_sync::{DocId, LinkConfig, NetworkSim, SimBuilder};
+use eg_sync::{DocId, FaultSpec, LinkConfig, NetworkSim, SimBuilder};
 use proptest::prelude::*;
 
 const D: DocId = DocId::DEFAULT;
@@ -14,6 +14,14 @@ fn builder(n: usize, seed: u64) -> SimBuilder {
     let names = names(n);
     let refs: Vec<&str> = names.iter().map(|s| s.as_str()).collect();
     NetworkSim::builder(&refs, seed)
+}
+
+/// Losing `drop_per_mille` of the sync frames.
+fn lossy(drop_per_mille: u16) -> FaultSpec {
+    FaultSpec {
+        drop_per_mille,
+        ..FaultSpec::default()
+    }
 }
 
 #[test]
@@ -57,9 +65,13 @@ fn lossy_star_repaired_by_digest_exchange() {
     let link = LinkConfig {
         min_delay: 1,
         max_delay: 6,
-        drop_per_mille: 350,
     };
-    let mut net = builder(8, 77).star().mark_every(3).link(link).build();
+    let mut net = builder(8, 77)
+        .star()
+        .mark_every(3)
+        .link(link)
+        .faults(lossy(350))
+        .build();
     for i in 0..24 {
         let who = i % 8;
         let len = net.replica(who).len_chars(D);
@@ -144,9 +156,8 @@ fn mesh_noncontiguous_partition_group_repairs_losses() {
     let link = LinkConfig {
         min_delay: 1,
         max_delay: 4,
-        drop_per_mille: 450,
     };
-    let mut net = builder(8, 13).mesh().link(link).build();
+    let mut net = builder(8, 13).mesh().link(link).faults(lossy(450)).build();
     net.partition(&[&[0, 5], &[1, 2, 3, 4, 6, 7]]);
     for _ in 0..10 {
         net.edit_insert(0, D, 0, "a");

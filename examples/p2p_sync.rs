@@ -9,7 +9,7 @@
 //!
 //! Run with: `cargo run --example p2p_sync`
 
-use eg_walker_suite::sync::{DocId, LinkConfig, NetworkSim};
+use eg_walker_suite::sync::{DocId, FaultSpec, LinkConfig, NetworkSim};
 
 const D: DocId = DocId::DEFAULT;
 
@@ -17,9 +17,15 @@ fn main() {
     let link = LinkConfig {
         min_delay: 1,
         max_delay: 12,
-        drop_per_mille: 250, // A quarter of the sync frames vanish.
     };
-    let mut net = NetworkSim::with_link(&["alice", "bob", "carol"], 0xE9_2025, link);
+    let faults = FaultSpec {
+        drop_per_mille: 250, // A quarter of the sync frames vanish.
+        ..FaultSpec::default()
+    };
+    let mut net = NetworkSim::builder(&["alice", "bob", "carol"], 0xE9_2025)
+        .link(link)
+        .faults(faults)
+        .build();
 
     println!("--- live collaboration over a lossy link ---");
     net.edit_insert(0, D, 0, "Project notes\n");

@@ -86,7 +86,7 @@ fn hundred_replica_star_sharded_beats_mesh_eager_baseline() {
 
 #[test]
 fn hundred_replica_star_survives_loss() {
-    use eg_walker_suite::sync::LinkConfig;
+    use eg_walker_suite::sync::{FaultSpec, LinkConfig};
     let ops = sync_workload(&SyncWorkloadSpec {
         nodes: NODES,
         docs: DOCS,
@@ -101,7 +101,10 @@ fn hundred_replica_star_survives_loss() {
         .link(LinkConfig {
             min_delay: 1,
             max_delay: 6,
+        })
+        .faults(FaultSpec {
             drop_per_mille: 200,
+            ..FaultSpec::default()
         })
         .build();
     apply_sync_workload(&mut net, &ops);
