@@ -5,7 +5,7 @@
 //! (the stand-in for heavier full-history formats), with the concatenated
 //! inserted text as the lower bound.
 
-use eg_bench::harness::{build_traces, fmt_bytes, parse_args, row};
+use eg_bench::harness::{build_traces, fmt_bytes, json_num, json_str, parse_args, row, write_json};
 use eg_encoding::{encode, encode_verbose, EncodeOpts};
 use eg_rle::HasLength;
 use egwalker::ListOpKind;
@@ -33,6 +33,7 @@ fn main() {
             &widths
         )
     );
+    let mut json_rows = Vec::new();
     for (spec, oplog) in &traces {
         let plain = encode(oplog, EncodeOpts::default());
         let cached = encode(
@@ -62,5 +63,16 @@ fn main() {
                 &widths
             )
         );
+        json_rows.push(vec![
+            ("name", json_str(&spec.name)),
+            ("events", json_num(oplog.len() as f64)),
+            ("eg_bytes", json_num(plain.len() as f64)),
+            ("eg_cached_doc_bytes", json_num(cached.len() as f64)),
+            ("verbose_bytes", json_num(verbose.len() as f64)),
+            ("raw_text_chars", json_num(raw_text as f64)),
+        ]);
+    }
+    if let Some(path) = &args.json {
+        write_json(path, "fig11_filesize", args.scale, &json_rows);
     }
 }

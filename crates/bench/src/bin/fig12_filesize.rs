@@ -3,7 +3,7 @@
 //! Compares the event-graph encoding without deleted content against a
 //! Yjs-like CRDT state file, with the final document as the lower bound.
 
-use eg_bench::harness::{build_traces, fmt_bytes, parse_args, row};
+use eg_bench::harness::{build_traces, fmt_bytes, json_num, json_str, parse_args, row, write_json};
 use eg_encoding::{encode, encode_crdt_state, EncodeOpts};
 
 fn main() {
@@ -22,6 +22,7 @@ fn main() {
             &widths
         )
     );
+    let mut json_rows = Vec::new();
     for (spec, oplog) in &traces {
         let slim = encode(
             oplog,
@@ -44,5 +45,15 @@ fn main() {
                 &widths
             )
         );
+        json_rows.push(vec![
+            ("name", json_str(&spec.name)),
+            ("events", json_num(oplog.len() as f64)),
+            ("eg_no_deleted_bytes", json_num(slim.len() as f64)),
+            ("yjs_like_bytes", json_num(yjs_like.len() as f64)),
+            ("final_doc_bytes", json_num(final_doc as f64)),
+        ]);
+    }
+    if let Some(path) = &args.json {
+        write_json(path, "fig12_filesize", args.scale, &json_rows);
     }
 }

@@ -588,6 +588,7 @@ impl Daemon {
                             Value::UInt(self.stats.decode_errors as u64),
                         ),
                         ("docs_loaded", Value::UInt(persist.docs_loaded as u64)),
+                        ("docs_refused", Value::UInt(persist.docs_refused as u64)),
                         ("store_bytes", Value::UInt(persist.store_bytes)),
                         (
                             "checkpoints_written",

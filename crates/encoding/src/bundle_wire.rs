@@ -1,11 +1,16 @@
-//! Wire codec for [`EventBundle`]s — the network form of an event-graph
-//! subset (paper §3.8, final paragraph).
+//! `EGWB`: a row format for one [`EventBundle`] — an event-graph subset
+//! that names events by `(replicaID, seqNo)` (paper §3.8, final
+//! paragraph) — with an interned agent-name table, LEB128 integers, a
+//! magic header and a CRC32 trailer.
 //!
-//! The whole-file format identifies parents by topological index, which is
-//! meaningless outside the file. A bundle instead names events by
-//! `(replicaID, seqNo)`; this codec keeps that compact with an interned
-//! agent-name table and LEB128 columns, framed with a magic header and a
-//! CRC32 trailer like the main format.
+//! It no longer crosses the wire: a bundle batch carries each document
+//! as a §3.8 patch (`patch.rs`), which on a catch-up is about 40 %
+//! smaller, because a row spells out every run's agent, sequence number,
+//! absolute position and parents where the columns delta-code them or
+//! leave them implicit. What still uses `EGWB` is the segment store's
+//! event record ([`encode_runs`] / [`apply_bundle_bytes`], until that
+//! record moves to the columns under its own format bump), tests that
+//! hand-build bundles, and `egbench`'s `encoding.bundle_*` spans.
 //!
 //! Layout (all integers LEB128):
 //!
@@ -32,11 +37,12 @@
 //! is how an autosave's frame is written, and its bytes are exactly
 //! `encode_bundle(&oplog.bundle_since_local(have))`. Both hand
 //! [`RunView`]s to the private `RunWriter`, which alone knows the columns
-//! of a run. It writes the runs first, interning agents in a slot table
-//! indexed by [`AgentId`] as they come, and puts the table and the run
-//! count — which precede the runs in the layout but are known only after
-//! them — in front when it finishes.
+//! of a run. It writes the runs first, interning agents in an agent
+//! table (`columns.rs`, shared with the patch writer) as they come, and
+//! puts the table and the run count — which precede the runs in the
+//! layout but are known only after them — in front when it finishes.
 
+use crate::columns::{bundle_views, read_names, AgentTable};
 use crate::crc::{crc32, split_crc};
 use crate::varint::{push_usize, read_u8, read_usize, take, DecodeError};
 use eg_dag::{AgentAssignment, AgentId, RemoteId};
@@ -50,26 +56,7 @@ const BUNDLE_VERSION: u8 = 1;
 pub fn encode_bundle(bundle: &EventBundle) -> Vec<u8> {
     let mut out = Vec::new();
     let mut writer = RunWriter::begin(&mut out);
-    // Names become ids in the order the writer meets them, so each is
-    // hashed here and nowhere else.
-    let mut names = AgentAssignment::new();
-    let mut parents: Vec<(AgentId, usize)> = Vec::new();
-    for run in &bundle.runs {
-        let agent = names.get_or_create_agent(&run.agent);
-        parents.clear();
-        for p in &run.parents {
-            parents.push((names.get_or_create_agent(&p.agent), p.seq));
-        }
-        writer.push(&RunView {
-            agent,
-            seq_start: run.seq_start,
-            parents: &parents,
-            kind: run.kind,
-            loc: run.loc,
-            fwd: run.fwd,
-            content: run.content.as_deref(),
-        });
-    }
+    let names = bundle_views(bundle, |run| writer.push(run));
     writer.finish(&names);
     out
 }
@@ -95,10 +82,7 @@ struct RunWriter<'a> {
     /// Where the bundle starts in `out`, and where its runs do.
     bundle_at: usize,
     runs_at: usize,
-    /// Wire index by [`AgentId`] (`usize::MAX` until the agent is met),
-    /// and the agents in wire order.
-    slot_of: Vec<usize>,
-    agents: Vec<AgentId>,
+    agents: AgentTable,
     runs: usize,
     events: usize,
 }
@@ -112,33 +96,14 @@ impl<'a> RunWriter<'a> {
             runs_at: out.len(),
             out,
             bundle_at,
-            slot_of: Vec::new(),
-            agents: Vec::new(),
+            agents: AgentTable::default(),
             runs: 0,
             events: 0,
         }
     }
 
-    /// The wire index of `agent`, the next free one at its first use.
-    fn slot(&mut self, agent: AgentId) -> usize {
-        let id = agent as usize;
-        if id >= self.slot_of.len() {
-            self.slot_of.resize(id.saturating_add(1), usize::MAX);
-        }
-        let next = self.agents.len();
-        // Always `Some`: the table was just grown to hold `id`.
-        let Some(slot) = self.slot_of.get_mut(id) else {
-            return next;
-        };
-        if *slot == usize::MAX {
-            *slot = next;
-            self.agents.push(agent);
-        }
-        *slot
-    }
-
     fn push(&mut self, run: &RunView<'_>) {
-        let agent = self.slot(run.agent);
+        let agent = self.agents.index(run.agent);
         push_usize(self.out, agent);
         push_usize(self.out, run.seq_start);
         let mut flags = 0u8;
@@ -153,7 +118,7 @@ impl<'a> RunWriter<'a> {
         push_usize(self.out, run.loc.len());
         push_usize(self.out, run.parents.len());
         for &(agent, seq) in run.parents {
-            let agent = self.slot(agent);
+            let agent = self.agents.index(agent);
             push_usize(self.out, agent);
             push_usize(self.out, seq);
         }
@@ -170,12 +135,7 @@ impl<'a> RunWriter<'a> {
     /// count.
     fn finish(self, names: &AgentAssignment) -> usize {
         let mut head = Vec::new();
-        push_usize(&mut head, self.agents.len());
-        for &agent in &self.agents {
-            let name = names.agent_name(agent);
-            push_usize(&mut head, name.len());
-            head.extend_from_slice(name.as_bytes());
-        }
+        self.agents.push_names(&mut head, names);
         push_usize(&mut head, self.runs);
         self.out.splice(self.runs_at..self.runs_at, head);
         let crc = crc32(self.out.get(self.bundle_at..).unwrap_or(&[]));
@@ -204,18 +164,7 @@ pub fn decode_bundle(bytes: &[u8]) -> Result<EventBundle, DecodeError> {
         return Err(DecodeError::Corrupt);
     }
 
-    let num_names = read_usize(&mut input)?;
-    // Agents cannot outnumber remaining bytes (each takes ≥1 byte).
-    if num_names > input.len() {
-        return Err(DecodeError::Corrupt);
-    }
-    let mut names = Vec::with_capacity(num_names);
-    for _ in 0..num_names {
-        let len = read_usize(&mut input)?;
-        let raw = take(&mut input, len)?;
-        let name = std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
-        names.push(name.to_string());
-    }
+    let names = read_names(&mut input)?;
 
     let num_runs = read_usize(&mut input)?;
     if num_runs > input.len() {
@@ -352,19 +301,12 @@ pub fn apply_bundle_bytes(
         return Err(DecodeError::Corrupt.into());
     }
 
-    let num_names = read_usize(&mut input)?;
-    if num_names > input.len() {
-        return Err(DecodeError::Corrupt.into());
-    }
     // The one string-keyed pass: intern every bundle agent into the
     // target oplog up front.
-    let mut ids: Vec<AgentId> = Vec::with_capacity(num_names);
-    for _ in 0..num_names {
-        let len = read_usize(&mut input)?;
-        let raw = take(&mut input, len)?;
-        let name = std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
-        ids.push(oplog.get_or_create_agent(name));
-    }
+    let ids: Vec<AgentId> = read_names(&mut input)?
+        .into_iter()
+        .map(|name| oplog.get_or_create_agent(name))
+        .collect();
 
     let first_new = oplog.len();
     let num_runs = read_usize(&mut input)?;

@@ -15,10 +15,13 @@
 //!    (paper §4.3: Eg-walker loads "essentially a plain text file").
 //!
 //! The container is `EGWALKR1` + type-tagged chunks + a trailing CRC32.
+//! The ops, parents, names and assignment columns are written and read
+//! by `columns.rs`, which the wire's patches (`patch.rs`) share.
 
+use crate::columns::{self, Assignment};
 use crate::crc::{crc32, split_crc};
 use crate::lz4;
-use crate::varint::{push_i64, push_usize, read_i64, read_usize, take, DecodeError};
+use crate::varint::{push_usize, read_usize, take, DecodeError};
 use eg_rle::{DTRange, HasLength};
 use egwalker::convert::{to_crdt_ops, CrdtOp};
 use egwalker::walker::events_apply_cleanly;
@@ -112,15 +115,8 @@ pub fn encode(oplog: &OpLog, opts: EncodeOpts) -> Vec<u8> {
     let mut ops_col = Vec::new();
     let mut prev_pos = 0i64;
     if n > 0 {
-        for (lvs, run) in oplog.ops_in((0..n).into()) {
-            let kind_bit = match run.kind {
-                ListOpKind::Ins => 0usize,
-                ListOpKind::Del => 1usize,
-            };
-            let fwd_bit = if run.fwd { 1usize } else { 0usize };
-            push_usize(&mut ops_col, lvs.len() << 2 | kind_bit << 1 | fwd_bit);
-            push_i64(&mut ops_col, run.loc.start as i64 - prev_pos);
-            prev_pos = run.loc.start as i64;
+        for (_, run) in oplog.ops_in((0..n).into()) {
+            columns::push_op(&mut ops_col, &mut prev_pos, &run);
         }
     }
 
@@ -163,29 +159,25 @@ pub fn encode(oplog: &OpLog, opts: EncodeOpts) -> Vec<u8> {
     // Column 3: parents (one record per graph run).
     let mut parents_col = Vec::new();
     for entry in oplog.graph.iter() {
-        push_usize(&mut parents_col, entry.span.len());
-        push_usize(&mut parents_col, entry.parents.len());
-        for &p in entry.parents.iter() {
-            // Parents always precede; store the (small) backward distance.
-            push_usize(&mut parents_col, entry.span.start - p);
-        }
+        // Parents always precede; store the (small) backward distance.
+        let back = entry.parents.iter().map(|&p| entry.span.start - p);
+        columns::push_parents(&mut parents_col, entry.span.len(), back);
     }
 
     // Column 4: agent names.
     let mut names_col = Vec::new();
-    push_usize(&mut names_col, oplog.agents.num_agents());
-    for i in 0..oplog.agents.num_agents() {
-        let name = oplog.agents.agent_name(i as u32);
-        push_usize(&mut names_col, name.len());
-        names_col.extend_from_slice(name.as_bytes());
-    }
+    let names = (0..oplog.agents.num_agents()).map(|i| oplog.agents.agent_name(i as u32));
+    columns::push_names(&mut names_col, names);
 
     // Column 5: agent assignment runs.
     let mut assign_col = Vec::new();
     for pair in oplog.agents.iter_lv_map() {
-        push_usize(&mut assign_col, pair.1.agent as usize);
-        push_usize(&mut assign_col, pair.1.seq_range.start);
-        push_usize(&mut assign_col, pair.1.seq_range.len());
+        let entry = Assignment {
+            agent: pair.1.agent as usize,
+            seq_start: pair.1.seq_range.start,
+            len: pair.1.seq_range.len(),
+        };
+        columns::push_assignment(&mut assign_col, entry, 0);
     }
 
     // Assemble.
@@ -282,76 +274,42 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
 
     // Agent names.
     let mut names_cur = get(chunk::AGENT_NAMES)?;
-    let num_agents = read_usize(&mut names_cur)?;
-    // Each agent record takes at least one byte; a larger claimed count is
-    // corrupt, and must be rejected *before* sizing the allocation.
-    if num_agents > names_cur.len() {
-        return Err(DecodeError::Corrupt);
-    }
+    let names = columns::read_names(&mut names_cur)?;
+    let num_agents = names.len();
     let mut oplog = OpLog::new();
-    let mut agents = Vec::with_capacity(num_agents);
-    for _ in 0..num_agents {
-        let len = read_usize(&mut names_cur)?;
-        let raw = take(&mut names_cur, len)?;
-        let name = std::str::from_utf8(raw).map_err(|_| DecodeError::BadUtf8)?;
-        agents.push(oplog.get_or_create_agent(name));
-    }
+    let agents: Vec<_> = names
+        .iter()
+        .map(|name| oplog.get_or_create_agent(name))
+        .collect();
 
     // Ops.
-    #[derive(Debug)]
-    struct OpRec {
-        len: usize,
-        kind: ListOpKind,
-        fwd: bool,
-        pos: usize,
-    }
     let mut ops = Vec::new();
     let mut ops_cur = get(chunk::OPS)?;
     let mut prev_pos = 0i64;
     let mut total = 0usize;
     let mut inserts = 0usize;
     while total < n {
-        let head = read_usize(&mut ops_cur)?;
-        let len = head >> 2;
-        let kind = if head & 0b10 != 0 {
-            ListOpKind::Del
-        } else {
-            ListOpKind::Ins
-        };
-        let fwd = head & 1 != 0;
-        let pos = prev_pos
-            .checked_add(read_i64(&mut ops_cur)?)
-            .ok_or(DecodeError::Corrupt)?;
-        if pos < 0 || len == 0 {
-            return Err(DecodeError::Corrupt);
-        }
-        // `pos + len` must not overflow: backward-delete rebuild computes
-        // `pos + len - 1`, and a wrap there turns a corrupt file into an
-        // assertion failure inside `add_backspace_at` (fuzz-found).
-        let op_end = (pos as usize)
-            .checked_add(len)
-            .ok_or(DecodeError::Corrupt)?;
+        // `pos + len` cannot overflow (the reader checks it): backward-
+        // delete rebuild computes `pos + len - 1`, and a wrap there turns a
+        // corrupt file into an assertion failure inside `add_backspace_at`
+        // (fuzz-found).
+        let op = columns::read_op(&mut ops_cur, &mut prev_pos)?;
+        let len = op.loc.len();
         // Structural position bound: events are in topological order, so an
         // op can never address past the characters all earlier events could
         // have inserted. Catches wild positions cheaply; the exact check is
         // the length-simulation replay after the rebuild.
-        let bound = match kind {
-            ListOpKind::Ins => pos as usize,
-            ListOpKind::Del => op_end,
+        let bound = match op.kind {
+            ListOpKind::Ins => op.loc.start,
+            ListOpKind::Del => op.loc.end,
         };
         if bound > inserts {
             return Err(DecodeError::Corrupt);
         }
-        if kind == ListOpKind::Ins {
+        if op.kind == ListOpKind::Ins {
             inserts += len;
         }
-        prev_pos = pos;
-        ops.push(OpRec {
-            len,
-            kind,
-            fwd,
-            pos: pos as usize,
-        });
+        ops.push(op);
         total = total.checked_add(len).ok_or(DecodeError::Corrupt)?;
     }
     if total != n {
@@ -367,18 +325,11 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
     let mut parents_cur = get(chunk::PARENTS)?;
     let mut covered = 0usize;
     while covered < n {
-        let span_len = read_usize(&mut parents_cur)?;
         // A zero-length span would make the rebuild below emit an empty
-        // run (`add_*` asserts) or spin without advancing (fuzz-found).
-        if span_len == 0 {
-            return Err(DecodeError::Corrupt);
-        }
-        let pcount = read_usize(&mut parents_cur)?;
-        // Each parent takes at least one byte: reject inflated counts
-        // before allocating.
-        if pcount > parents_cur.len() {
-            return Err(DecodeError::Corrupt);
-        }
+        // run (`add_*` asserts) or spin without advancing (fuzz-found);
+        // the reader refuses it, and inflated parent counts, before
+        // anything is allocated.
+        let (span_len, pcount) = columns::read_parents_head(&mut parents_cur)?;
         let mut parents = Vec::with_capacity(pcount);
         for _ in 0..pcount {
             let back = read_usize(&mut parents_cur)?;
@@ -399,14 +350,11 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
     let mut assign_cur = get(chunk::AGENT_ASSIGNMENT)?;
     let mut assigned = 0usize;
     while assigned < n {
-        let agent = read_usize(&mut assign_cur)?;
-        let seq_start = read_usize(&mut assign_cur)?;
-        let len = read_usize(&mut assign_cur)?;
-        if agent >= num_agents || len == 0 {
-            return Err(DecodeError::Corrupt);
-        }
-        assigns.push((agent, seq_start, len));
-        assigned = assigned.checked_add(len).ok_or(DecodeError::Corrupt)?;
+        let entry = columns::read_assignment(&mut assign_cur, num_agents, |_| 0)?;
+        assigns.push((entry.agent, entry.seq_start, entry.len));
+        assigned = assigned
+            .checked_add(entry.len)
+            .ok_or(DecodeError::Corrupt)?;
     }
     if assigned != n {
         return Err(DecodeError::Corrupt);
@@ -429,7 +377,7 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
         let (plen, parents) = parents_runs.get(par_i).ok_or(DecodeError::Corrupt)?;
         let &(agent, seq_start, alen) = assigns.get(asn_i).ok_or(DecodeError::Corrupt)?;
         let &agent_id = agents.get(agent).ok_or(DecodeError::Corrupt)?;
-        let chunk_len = (op.len - op_off).min(plen - par_off).min(alen - asn_off);
+        let chunk_len = (op.len() - op_off).min(plen - par_off).min(alen - asn_off);
         // All three streams were validated non-degenerate above; a zero
         // chunk would emit an empty run or stall the loop. Belt and
         // braces for whatever corruption shape gets past those checks.
@@ -446,18 +394,17 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
                 let text: String = (0..chunk_len)
                     .map(|_| content_chars.next().unwrap_or('\u{FFFD}'))
                     .collect();
-                let pos = op.pos + op_off;
+                let pos = op.loc.start + op_off;
                 oplog.add_insert_at(agent_id, &parents_here, pos, &text);
             }
             ListOpKind::Del => {
                 if op.fwd {
-                    oplog.add_delete_at(agent_id, &parents_here, op.pos, chunk_len);
+                    oplog.add_delete_at(agent_id, &parents_here, op.loc.start, chunk_len);
                 } else {
                     // Backward runs: this chunk deletes the top of the
                     // remaining range. `pos + len` was overflow-checked
                     // at parse time, and `op_off < len`.
-                    let op_end = op.pos.checked_add(op.len).ok_or(DecodeError::Corrupt)?;
-                    let top = op_end - 1 - op_off;
+                    let top = op.loc.end - 1 - op_off;
                     oplog.add_backspace_at(agent_id, &parents_here, top, chunk_len);
                 }
             }
@@ -470,7 +417,7 @@ pub fn decode(data: &[u8]) -> Result<Decoded, DecodeError> {
         }
         lv += chunk_len;
         op_off += chunk_len;
-        if op_off == op.len {
+        if op_off == op.len() {
             op_i += 1;
             op_off = 0;
         }

@@ -8,6 +8,15 @@
 //! framing — plus the comparison encodings used by the evaluation's
 //! file-size figures.
 //!
+//! The same columns carry events between replicas. A bundle batch
+//! ([`encode_bundle_batch`], `EGWM`) holds one *patch* per document: the
+//! columns over just the events sent, with parents outside the patch
+//! named by `(replicaID, seqNo)` as §3.8's last paragraph describes. The
+//! file and the patch share their column writers and readers. The older
+//! row format for one bundle ([`encode_bundle`], `EGWB`) remains the
+//! segment store's event record, until that record moves to the columns
+//! too.
+//!
 //! # Examples
 //!
 //! ```
@@ -23,12 +32,14 @@
 //! ```
 
 mod bundle_wire;
+mod columns;
 mod comparisons;
 mod crc;
 mod digest_wire;
 mod event_graph;
 pub mod lz4;
 mod oplog_image;
+mod patch;
 pub mod varint;
 
 pub use bundle_wire::{

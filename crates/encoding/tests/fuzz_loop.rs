@@ -11,8 +11,10 @@
 //!
 //! Starting from a corpus of *valid* frames of every kind (EGWL whole
 //! files across all encode options, EGWB bundles, EGWD digests, EGWM
-//! bundle batches, EGSEG segment-store files with event and checkpoint
-//! records), each iteration picks a frame and a mutation — byte flips,
+//! bundle batches — whose documents travel as §3.8 patches, several per
+//! batch, with concurrent histories and parents outside the patch —,
+//! EGSEG segment-store files with event and checkpoint records), each
+//! iteration picks a frame and a mutation — byte flips,
 //! truncation, tail garbage, splicing two frames, length-field nudges —
 //! and feeds the result to every decoder. Half the mutants get their
 //! CRC32 trailer recomputed ("fixed up") so they penetrate past the
@@ -30,7 +32,7 @@ use eg_storage::{
     decode_checkpoint, decode_snapshot, encode_checkpoint, push_frame, read_checkpoint,
     scan_frames, Checkpoint, FORMAT_VERSION, RECORD_CHECKPOINT, RECORD_EVENTS, SEGMENT_MAGIC,
 };
-use egwalker::testgen::{random_oplog, SmallRng};
+use egwalker::testgen::{mid_run_criticals_oplog, random_oplog, SmallRng};
 use egwalker::walker::{self, WalkerOpts};
 use std::time::{Duration, Instant};
 
@@ -85,6 +87,17 @@ fn corpus() -> Vec<Vec<u8>> {
         frames.push(encode_bundle_batch(&[
             (seed, bundle.clone()),
             (seed + 1, bundle),
+        ]));
+        // Several documents per batch: a tail past a prefix of the same
+        // history (its first parents lie outside the patch), a two-author
+        // history past its midpoint, and a whole history.
+        let prefix = random_oplog(seed, 20, 3, 0.3);
+        let (crit, _) = mid_run_criticals_oplog(seed, 6);
+        let midpoint = [crit.lv_to_remote(crit.len() / 2)];
+        frames.push(encode_bundle_batch(&[
+            (seed, oplog.bundle_since(&prefix.version_vector())),
+            (seed + 1, crit.bundle_since(&midpoint)),
+            (seed + 2, oplog.bundle_since(&[])),
         ]));
         frames.push(encode_digest(&[(seed, oplog.remote_version())]));
         frames.push(segment_file(&oplog));

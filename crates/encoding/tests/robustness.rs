@@ -192,12 +192,13 @@ proptest! {
 // the checksum.
 // ---------------------------------------------------------------------------
 
-/// Frames `body` with the given magic, wire version 1, and a valid CRC32
-/// trailer — the shape shared by `EGWD`, `EGWM`, and `EGWB`.
+/// Frames `body` with the given magic, the current version of that frame
+/// kind (2 for `EGWM`, 1 for `EGWD` and `EGWB`), and a valid CRC32
+/// trailer — the shape the three share.
 fn crafted_frame(magic: &[u8; 4], body: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(magic);
-    out.push(1);
+    out.push(if magic == b"EGWM" { 2 } else { 1 });
     out.extend_from_slice(body);
     let crc = crc32(&out);
     out.extend_from_slice(&crc.to_le_bytes());
@@ -453,4 +454,173 @@ fn lz4_respects_max_size() {
     // Refusing to inflate past the declared bound.
     assert!(lz4::decompress(&packed, 100).is_err());
     assert_eq!(lz4::decompress(&packed, 10_000).unwrap(), data);
+}
+
+// ---------------------------------------------------------------------------
+// The patch decoder behind every EGWM batch: a multi-document batch with
+// concurrent histories and parents outside the patches, cut and flipped
+// at every byte, with the CRC left as it is and with it recomputed so the
+// damage reaches the patch's structural checks.
+// ---------------------------------------------------------------------------
+
+/// Three documents: a whole concurrent history, the same history past a
+/// prefix (its first runs have parents in the prefix, outside the patch)
+/// and a second concurrent history past a prefix.
+fn patch_batch() -> Vec<u8> {
+    let whole = random_oplog(11, 40, 3, 0.3);
+    let prefix = random_oplog(11, 20, 3, 0.3);
+    let other = random_oplog(12, 30, 2, 0.4);
+    let other_prefix = random_oplog(12, 12, 2, 0.4);
+    let tail = whole.bundle_since(&prefix.version_vector());
+    assert!(tail.runs.iter().any(|run| !run.parents.is_empty()));
+    encode_bundle_batch(&[
+        (0, whole.bundle_since(&[])),
+        (5, tail),
+        (900, other.bundle_since(&other_prefix.version_vector())),
+    ])
+}
+
+/// Recomputes the trailing CRC32 over everything before it.
+fn fix_crc(frame: &mut [u8]) {
+    let Some(body) = frame.len().checked_sub(4) else {
+        return;
+    };
+    let crc = crc32(&frame[..body]);
+    frame[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+#[test]
+fn patch_batch_detects_every_single_byte_flip() {
+    let bytes = patch_batch();
+    assert!(decode_bundle_batch(&bytes).is_ok());
+    for i in 0..bytes.len() {
+        let mut corrupted = bytes.clone();
+        corrupted[i] ^= 0x08;
+        assert!(decode_bundle_batch(&corrupted).is_err(), "flip at byte {i}");
+    }
+}
+
+#[test]
+fn patch_batch_detects_every_truncation() {
+    let bytes = patch_batch();
+    for cut in 0..bytes.len() {
+        assert!(decode_bundle_batch(&bytes[..cut]).is_err(), "cut {cut}");
+    }
+}
+
+#[test]
+fn patch_decoder_survives_flips_past_the_crc() {
+    let bytes = patch_batch();
+    for i in 0..bytes.len() - 4 {
+        for bit in [0x01u8, 0x10, 0x80] {
+            let mut corrupted = bytes.clone();
+            corrupted[i] ^= bit;
+            fix_crc(&mut corrupted);
+            // No panic; a flip that still parses must still carry events
+            // in well-formed runs.
+            if let Ok(docs) = decode_bundle_batch(&corrupted) {
+                for (_, bundle) in &docs {
+                    assert!(bundle.runs.iter().all(|run| !run.is_empty()), "byte {i}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn patch_decoder_survives_truncation_past_the_crc() {
+    let bytes = patch_batch();
+    for cut in 5..bytes.len() - 4 {
+        let mut truncated = bytes[..cut].to_vec();
+        truncated.extend_from_slice(&[0; 4]);
+        fix_crc(&mut truncated);
+        assert!(decode_bundle_batch(&truncated).is_err(), "cut {cut}");
+    }
+}
+
+/// A batch of one document, doc id 0, whose patch is `patch`.
+fn crafted_batch(patch: &[u8]) -> Vec<u8> {
+    let mut body = Vec::new();
+    push_usize(&mut body, 1); // one document
+    push_usize(&mut body, 0); // doc id
+    push_usize(&mut body, patch.len());
+    body.extend_from_slice(patch);
+    crafted_frame(b"EGWM", &body)
+}
+
+/// A patch from its columns' integers: the event count, one agent `a`,
+/// then `rest` (assignments, ops, parents, boundary) and the content.
+fn crafted_patch(events: usize, rest: &[usize], content: &str) -> Vec<u8> {
+    let mut patch = Vec::new();
+    push_usize(&mut patch, events);
+    push_usize(&mut patch, 1); // one agent name
+    push_usize(&mut patch, 1);
+    patch.push(b'a');
+    for &n in rest {
+        push_usize(&mut patch, n);
+    }
+    push_usize(&mut patch, content.len());
+    patch.extend_from_slice(content.as_bytes());
+    patch
+}
+
+#[test]
+fn corpus_patch_structural_faults_rejected() {
+    // One forward insert of "x" by agent 0, seq 0, no parents: assignment
+    // (0, 0, 1), ops (1 << 2 | fwd, Δpos 0), parents (span 1, none).
+    let valid = crafted_patch(1, &[0, 0, 1, 0b101, 0, 1, 0], "x");
+    assert!(decode_bundle_batch(&crafted_batch(&valid)).is_ok());
+
+    let faults: [(&str, Vec<u8>); 9] = [
+        (
+            "zero-length assignment",
+            crafted_patch(1, &[0, 0, 0, 0b101, 0, 1, 0], "x"),
+        ),
+        (
+            "agent index past the table",
+            crafted_patch(1, &[1, 0, 1, 0b101, 0, 1, 0], "x"),
+        ),
+        (
+            "assignments cover more events than the patch",
+            crafted_patch(1, &[0, 0, 2, 0b101, 0, 1, 0], "x"),
+        ),
+        (
+            "zero-length op",
+            crafted_patch(1, &[0, 0, 1, 0b001, 0, 1, 0], "x"),
+        ),
+        (
+            "parent distance past the patch start",
+            crafted_patch(1, &[0, 0, 1, 0b101, 0, 1, 1, 1], "x"),
+        ),
+        (
+            "boundary parent with an agent past the table",
+            crafted_patch(1, &[0, 0, 1, 0b101, 0, 1, 1, 0, 7, 0], "x"),
+        ),
+        (
+            "content shorter than the inserts",
+            crafted_patch(1, &[0, 0, 1, 0b101, 0, 1, 0], ""),
+        ),
+        (
+            "multi-event backward insert",
+            crafted_patch(2, &[0, 0, 2, 0b1000, 0, 2, 0], "xy"),
+        ),
+        ("trailing bytes", {
+            let mut patch = valid.clone();
+            patch.push(0);
+            patch
+        }),
+    ];
+    for (what, patch) in faults {
+        assert_eq!(
+            decode_bundle_batch(&crafted_batch(&patch)),
+            Err(DecodeError::Corrupt),
+            "{what}"
+        );
+    }
+
+    // A version-1 batch (EGWB bundles inside) is refused by its version.
+    let mut old = crafted_batch(&valid);
+    old[4] = 1;
+    fix_crc(&mut old);
+    assert_eq!(decode_bundle_batch(&old), Err(DecodeError::Corrupt));
 }

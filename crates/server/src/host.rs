@@ -661,6 +661,57 @@ mod tests {
     }
 
     #[test]
+    fn a_refused_segment_file_costs_only_its_document() {
+        let tmp = TempDir::new("refused");
+        let script = small_script();
+        {
+            let host = ServerHost::with_config(ServerConfig {
+                workers: 2,
+                persist_dir: Some(tmp.0.clone()),
+                ..ServerConfig::default()
+            });
+            host.run_script(&script);
+            host.checkpoint_all();
+        }
+        // Damage one document's file: 31 bytes that are no segment store.
+        let bad = tmp.0.join("doc-5.seg");
+        let garbage = b"NOTASEGMENTSTORE, just 31 bytes".to_vec();
+        assert_eq!(garbage.len(), 31);
+        std::fs::write(&bad, &garbage).expect("plant damaged file");
+
+        let host = ServerHost::with_config(ServerConfig {
+            workers: 2,
+            persist_dir: Some(tmp.0.clone()),
+            ..ServerConfig::default()
+        });
+        let others: Vec<_> = replay_fleet_sequential("server", &script)
+            .into_iter()
+            .filter(|(doc, _, _)| *doc != DocId(5))
+            .collect();
+        let stats = host.persist_stats();
+        assert_eq!(stats.docs_refused, 1);
+        assert_eq!(stats.docs_loaded, others.len());
+        assert_eq!(host.snapshot(), others, "the good stores open exactly");
+
+        // The document goes on in memory; its file is never written.
+        let edit: Arc<[FleetOp]> = vec![FleetOp::Insert {
+            session: 0,
+            doc: 5,
+            at: 0,
+            text: "after ".into(),
+        }]
+        .into();
+        host.submit_script(&edit);
+        host.flush();
+        host.checkpoint_all();
+        assert!(host
+            .snapshot()
+            .iter()
+            .any(|(doc, _, text)| *doc == DocId(5) && text == "after "));
+        assert_eq!(std::fs::read(&bad).expect("still there"), garbage);
+    }
+
+    #[test]
     fn persistence_survives_mid_run_restart_without_checkpoint_all() {
         // No orderly checkpoint_all: rely on the per-batch appends and
         // whatever checkpoints fell due along the way.

@@ -9,7 +9,7 @@
 //! and edit batches recycle their backing `Vec`s to the host so the
 //! steady-state loop allocates nothing per op.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -73,6 +73,10 @@ pub struct PersistStats {
     /// Of those, how many opened through the cached-load fast path (a
     /// checkpoint resolved; the rest replayed their history cold).
     pub docs_cached: usize,
+    /// Segment files the store refused at startup (damaged, or not a
+    /// segment store). Each was reported, skipped and left untouched; its
+    /// document lives in memory only.
+    pub docs_refused: usize,
     /// Total length of the open segment files.
     pub store_bytes: u64,
     /// Checkpoints written since startup (each replaced its file).
@@ -90,6 +94,7 @@ impl PersistStats {
     pub(crate) fn merge(&mut self, other: &PersistStats) {
         self.docs_loaded += other.docs_loaded;
         self.docs_cached += other.docs_cached;
+        self.docs_refused += other.docs_refused;
         self.store_bytes += other.store_bytes;
         self.checkpoints_written += other.checkpoints_written;
         self.checkpoints_live += other.checkpoints_live;
@@ -105,6 +110,9 @@ impl PersistStats {
 struct Persistence {
     dir: PathBuf,
     stores: HashMap<DocId, DocStore>,
+    /// Documents whose file [`DocStore::open`] refused at startup: never
+    /// opened, written or replaced again, so the file stays as it was.
+    refused: HashSet<DocId>,
     /// The startup counts and `checkpoints_written`; the byte totals are
     /// read off the stores on demand ([`Self::stats`]).
     stats: PersistStats,
@@ -119,12 +127,14 @@ impl Persistence {
     /// shards to this worker, and installs the restored documents into
     /// `replica`. Documents are materialised through the cached path when
     /// their file holds a usable checkpoint. Temp files that this
-    /// shard's interrupted checkpoints left behind are deleted.
+    /// shard's interrupted checkpoints left behind are deleted. A file the
+    /// store refuses is reported on stderr, counted and skipped.
     fn open(dir: PathBuf, index: usize, workers: usize, replica: &mut Replica) -> Self {
         std::fs::create_dir_all(&dir).expect("create persist dir");
         let mut this = Persistence {
             dir,
             stores: HashMap::new(),
+            refused: HashSet::new(),
             stats: PersistStats::default(),
         };
         let entries = std::fs::read_dir(&this.dir).expect("scan persist dir");
@@ -153,8 +163,19 @@ impl Persistence {
                 let _ = std::fs::remove_file(entry.path());
                 continue;
             }
-            let (store, loaded) = DocStore::open(entry.path())
-                .unwrap_or_else(|e| panic!("reopen segment store for doc {}: {e}", doc.0));
+            let (store, loaded) = match DocStore::open(entry.path()) {
+                Ok(opened) => opened,
+                Err(e) => {
+                    eprintln!(
+                        "eg-server: skipping segment file {}: {e}; document {} stays in memory only",
+                        entry.path().display(),
+                        doc.0
+                    );
+                    this.stats.docs_refused += 1;
+                    this.refused.insert(doc);
+                    continue;
+                }
+            };
             if !loaded.oplog.is_empty() {
                 this.stats.docs_loaded += 1;
                 if loaded.cached {
@@ -187,6 +208,9 @@ impl Persistence {
     /// snapshotting the document's own tracker. Returns whether it wrote a
     /// checkpoint.
     fn save(&mut self, replica: &mut Replica, doc: DocId, due: impl Fn(&DocStore) -> bool) -> bool {
+        if self.refused.contains(&doc) {
+            return false;
+        }
         let Some((oplog, branch, tracker)) = replica.doc_parts(doc) else {
             return false;
         };

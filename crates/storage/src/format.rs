@@ -31,8 +31,10 @@
 //!
 //! Frame kinds:
 //!
-//! * [`RECORD_EVENTS`] — an EGWB event bundle ([`eg_encoding::encode_runs`]),
-//!   the same codec used on the wire.
+//! * [`RECORD_EVENTS`] — an EGWB event bundle ([`eg_encoding::encode_runs`]).
+//!   The wire no longer uses that codec: a bundle batch carries §3.8
+//!   patches. Event records stay EGWB until the segment format moves to
+//!   the columns too, under its own `FORMAT_VERSION` bump.
 //! * [`RECORD_CHECKPOINT`] — a materialised document at a version: the
 //!   remote-ID frontier, the full text, and two optional
 //!   byte-length-prefixed sections — a [`TrackerSnapshot`] taken at that

@@ -33,7 +33,7 @@ pub(crate) const MAX_NAME_LEN: usize = 256;
 
 /// Protocol version spoken by this build. Bumped on any wire change;
 /// peers with a different version are refused at handshake.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Frame tag: [`WireFrame::Hello`].
 pub const TAG_HELLO: u8 = 1;

@@ -3,7 +3,7 @@
 //! out-of-order delivery → causal buffer → walker merge — must reproduce
 //! the original document on the receiving replica.
 
-use eg_walker_suite::encoding::{decode_bundle, encode_bundle};
+use eg_walker_suite::encoding::{decode_bundle_batch, encode_bundle_batch};
 use eg_walker_suite::sync::{DocId, Replica};
 use eg_walker_suite::trace::{builtin_specs, generate};
 use eg_walker_suite::{EventBundle, OpLog};
@@ -31,10 +31,13 @@ fn deliver_scrambled(chunks: Vec<EventBundle>, seed: u64) -> Replica {
     }
     let mut replica = Replica::new("receiver");
     for &i in &order {
-        // Through the wire codec, like a real network would.
-        let wire = encode_bundle(&chunks[i]);
-        let decoded = decode_bundle(&wire).expect("wire roundtrip");
-        replica.receive(DocId::DEFAULT, &decoded);
+        // Through the wire codec, like a real network would: a chunk's
+        // first parents lie in other chunks, outside its patch.
+        let wire = encode_bundle_batch(&[(DocId::DEFAULT.0, &chunks[i])]);
+        let decoded = decode_bundle_batch(&wire).expect("wire roundtrip");
+        for (doc, bundle) in &decoded {
+            replica.receive(DocId(*doc), bundle);
+        }
     }
     assert_eq!(replica.pending_len(), 0, "causal buffer did not drain");
     replica
